@@ -129,10 +129,14 @@ fn build_pool(task: &MatchingTask, technique: &Technique, rng: &mut rand::rngs::
 }
 
 fn run_op(engine: &ShardedEngine, op: Op) -> usize {
+    let opts = QueryOptions::default();
     match op.kind {
-        OpKind::Range => engine.answer_set(op.query, op.epsilon).len(),
-        OpKind::TopK => engine.top_k(op.query, K).expect("distance technique").len(),
+        OpKind::Range => engine
+            .answer_set_opts(op.query, op.epsilon, &opts)
+            .map(|r| r.value.len()),
+        OpKind::TopK => engine.top_k_opts(op.query, K, &opts).map(|r| r.value.len()),
     }
+    .expect("fault-free distance-technique query")
 }
 
 fn percentile(sorted_ns: &[u64], p: f64) -> f64 {

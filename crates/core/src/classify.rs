@@ -13,7 +13,6 @@ use uts_uncertain::UncertainSeries;
 
 /// Result of a leave-one-out 1-NN classification run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassificationOutcome {
     /// Correctly classified instances.
     pub correct: usize,

@@ -56,7 +56,6 @@ pub const MAX_WARM_ERRORS: usize = 16;
 
 /// DUST configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DustConfig {
     /// Number of grid cells in each lookup table.
     pub table_resolution: usize,

@@ -417,7 +417,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// [`DeadlineExpired`] once it passes. An answer that *is* returned
     /// is bit-identical to the deadline-free scan — checkpoints never
     /// alter a decision, they only stop the loop.
-    pub fn answer_set_ref_within(
+    pub(crate) fn answer_set_ref_within(
         &self,
         query: &QueryRef<'_>,
         epsilon: f64,
@@ -550,7 +550,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// Deadline-bounded twin of [`QueryEngine::probabilities_ref`] (see
     /// [`QueryEngine::answer_set_ref_within`] for the checkpoint
     /// contract).
-    pub fn probabilities_ref_within(
+    pub(crate) fn probabilities_ref_within(
         &self,
         query: &QueryRef<'_>,
         epsilon: f64,
@@ -648,7 +648,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// contract). The outer `Result` carries expiry; the inner `Option`
     /// keeps the "probabilistic techniques have no distance ranking"
     /// convention.
-    pub fn top_k_ref_within(
+    pub(crate) fn top_k_ref_within(
         &self,
         query: &QueryRef<'_>,
         k: usize,
@@ -1244,40 +1244,44 @@ mod unit {
             tau: 0.5,
         };
         assert!(QueryEngine::prepare(&task, &proud).top_k(2, 4).is_none());
+        assert!(task.top_k_naive(2, &proud, 4).is_none());
     }
 
     #[test]
-    fn task_top_k_is_typed_error_for_probabilistic_without_multi() {
-        // MUNICH preparation demands multi-observation data; the task
-        // shortcut must answer a typed error (not panic in `prepare`,
-        // and not a bare `None` that conflates "no matches").
-        use crate::matching::{TaskError, TechniqueKind};
-        let base = toy_task(37, 8, 10, 0.3, 3);
-        let task = MatchingTask::new(base.clean().to_vec(), base.uncertain().to_vec(), None, 3);
-        let munich = Technique::Munich {
-            munich: Munich::default(),
-            tau: 0.5,
-        };
-        assert_eq!(
-            task.top_k(0, &munich, 3),
-            Err(TaskError::NotDistanceRanked(TechniqueKind::Munich))
+    fn prq_proud_monotone_in_tau() {
+        // PRQ(Q, C, ε, τ) (paper Eq. 2): a higher τ can only shrink the
+        // answer.
+        let task = toy_task(17, 8, 32, 0.2, 3);
+        let proud = Proud::new(ProudConfig::with_sigma(0.2));
+        let eps = 1.5 * task.calibrated_threshold(0, &Technique::Euclidean);
+        let answer =
+            |tau| QueryEngine::prepare(&task, &Technique::Proud { proud, tau }).answer_set(0, eps);
+        let (loose, tight) = (answer(0.1), answer(0.9));
+        assert!(!loose.is_empty());
+        assert!(
+            tight.iter().all(|i| loose.contains(i)),
+            "{tight:?} ⊄ {loose:?}"
         );
-        assert!(task.top_k_naive(0, &munich, 3).is_none());
-        let proud = Technique::Proud {
-            proud: Proud::default(),
-            tau: 0.5,
-        };
-        assert_eq!(
-            task.top_k(0, &proud, 3),
-            Err(TaskError::NotDistanceRanked(TechniqueKind::Proud))
+    }
+
+    #[test]
+    fn prq_munich_end_to_end() {
+        let task = toy_task(23, 5, 6, 0.3, 1);
+        let engine = QueryEngine::prepare(
+            &task,
+            &Technique::Munich {
+                munich: Munich::default(),
+                tau: 0.5,
+            },
         );
-        // Distance techniques agree with the engine, through `Ok`.
-        assert_eq!(
-            task.top_k(0, &Technique::Euclidean, 3).unwrap(),
-            QueryEngine::prepare(&task, &Technique::Euclidean)
-                .top_k(0, 3)
-                .unwrap()
-        );
+        // Member 0 queried as an external view (nothing excluded) must
+        // match itself.
+        let query = engine.query_ref(0);
+        let res = engine.answer_set_ref(&query, 1.5, None);
+        assert!(res.contains(&0), "a series must match itself");
+        // Wider ε can only add members.
+        let wider = engine.answer_set_ref(&query, 5.0, None);
+        assert!(res.iter().all(|i| wider.contains(i)), "{res:?} ⊄ {wider:?}");
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! MUNICH and PROUD answer *probabilistic range queries*
 //! `PRQ(Q, C, ε, τ) = {T : Pr(distance(Q, T) ≤ ε) ≥ τ}` (paper Eq. 2);
 //! DUST, Euclidean and UMA/UEMA produce plain distances and answer range /
-//! top-k queries ([`query`]).
+//! top-k queries ([`engine`]); [`query`] adds the distance-generic
+//! subsequence and motif searches.
 //!
 //! ## Methodology
 //!
@@ -50,12 +51,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature is a placeholder: the hermetic build has no vendored serde yet. \
-     Vendor a serde stand-in under vendor/ (and switch this gate off) before enabling it."
-);
-
 pub mod cancel;
 pub mod classify;
 pub mod dust;
@@ -77,12 +72,12 @@ pub use dust::{Dust, DustConfig};
 pub use engine::{PrepareError, QueryEngine, QueryRef};
 pub use euclidean::euclidean_distance;
 pub use index::{CandidateIndex, IndexConfig, IndexStats};
-pub use matching::{MatchingTask, QualityScores, TaskError, TechniqueKind, UpdateError};
+pub use matching::{MatchingTask, QualityScores, TechniqueKind, UpdateError};
 pub use munich::{MbiEnvelope, Munich, MunichConfig, MunichError, MunichStrategy};
 pub use parallel::{parallel_map, try_parallel_map, WorkerPanic};
 pub use proud::{MomentModel, Proud, ProudConfig};
 pub use proud_stream::ProudStream;
-pub use query::{ProbabilisticRangeQuery, RangeQuery, TopK, TopKMotifs};
+pub use query::{SubsequenceScan, TopKMotifs};
 pub use serving::{
     AdmissionConfig, CacheStats, Coverage, FaultKind, FaultPlan, GateStats, QueryOptions,
     ResultCache, ScoredAnswer, ServeError, ServingResponse, ShardAssignment, ShardError,

@@ -29,13 +29,13 @@ use uts_tseries::TimeSeries;
 use uts_uncertain::{MultiObsSeries, UncertainSeries};
 
 use crate::dust::Dust;
+use crate::engine::QueryEngine;
 use crate::munich::Munich;
 use crate::proud::Proud;
 use crate::uma::{Uema, Uma};
 
 /// Identifies a similarity technique in reports and result tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TechniqueKind {
     /// Point-estimate Euclidean baseline.
     Euclidean,
@@ -111,6 +111,12 @@ impl Technique {
         }
     }
 
+    /// Whether the technique answers probabilistic range queries
+    /// (MUNICH, PROUD) rather than ranking by a distance.
+    pub(crate) fn is_probabilistic(&self) -> bool {
+        matches!(self, Technique::Munich { .. } | Technique::Proud { .. })
+    }
+
     /// Copy of this technique with a different τ (no-op for
     /// non-probabilistic techniques).
     pub fn with_tau(&self, tau: f64) -> Self {
@@ -125,46 +131,9 @@ impl Technique {
     }
 }
 
-/// Typed rejection of a task-level query the technique cannot answer,
-/// so callers can tell "no matches" (an empty `Ok`) apart from "this
-/// question is not well-posed for this technique".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskError {
-    /// The technique answers probabilistic range queries, not distance
-    /// rankings — top-k by distance is undefined for it (paper §2: MUNICH
-    /// and PROUD return `Pr(dist ≤ ε)`, not a real-valued distance).
-    NotDistanceRanked(TechniqueKind),
-    /// The engine could not be prepared for this task (e.g. MUNICH
-    /// without multi-observation data).
-    Prepare(crate::engine::PrepareError),
-}
-
-impl std::fmt::Display for TaskError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NotDistanceRanked(kind) => write!(
-                f,
-                "{kind} answers probabilistic range queries, not distance rankings; \
-                 top-k by distance is undefined"
-            ),
-            Self::Prepare(e) => write!(f, "cannot prepare the task: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TaskError {}
-
-impl From<crate::engine::PrepareError> for TaskError {
-    fn from(e: crate::engine::PrepareError) -> Self {
-        Self::Prepare(e)
-    }
-}
-
 /// Typed rejection of a member replacement whose shape does not fit the
 /// task — the serving layer's fallible update surface
-/// ([`crate::serving::ShardedEngine::try_update_series`]); the panicking
-/// [`crate::serving::ShardedEngine::update_series`] raises the same
-/// message.
+/// ([`crate::serving::ShardedEngine::try_update_series`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateError {
     /// The replaced index is not a member of the collection.
@@ -243,7 +212,6 @@ impl std::error::Error for UpdateError {}
 
 /// Precision / recall / F1 of one query's answer set (paper Eq. 14).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QualityScores {
     /// Fraction of returned series that are truly similar.
     pub precision: f64,
@@ -515,26 +483,7 @@ impl MatchingTask {
         }
     }
 
-    /// Runs the matching query: all candidates the technique reports as
-    /// within `epsilon` of query `q` (self excluded), as a sorted index
-    /// vector.
-    ///
-    /// One-shot convenience over [`crate::engine::QueryEngine`]: prepares
-    /// the engine and answers a single query. Batch callers should
-    /// prepare once and reuse — see [`MatchingTask::evaluate_queries`]
-    /// and the experiment runner. Like every `prepare` under the default
-    /// [`crate::index::IndexConfig`], collections of at least 256 series
-    /// get the lower-bound candidate index for the value-based
-    /// techniques; answers are identical either way.
-    ///
-    /// # Panics
-    /// For `Technique::Munich` when the task holds no multi-observation
-    /// data.
-    pub fn answer_set(&self, q: usize, technique: &Technique, epsilon: f64) -> Vec<usize> {
-        crate::engine::QueryEngine::prepare(self, technique).answer_set(q, epsilon)
-    }
-
-    /// Reference implementation of [`MatchingTask::answer_set`]: the
+    /// Reference implementation of [`QueryEngine::answer_set`]: the
     /// per-query candidate scan with no precomputation, no early
     /// abandonment and no pruning. Kept as the naive baseline the engine
     /// is tested against.
@@ -599,35 +548,14 @@ impl MatchingTask {
     }
 
     /// For probabilistic techniques: `Pr(distance(q, i) ≤ ε)` for every
-    /// candidate `i ≠ q`, as `(index, probability)` pairs. Returns `None`
-    /// for non-probabilistic techniques.
+    /// candidate `i ≠ q`, as `(index, probability)` pairs; `None` for
+    /// non-probabilistic techniques. Reference implementation of
+    /// [`QueryEngine::probabilities`] with per-pair MBI recomputation,
+    /// kept as the naive baseline the engine is tested against.
     ///
-    /// Thresholding these probabilities at τ reproduces
-    /// [`MatchingTask::answer_set`] exactly (PROUD's `ε_norm ≥ ε_limit`
-    /// test is `Φ(ε_norm) ≥ τ` by monotonicity of Φ), so τ sweeps can
-    /// reuse one probability pass — the optimisation the harness's
-    /// optimal-τ search relies on.
-    ///
-    /// One-shot convenience over [`crate::engine::QueryEngine`] (MUNICH's
-    /// MBI filter runs from precomputed envelopes).
-    pub fn probabilities(
-        &self,
-        q: usize,
-        technique: &Technique,
-        epsilon: f64,
-    ) -> Option<Vec<(usize, f64)>> {
-        assert!(q < self.len(), "query index out of range");
-        match technique {
-            Technique::Munich { .. } | Technique::Proud { .. } => {
-                crate::engine::QueryEngine::prepare(self, technique).probabilities(q, epsilon)
-            }
-            _ => None,
-        }
-    }
-
-    /// Reference implementation of [`MatchingTask::probabilities`] with
-    /// per-pair MBI recomputation. Kept as the naive baseline the engine
-    /// is tested against.
+    /// Thresholding these probabilities at τ reproduces the range answer
+    /// exactly (PROUD's `ε_norm ≥ ε_limit` test is `Φ(ε_norm) ≥ τ` by
+    /// monotonicity of Φ), so τ sweeps can reuse one probability pass.
     pub fn probabilities_naive(
         &self,
         q: usize,
@@ -661,49 +589,9 @@ impl MatchingTask {
 
     /// Top-k nearest neighbours of query `q` under the technique's
     /// distance (self excluded), `(index, distance)` sorted ascending by
-    /// distance then index.
-    ///
-    /// An empty task never occurs and `k` larger than the candidate
-    /// count truncates, so `Ok` always carries the `min(k, len − 1)`
-    /// nearest members; the error cases are typed instead of collapsing
-    /// into a bare `None`:
-    ///
-    /// * [`TaskError::NotDistanceRanked`] — the technique is
-    ///   probabilistic (MUNICH, PROUD). These rank by `Pr(dist ≤ ε)`,
-    ///   not by a distance, so "top-k nearest" is not a well-posed
-    ///   question for them (use [`MatchingTask::probabilities`] and
-    ///   threshold at τ instead). Answered *without* preparing — MUNICH
-    ///   preparation would demand multi-observation data and build every
-    ///   envelope for nothing.
-    /// * [`TaskError::Prepare`] — the engine could not be prepared for
-    ///   this task (unreachable for today's distance techniques, whose
-    ///   preparation is infallible; kept so the contract survives
-    ///   fallible preparations).
-    ///
-    /// One-shot convenience over [`crate::engine::QueryEngine`]
-    /// (early-abandoned selection scan).
-    pub fn top_k(
-        &self,
-        q: usize,
-        technique: &Technique,
-        k: usize,
-    ) -> Result<Vec<(usize, f64)>, TaskError> {
-        assert!(q < self.len(), "query index out of range");
-        assert!(k > 0, "k must be positive");
-        if matches!(
-            technique,
-            Technique::Proud { .. } | Technique::Munich { .. }
-        ) {
-            return Err(TaskError::NotDistanceRanked(technique.kind()));
-        }
-        let engine = crate::engine::QueryEngine::try_prepare(self, technique)?;
-        Ok(engine
-            .top_k(q, k)
-            .expect("distance techniques rank by distance"))
-    }
-
-    /// Reference implementation of [`MatchingTask::top_k`]: full distance
-    /// pass plus a sort. Kept as the naive baseline the engine is tested
+    /// distance then index; `None` for the probabilistic techniques.
+    /// Reference implementation of [`QueryEngine::top_k`]: full distance
+    /// pass plus a sort, kept as the naive baseline the engine is tested
     /// against.
     pub fn top_k_naive(
         &self,
@@ -755,23 +643,20 @@ impl MatchingTask {
     }
 
     /// Full §4.1.2 protocol for one query: calibrate, answer, score.
+    /// Prepares an engine for this one query; batch callers should use
+    /// [`MatchingTask::evaluate_queries`], which prepares once.
     pub fn query_quality(&self, q: usize, technique: &Technique) -> QualityScores {
-        let gt = self.ground_truth(q);
-        let eps = self.threshold_against(q, gt.anchor, technique);
-        let answer = self.answer_set(q, technique, eps);
-        QualityScores::from_sets(&answer, &gt.neighbors)
+        QueryEngine::prepare(self, technique).query_quality(q)
     }
 
     /// Protocol over a set of queries; returns per-query scores in the
     /// order given.
     ///
-    /// Prepares one [`crate::engine::QueryEngine`] and shares it across
-    /// all queries, so the per-collection work (UMA/UEMA filtering, DUST
-    /// table warm-up, MUNICH envelopes) is paid once instead of once per
-    /// query.
+    /// Prepares one [`QueryEngine`] and shares it across all queries, so
+    /// the per-collection work (UMA/UEMA filtering, DUST table warm-up,
+    /// MUNICH envelopes) is paid once instead of once per query.
     pub fn evaluate_queries(&self, queries: &[usize], technique: &Technique) -> Vec<QualityScores> {
-        let engine = crate::engine::QueryEngine::prepare(self, technique);
-        engine.evaluate_queries(queries)
+        QueryEngine::prepare(self, technique).evaluate_queries(queries)
     }
 
     /// Grid search for the optimal probability threshold τ of MUNICH or
@@ -1015,7 +900,7 @@ mod unit {
             tau: 0.5,
         };
         let r =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.answer_set(0, &t, 1.0)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.query_quality(0, &t)));
         assert!(r.is_err(), "MUNICH without multi-obs data must panic");
     }
 

@@ -64,7 +64,6 @@ use uts_uncertain::MultiObsSeries;
 
 /// Strategy for computing the materialisation-distance distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MunichStrategy {
     /// Exact DP over partial-sum supports (guarded by
     /// [`MunichConfig::exact_support_limit`]; falls back to convolution
@@ -87,7 +86,6 @@ pub enum MunichStrategy {
 
 /// MUNICH configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MunichConfig {
     /// Distribution strategy.
     pub strategy: MunichStrategy,

@@ -33,7 +33,6 @@ use uts_uncertain::UncertainSeries;
 
 /// How `Var[Dᵢ²]` is computed from the per-point error descriptions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MomentModel {
     /// Gaussian-error formula `4δ²v + 2v²` (the original PROUD).
     #[default]
@@ -44,7 +43,6 @@ pub enum MomentModel {
 
 /// PROUD configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProudConfig {
     /// When set, every point of both series is treated as having this
     /// error standard deviation — PROUD's "single σ for the stream"

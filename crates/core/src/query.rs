@@ -1,28 +1,23 @@
-//! Query types over collections of uncertain time series.
+//! Distance-generic queries over uncertain series that the batched
+//! engine has no equivalent for.
 //!
-//! The paper defines two query classes (§2):
-//!
-//! * [`RangeQuery`] — `RQ(Q, C, ε) = {S ∈ C : distance(Q, S) ≤ ε}`
-//!   (Eq. 1), for techniques that produce plain distances (Euclidean,
-//!   DUST, UMA, UEMA).
-//! * [`ProbabilisticRangeQuery`] —
-//!   `PRQ(Q, C, ε, τ) = {T ∈ C : Pr(distance(Q, T) ≤ ε) ≥ τ}` (Eq. 2),
-//!   for MUNICH and PROUD.
-//!
-//! [`TopK`] covers the top-k nearest-neighbour queries that DUST — being
-//! "a real number that measures the dissimilarity" — supports directly
-//! (paper §3.3), including top-k motif-style searches used by one of the
-//! examples.
+//! Range, top-k and probabilistic range queries (paper §2, Eqs. 1–2) run
+//! through [`crate::engine::QueryEngine`], which prepares the collection
+//! once and prunes with admissible bounds. This module keeps what sits
+//! outside that collection model: [`UncertainDistance`], the plain
+//! distance interface, and the two queries generic over it —
+//! [`SubsequenceScan`] (a pattern slid over one long stream) and
+//! [`TopKMotifs`] (the closest *pairs* within a collection, the top-k
+//! motif search DUST supports, paper §3.3).
 
 use crate::dust::Dust;
-use crate::munich::Munich;
-use crate::proud::Proud;
 use crate::uma::{Uema, Uma};
 use uts_tseries::distance::euclidean;
-use uts_uncertain::{MultiObsSeries, UncertainSeries};
+use uts_uncertain::UncertainSeries;
 
 /// A distance measure over pdf-model uncertain series that yields a plain
-/// real number — the interface range and top-k queries are generic over.
+/// real number — the interface subsequence and motif queries are generic
+/// over.
 pub trait UncertainDistance {
     /// The distance between two equal-length uncertain series.
     fn distance(&self, x: &UncertainSeries, y: &UncertainSeries) -> f64;
@@ -72,125 +67,6 @@ impl UncertainDistance for Uema {
 
     fn name(&self) -> &'static str {
         "UEMA"
-    }
-}
-
-/// Range query `RQ(Q, C, ε)` (paper Eq. 1).
-#[derive(Debug, Clone, Copy)]
-pub struct RangeQuery {
-    /// Distance threshold ε.
-    pub epsilon: f64,
-}
-
-impl RangeQuery {
-    /// Creates a range query; panics on negative ε.
-    pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon >= 0.0, "ε must be non-negative");
-        Self { epsilon }
-    }
-
-    /// Evaluates the query: indices of all collection members within ε of
-    /// the query series under `measure`.
-    pub fn evaluate<M: UncertainDistance>(
-        &self,
-        query: &UncertainSeries,
-        collection: &[UncertainSeries],
-        measure: &M,
-    ) -> Vec<usize> {
-        collection
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| measure.distance(query, s) <= self.epsilon)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Probabilistic range query `PRQ(Q, C, ε, τ)` (paper Eq. 2).
-#[derive(Debug, Clone, Copy)]
-pub struct ProbabilisticRangeQuery {
-    /// Distance threshold ε.
-    pub epsilon: f64,
-    /// Probability threshold τ.
-    pub tau: f64,
-}
-
-impl ProbabilisticRangeQuery {
-    /// Creates a PRQ; panics on negative ε or τ outside `[0, 1]`.
-    pub fn new(epsilon: f64, tau: f64) -> Self {
-        assert!(epsilon >= 0.0, "ε must be non-negative");
-        assert!((0.0..=1.0).contains(&tau), "τ must be in [0, 1]");
-        Self { epsilon, tau }
-    }
-
-    /// Evaluates the PRQ with PROUD over pdf-model series.
-    pub fn evaluate_proud(
-        &self,
-        proud: &Proud,
-        query: &UncertainSeries,
-        collection: &[UncertainSeries],
-    ) -> Vec<usize> {
-        collection
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| proud.matches(query, s, self.epsilon, self.tau))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Evaluates the PRQ with MUNICH over multi-observation series,
-    /// through the pruned decision pipeline ([`Munich::decide_within`] —
-    /// same answers as [`Munich::matches`], usually far cheaper).
-    pub fn evaluate_munich(
-        &self,
-        munich: &Munich,
-        query: &MultiObsSeries,
-        collection: &[MultiObsSeries],
-    ) -> Vec<usize> {
-        collection
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| munich.decide_within(query, s, self.epsilon, self.tau))
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Top-k nearest-neighbour query under any [`UncertainDistance`].
-#[derive(Debug, Clone, Copy)]
-pub struct TopK {
-    /// Number of neighbours to return.
-    pub k: usize,
-}
-
-impl TopK {
-    /// Creates a top-k query; panics when `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        Self { k }
-    }
-
-    /// Evaluates the query: the `k` collection members closest to `query`,
-    /// as `(index, distance)` pairs sorted ascending by distance (ties by
-    /// index). Returns fewer than `k` when the collection is smaller.
-    pub fn evaluate<M: UncertainDistance>(
-        &self,
-        query: &UncertainSeries,
-        collection: &[UncertainSeries],
-        measure: &M,
-    ) -> Vec<(usize, f64)> {
-        let mut dists: Vec<(usize, f64)> = collection
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, measure.distance(query, s)))
-            .collect();
-        dists.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("finite distances")
-                .then(a.0.cmp(&b.0))
-        });
-        dists.truncate(self.k);
-        dists
     }
 }
 
@@ -294,10 +170,9 @@ impl TopKMotifs {
 #[cfg(test)]
 mod unit {
     use super::*;
-    use crate::proud::ProudConfig;
     use uts_stats::rng::Seed;
     use uts_tseries::TimeSeries;
-    use uts_uncertain::{perturb, perturb_multi, ErrorFamily, ErrorSpec};
+    use uts_uncertain::{perturb, ErrorFamily, ErrorSpec};
 
     fn collection(n: usize, len: usize) -> (UncertainSeries, Vec<UncertainSeries>) {
         let spec = ErrorSpec::constant(ErrorFamily::Normal, 0.2);
@@ -312,21 +187,7 @@ mod unit {
     }
 
     #[test]
-    fn range_query_filters_by_epsilon() {
-        let (q, coll) = collection(8, 32);
-        let rq = RangeQuery::new(2.0);
-        let res = rq.evaluate(&q, &coll, &EuclideanMeasure);
-        for (i, s) in coll.iter().enumerate() {
-            let within = euclidean(q.values(), s.values()) <= 2.0;
-            assert_eq!(res.contains(&i), within, "index {i}");
-        }
-        // ε = 0 still matches the identical copy (index 0, same seed).
-        let res = RangeQuery::new(0.0).evaluate(&q, &coll, &EuclideanMeasure);
-        assert_eq!(res, vec![0]);
-    }
-
-    #[test]
-    fn range_query_works_with_all_measures() {
+    fn all_measures_have_zero_self_distance() {
         let (q, coll) = collection(6, 16);
         for measure in [
             Box::new(EuclideanMeasure) as Box<dyn UncertainDistance>,
@@ -337,65 +198,6 @@ mod unit {
             let d0 = measure.distance(&q, &coll[0]);
             assert!(d0 < 1e-9, "{}: self-distance {d0}", measure.name());
         }
-    }
-
-    #[test]
-    fn topk_is_sorted_and_truncated() {
-        let (q, coll) = collection(10, 24);
-        let res = TopK::new(3).evaluate(&q, &coll, &EuclideanMeasure);
-        assert_eq!(res.len(), 3);
-        assert!(res.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(res[0].0, 0, "the identical series must rank first");
-        // k larger than the collection.
-        let res = TopK::new(99).evaluate(&q, &coll, &EuclideanMeasure);
-        assert_eq!(res.len(), 10);
-    }
-
-    #[test]
-    fn topk_with_dust_ranks_self_first() {
-        let (q, coll) = collection(6, 16);
-        let res = TopK::new(2).evaluate(&q, &coll, &Dust::default());
-        assert_eq!(res[0].0, 0);
-    }
-
-    #[test]
-    fn prq_proud_monotone_in_tau() {
-        let (q, coll) = collection(8, 32);
-        let proud = Proud::new(ProudConfig::with_sigma(0.2));
-        let eps = 2.0;
-        let loose = ProbabilisticRangeQuery::new(eps, 0.1).evaluate_proud(&proud, &q, &coll);
-        let tight = ProbabilisticRangeQuery::new(eps, 0.9).evaluate_proud(&proud, &q, &coll);
-        // Higher τ can only shrink the answer.
-        for i in &tight {
-            assert!(loose.contains(i));
-        }
-    }
-
-    #[test]
-    fn prq_munich_end_to_end() {
-        let spec = ErrorSpec::constant(ErrorFamily::Normal, 0.3);
-        let seed = Seed::new(23);
-        let mk = |i: usize| {
-            let clean =
-                TimeSeries::from_values((0..6).map(|t| ((t as f64 / 2.0) + i as f64).sin()));
-            perturb_multi(&clean, &spec, 4, seed.derive_u64(i as u64))
-        };
-        let q = mk(0);
-        let coll: Vec<MultiObsSeries> = (0..5).map(mk).collect();
-        let munich = Munich::default();
-        let res = ProbabilisticRangeQuery::new(1.5, 0.5).evaluate_munich(&munich, &q, &coll);
-        assert!(res.contains(&0), "same-seed series must match itself");
-        // Wider ε can only add members.
-        let wider = ProbabilisticRangeQuery::new(5.0, 0.5).evaluate_munich(&munich, &q, &coll);
-        for i in &res {
-            assert!(wider.contains(i));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "τ must be in")]
-    fn invalid_tau_panics() {
-        let _ = ProbabilisticRangeQuery::new(1.0, 1.5);
     }
 
     #[test]

@@ -43,9 +43,11 @@
 //!
 //! # Fault tolerance
 //!
-//! The `_opts` entry points ([`ShardedEngine::answer_set_opts`],
+//! The entry points ([`ShardedEngine::answer_set_opts`],
 //! [`ShardedEngine::top_k_opts`], [`ShardedEngine::probabilities_opts`])
-//! wrap the same fan-out in a fault boundary:
+//! are thin adapters over one pipeline — cache probe, admission,
+//! deadline, owner-shard view, fan-out, merge, cache insert — whose
+//! fan-out runs inside a fault boundary:
 //!
 //! * a **panicking shard** is isolated per attempt
 //!   ([`crate::parallel::try_parallel_map`] plus a per-attempt catch),
@@ -64,10 +66,9 @@
 //!   deterministic one-shot faults at shard boundaries for chaos tests —
 //!   the fault-free engine consults an empty plan and pays nothing.
 //!
-//! The classic entry points are thin wrappers over the `_opts` paths
-//! with [`QueryOptions::default`] (no deadline, no retries, strict), so
-//! fault-free default-option answers stay bit-identical to the classic
-//! — and therefore to the unsharded — results.
+//! With [`QueryOptions::default`] (no deadline, no retries, strict) and
+//! no injected faults, every answer is complete and bit-identical to the
+//! unsharded engine's.
 
 pub mod admission;
 pub mod cache;
@@ -96,7 +97,7 @@ use uts_uncertain::{MultiObsSeries, UncertainSeries};
 use crate::cancel::{Deadline, DeadlineExpired};
 use crate::engine::{PrepareError, QueryEngine, QueryRef};
 use crate::index::{IndexConfig, IndexStats};
-use crate::matching::{MatchingTask, TaskError, Technique, UpdateError};
+use crate::matching::{MatchingTask, Technique, UpdateError};
 use crate::parallel::{panic_message, try_parallel_map};
 
 /// Default bound on resident cache entries (see [`ResultCache`]).
@@ -106,6 +107,47 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// of top-k and probability answers (scores are distances for the
 /// former, `Pr(dist ≤ ε)` for the latter).
 pub type ScoredAnswer = Arc<Vec<(usize, f64)>>;
+
+/// An element of a served answer: how it maps from shard-local to
+/// global indices, and how its answer round-trips through the
+/// [`ResultCache`].
+trait Answer: Send + Sized {
+    fn globalize(self, global_of: impl Fn(usize) -> usize) -> Self;
+    fn to_cached(answer: Arc<Vec<Self>>) -> CachedAnswer;
+    fn from_cached(cached: CachedAnswer) -> Option<Arc<Vec<Self>>>;
+}
+
+/// Range answers: bare member indices.
+impl Answer for usize {
+    fn globalize(self, global_of: impl Fn(usize) -> usize) -> Self {
+        global_of(self)
+    }
+    fn to_cached(answer: Arc<Vec<Self>>) -> CachedAnswer {
+        CachedAnswer::Indices(answer)
+    }
+    fn from_cached(cached: CachedAnswer) -> Option<Arc<Vec<Self>>> {
+        match cached {
+            CachedAnswer::Indices(v) => Some(v),
+            CachedAnswer::Scored(_) => None,
+        }
+    }
+}
+
+/// Top-k and probability answers: `(member index, score)`.
+impl Answer for (usize, f64) {
+    fn globalize(self, global_of: impl Fn(usize) -> usize) -> Self {
+        (global_of(self.0), self.1)
+    }
+    fn to_cached(answer: Arc<Vec<Self>>) -> CachedAnswer {
+        CachedAnswer::Scored(answer)
+    }
+    fn from_cached(cached: CachedAnswer) -> Option<Arc<Vec<Self>>> {
+        match cached {
+            CachedAnswer::Scored(v) => Some(v),
+            CachedAnswer::Indices(_) => None,
+        }
+    }
+}
 
 /// First retry backoff; doubles per attempt, clipped to the remaining
 /// deadline budget.
@@ -131,7 +173,7 @@ const DELAY_SLICE: Duration = Duration::from_millis(1);
 /// ```
 /// use uts_core::engine::QueryEngine;
 /// use uts_core::matching::{MatchingTask, Technique};
-/// use uts_core::serving::{ShardAssignment, ShardedEngine};
+/// use uts_core::serving::{QueryOptions, ShardAssignment, ShardedEngine};
 /// use uts_tseries::TimeSeries;
 /// use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
 ///
@@ -153,7 +195,8 @@ const DELAY_SLICE: Duration = Duration::from_millis(1);
 ///     ShardAssignment::RoundRobin,
 /// );
 /// for q in 0..task.len() {
-///     assert_eq!(*sharded.top_k(q, 3).unwrap(), flat.top_k(q, 3).unwrap());
+///     let served = sharded.top_k_opts(q, 3, &QueryOptions::default()).unwrap();
+///     assert_eq!(*served.value, flat.top_k(q, 3).unwrap());
 /// }
 /// ```
 #[derive(Debug)]
@@ -163,9 +206,9 @@ pub struct ShardedEngine {
     shards: Vec<QueryEngine<Arc<MatchingTask>>>,
     cache: ResultCache,
     /// The index config every shard was prepared with — kept so
-    /// [`ShardedEngine::update_series`] re-prepares the owner shard with
-    /// the same indexing decision (an updated shard must not silently
-    /// lose its index).
+    /// [`ShardedEngine::try_update_series`] re-prepares the owner shard
+    /// with the same indexing decision (an updated shard must not
+    /// silently lose its index).
     index_config: IndexConfig,
     /// Opt-in admission gate ([`ShardedEngine::with_admission`]); `None`
     /// admits everything.
@@ -173,6 +216,10 @@ pub struct ShardedEngine {
     /// Injected chaos faults ([`ShardedEngine::inject_faults`]); the
     /// default empty plan costs one branch per shard attempt.
     faults: FaultPlan,
+    /// Pruning counters of shard engines replaced by
+    /// [`ShardedEngine::try_update_series`], so
+    /// [`ShardedEngine::index_stats`] stays monotone across updates.
+    retired_stats: IndexStats,
 }
 
 impl ShardedEngine {
@@ -246,14 +293,14 @@ impl ShardedEngine {
             index_config: index,
             gate: None,
             faults: FaultPlan::new(),
+            retired_stats: IndexStats::default(),
         })
     }
 
     /// Adds an admission gate: at most [`AdmissionConfig::permits`]
     /// queries run concurrently, and an arrival that cannot get a permit
     /// within [`AdmissionConfig::max_wait`] is rejected with the typed
-    /// [`ServeError::Overloaded`] (through the `_opts` entry points; the
-    /// classic wrappers panic with the same message).
+    /// [`ServeError::Overloaded`].
     ///
     /// Cache hits are served *before* the gate — a saturated gate still
     /// answers repeat queries from the cache.
@@ -328,25 +375,11 @@ impl ShardedEngine {
     /// in `scan_queries` there while still counting `indexed_queries`
     /// on shards where it engages.
     pub fn index_stats(&self) -> IndexStats {
-        let mut total = IndexStats::default();
+        let mut total = self.retired_stats;
         for shard in &self.shards {
             total.absorb(&shard.index_stats());
         }
         total
-    }
-
-    /// The prepared query view of global member `q`, resolved on its
-    /// owner shard.
-    fn query_view(&self, q: usize) -> (usize, usize, QueryRef<'_>) {
-        assert!(q < self.plan.len(), "query index out of range");
-        let (owner, local) = self.plan.owner_of(q);
-        (owner, local, self.shards[owner].query_ref(local))
-    }
-
-    /// `exclude` argument for shard `s` when the query lives at
-    /// `(owner, local)`: only the owner shard skips a member.
-    fn exclude_for(s: usize, owner: usize, local: usize) -> Option<usize> {
-        (s == owner).then_some(local)
     }
 
     /// The deadline for one query under `opts`, armed at entry so the
@@ -491,26 +524,71 @@ impl ShardedEngine {
         }
     }
 
-    /// Range query: all members within `epsilon` of member `q` (self
-    /// excluded), ascending global indices. Bit-identical to the
-    /// unsharded [`QueryEngine::answer_set`]; repeated calls hit the
-    /// cache.
+    /// The one query pipeline behind every `_opts` entry point: cache
+    /// probe → admission → deadline → owner-shard view → fan-out →
+    /// merge → cache insert. Cache hits bypass the admission gate, and
+    /// only complete answers are cached — a degraded partial must not be
+    /// replayed as if it were the full one.
     ///
-    /// Thin wrapper over [`ShardedEngine::answer_set_opts`] with
-    /// [`QueryOptions::default`]; a fault that surfaces anyway (an
-    /// injected chaos fault, or a saturated admission gate) panics with
-    /// the typed error's message — use the `_opts` path to handle those.
-    pub fn answer_set(&self, q: usize, epsilon: f64) -> Arc<Vec<usize>> {
-        self.answer_set_opts(q, epsilon, &QueryOptions::default())
-            .map(|r| r.value)
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// `run` evaluates one shard against the query's prepared view (the
+    /// `exclude` argument skips the query's own slot on its owner shard)
+    /// and returns local indices; the pipeline maps them to global ones
+    /// before `merge` folds the covered shards' parts.
+    fn serve<X: Answer>(
+        &self,
+        q: usize,
+        op: CacheOp,
+        opts: &QueryOptions,
+        run: impl Fn(
+                &QueryEngine<Arc<MatchingTask>>,
+                &QueryRef<'_>,
+                Option<usize>,
+                &Deadline,
+            ) -> Result<Vec<X>, DeadlineExpired>
+            + Sync,
+        merge: impl FnOnce(&[Vec<X>]) -> Vec<X>,
+    ) -> Result<ServingResponse<Arc<Vec<X>>>, ServeError> {
+        let key = CacheKey {
+            technique: self.technique.kind(),
+            query: q,
+            op,
+        };
+        if let Some(hit) = self.cache.get(&key).and_then(X::from_cached) {
+            return Ok(ServingResponse {
+                value: hit,
+                coverage: Coverage::full(self.shards.len()),
+                retries: 0,
+            });
+        }
+        let _permit = self.admit()?;
+        let deadline = Self::deadline_of(opts);
+        assert!(q < self.plan.len(), "query index out of range");
+        let (owner, local) = self.plan.owner_of(q);
+        let query = self.shards[owner].query_ref(local);
+        let (parts, coverage, retries) = self.fan_out(&deadline, opts, |s, dl| {
+            let exclude = (s == owner).then_some(local);
+            Ok(run(&self.shards[s], &query, exclude, dl)?
+                .into_iter()
+                .map(|x| x.globalize(|l| self.plan.global_of(s, l)))
+                .collect())
+        })?;
+        let merged = Arc::new(merge(&parts));
+        if coverage.is_complete() {
+            self.cache.insert(key, X::to_cached(merged.clone()));
+        }
+        Ok(ServingResponse {
+            value: merged,
+            coverage,
+            retries,
+        })
     }
 
-    /// Fault-bounded range query (see the module docs for the
-    /// taxonomy): all members of the covered shards within `epsilon` of
-    /// member `q`, plus the [`Coverage`] the merge saw. With default
-    /// options and no injected faults the response is complete and
-    /// bit-identical to [`ShardedEngine::answer_set`].
+    /// Range query (see the module docs for the fault taxonomy): all
+    /// members of the covered shards within `epsilon` of member `q`
+    /// (self excluded), ascending global indices, plus the [`Coverage`]
+    /// the merge saw. With default options and no injected faults the
+    /// response is complete and bit-identical to the unsharded
+    /// [`QueryEngine::answer_set`]; repeated calls hit the cache.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] when a configured gate stays full
@@ -518,192 +596,92 @@ impl ShardedEngine {
     /// deadline expires (strict: any shard; degraded: every shard);
     /// [`ServeError::Shard`] when a shard fails beyond its retries
     /// (strict) or no shard finishes (degraded).
+    ///
+    /// # Panics
+    /// If `q` is out of range.
     pub fn answer_set_opts(
         &self,
         q: usize,
         epsilon: f64,
         opts: &QueryOptions,
     ) -> Result<ServingResponse<Arc<Vec<usize>>>, ServeError> {
-        let key = CacheKey {
-            technique: self.technique.kind(),
-            query: q,
-            op: CacheOp::range(epsilon),
-        };
-        if let Some(CachedAnswer::Indices(hit)) = self.cache.get(&key) {
-            return Ok(ServingResponse {
-                value: hit,
-                coverage: Coverage::full(self.shards.len()),
-                retries: 0,
-            });
-        }
-        let _permit = self.admit()?;
-        let deadline = Self::deadline_of(opts);
-        let (owner, local, query) = self.query_view(q);
-        let (parts, coverage, retries) = self.fan_out(&deadline, opts, |s, dl| {
-            Ok(self.shards[s]
-                .answer_set_ref_within(&query, epsilon, Self::exclude_for(s, owner, local), dl)?
-                .into_iter()
-                .map(|l| self.plan.global_of(s, l))
-                .collect())
-        })?;
-        let merged = Arc::new(merge_answer_sets(&parts));
-        if coverage.is_complete() {
-            // Only complete answers are cached: a degraded partial must
-            // not be replayed as if it were the full one.
-            self.cache
-                .insert(key, CachedAnswer::Indices(merged.clone()));
-        }
-        Ok(ServingResponse {
-            value: merged,
-            coverage,
-            retries,
-        })
+        self.serve(
+            q,
+            CacheOp::range(epsilon),
+            opts,
+            |shard, query, exclude, dl| shard.answer_set_ref_within(query, epsilon, exclude, dl),
+            merge_answer_sets,
+        )
     }
 
     /// Top-k nearest neighbours of member `q` (self excluded), as
     /// `(global index, distance)` ascending by distance then index.
-    /// Bit-identical to the unsharded [`QueryEngine::top_k`]; repeated
-    /// calls hit the cache.
+    /// Bit-identical to the unsharded [`QueryEngine::top_k`] (see
+    /// [`ShardedEngine::answer_set_opts`] for the error and coverage
+    /// contract). A degraded response holds the best `k` across the
+    /// *covered* shards only — its coverage bitmap says which slices of
+    /// the collection competed.
     ///
     /// # Errors
-    /// [`TaskError::NotDistanceRanked`] for the probabilistic
+    /// [`ServeError::NotDistanceRanked`] for the probabilistic
     /// techniques (MUNICH, PROUD) — they rank by `Pr(dist ≤ ε)`, not a
-    /// distance; use [`ShardedEngine::probabilities`] instead.
+    /// distance; use [`ShardedEngine::probabilities_opts`] instead. Plus
+    /// the fault taxonomy of [`ShardedEngine::answer_set_opts`].
     ///
     /// # Panics
-    /// If `q` is out of range or `k == 0`; also (like
-    /// [`ShardedEngine::answer_set`]) on faults the default options
-    /// cannot express — use [`ShardedEngine::top_k_opts`] to handle
-    /// those as typed errors.
-    pub fn top_k(&self, q: usize, k: usize) -> Result<Arc<Vec<(usize, f64)>>, TaskError> {
-        match self.top_k_opts(q, k, &QueryOptions::default()) {
-            Ok(r) => Ok(r.value),
-            Err(ServeError::Task(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fault-bounded top-k (see [`ShardedEngine::answer_set_opts`] for
-    /// the error and coverage contract). A degraded response holds the
-    /// best `k` across the *covered* shards only — its coverage bitmap
-    /// says which slices of the collection competed.
-    ///
-    /// # Errors
-    /// [`ServeError::Task`] ([`TaskError::NotDistanceRanked`]) for the
-    /// probabilistic techniques, plus the fault taxonomy of
-    /// [`ShardedEngine::answer_set_opts`].
+    /// If `q` is out of range or `k == 0`.
     pub fn top_k_opts(
         &self,
         q: usize,
         k: usize,
         opts: &QueryOptions,
     ) -> Result<ServingResponse<ScoredAnswer>, ServeError> {
-        if matches!(
-            self.technique,
-            Technique::Munich { .. } | Technique::Proud { .. }
-        ) {
-            return Err(ServeError::Task(TaskError::NotDistanceRanked(
-                self.technique.kind(),
-            )));
+        if self.technique.is_probabilistic() {
+            return Err(ServeError::NotDistanceRanked(self.technique.kind()));
         }
         assert!(k > 0, "k must be positive");
-        let key = CacheKey {
-            technique: self.technique.kind(),
-            query: q,
-            op: CacheOp::top_k(k),
-        };
-        if let Some(CachedAnswer::Scored(hit)) = self.cache.get(&key) {
-            return Ok(ServingResponse {
-                value: hit,
-                coverage: Coverage::full(self.shards.len()),
-                retries: 0,
-            });
-        }
-        let _permit = self.admit()?;
-        let deadline = Self::deadline_of(opts);
-        let (owner, local, query) = self.query_view(q);
-        let (parts, coverage, retries) = self.fan_out(&deadline, opts, |s, dl| {
-            Ok(self.shards[s]
-                .top_k_ref_within(&query, k, Self::exclude_for(s, owner, local), dl)?
-                .expect("distance-ranked technique")
-                .into_iter()
-                .map(|(l, d)| (self.plan.global_of(s, l), d))
-                .collect())
-        })?;
-        let merged = Arc::new(merge_top_k(&parts, k));
-        if coverage.is_complete() {
-            self.cache.insert(key, CachedAnswer::Scored(merged.clone()));
-        }
-        Ok(ServingResponse {
-            value: merged,
-            coverage,
-            retries,
-        })
+        self.serve(
+            q,
+            CacheOp::top_k(k),
+            opts,
+            |shard, query, exclude, dl| {
+                Ok(shard
+                    .top_k_ref_within(query, k, exclude, dl)?
+                    .expect("distance-ranked technique"))
+            },
+            |parts| merge_top_k(parts, k),
+        )
     }
 
     /// `Pr(distance(q, i) ≤ ε)` for every member `i ≠ q`, as
-    /// `(global index, probability)` ascending by index — `None` for
-    /// non-probabilistic techniques. Bit-identical to the unsharded
-    /// [`QueryEngine::probabilities`]; repeated calls hit the cache.
-    ///
-    /// Thin wrapper over [`ShardedEngine::probabilities_opts`] with
-    /// [`QueryOptions::default`]; faults panic with the typed error's
-    /// message (see [`ShardedEngine::answer_set`]).
-    pub fn probabilities(&self, q: usize, epsilon: f64) -> Option<Arc<Vec<(usize, f64)>>> {
-        match self.probabilities_opts(q, epsilon, &QueryOptions::default()) {
-            Ok(r) => r.map(|r| r.value),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fault-bounded probabilities (see
+    /// `(global index, probability)` ascending by index. Bit-identical
+    /// to the unsharded [`QueryEngine::probabilities`] (see
     /// [`ShardedEngine::answer_set_opts`] for the error and coverage
-    /// contract). `Ok(None)` for non-probabilistic techniques, matching
-    /// the classic entry point's convention.
+    /// contract); `Ok(None)` for non-probabilistic techniques.
+    ///
+    /// # Panics
+    /// If `q` is out of range.
     pub fn probabilities_opts(
         &self,
         q: usize,
         epsilon: f64,
         opts: &QueryOptions,
     ) -> Result<Option<ServingResponse<ScoredAnswer>>, ServeError> {
-        if !matches!(
-            self.technique,
-            Technique::Munich { .. } | Technique::Proud { .. }
-        ) {
+        if !self.technique.is_probabilistic() {
             return Ok(None);
         }
-        let key = CacheKey {
-            technique: self.technique.kind(),
-            query: q,
-            op: CacheOp::probabilities(epsilon),
-        };
-        if let Some(CachedAnswer::Scored(hit)) = self.cache.get(&key) {
-            return Ok(Some(ServingResponse {
-                value: hit,
-                coverage: Coverage::full(self.shards.len()),
-                retries: 0,
-            }));
-        }
-        let _permit = self.admit()?;
-        let deadline = Self::deadline_of(opts);
-        let (owner, local, query) = self.query_view(q);
-        let (parts, coverage, retries) = self.fan_out(&deadline, opts, |s, dl| {
-            Ok(self.shards[s]
-                .probabilities_ref_within(&query, epsilon, Self::exclude_for(s, owner, local), dl)?
-                .expect("probabilistic technique")
-                .into_iter()
-                .map(|(l, p)| (self.plan.global_of(s, l), p))
-                .collect())
-        })?;
-        let merged = Arc::new(merge_scored_by_index(&parts));
-        if coverage.is_complete() {
-            self.cache.insert(key, CachedAnswer::Scored(merged.clone()));
-        }
-        Ok(Some(ServingResponse {
-            value: merged,
-            coverage,
-            retries,
-        }))
+        self.serve(
+            q,
+            CacheOp::probabilities(epsilon),
+            opts,
+            |shard, query, exclude, dl| {
+                Ok(shard
+                    .probabilities_ref_within(query, epsilon, exclude, dl)?
+                    .expect("probabilistic technique"))
+            },
+            merge_scored_by_index,
+        )
+        .map(Some)
     }
 
     /// Replaces global member `i` with new clean/uncertain (and, iff
@@ -714,13 +692,22 @@ impl ShardedEngine {
     /// outliving the data.
     ///
     /// Only the owner shard pays the re-preparation cost; the other
-    /// shards' prepared state and indexes are untouched.
+    /// shards' prepared state and indexes are untouched. The replaced
+    /// shard's pruning counters carry over, so
+    /// [`ShardedEngine::index_stats`] never goes backwards across an
+    /// update.
+    ///
+    /// # Errors
+    /// A replacement whose shape the task cannot absorb (index out of
+    /// range, length mismatch, multi-observation presence disagreeing
+    /// with the task) is a typed [`UpdateError`] and leaves the engine
+    /// (shards, indexes, cache) untouched.
     ///
     /// # Example: mutation invalidates the cache
     ///
     /// ```
     /// use uts_core::matching::{MatchingTask, Technique};
-    /// use uts_core::serving::{ShardAssignment, ShardedEngine};
+    /// use uts_core::serving::{QueryOptions, ShardAssignment, ShardedEngine};
     /// use uts_tseries::TimeSeries;
     /// use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
     ///
@@ -740,37 +727,19 @@ impl ShardedEngine {
     ///     2,
     ///     ShardAssignment::Contiguous,
     /// );
-    /// let before = serving.top_k(0, 2).unwrap();
-    /// assert!(std::sync::Arc::ptr_eq(&before, &serving.top_k(0, 2).unwrap())); // cache hit
+    /// let opts = QueryOptions::default();
+    /// let before = serving.top_k_opts(0, 2, &opts).unwrap().value;
+    /// let again = serving.top_k_opts(0, 2, &opts).unwrap().value;
+    /// assert!(std::sync::Arc::ptr_eq(&before, &again)); // cache hit
     ///
     /// // Move series 1 far away; the cached ranking must not survive.
     /// let far = TimeSeries::from_values((0..8).map(|_| 1e6));
     /// let far_u = UncertainSeries::new(far.values().to_vec(), vec![e; 8]);
-    /// serving.update_series(1, far, far_u, None);
+    /// serving.try_update_series(1, far, far_u, None).unwrap();
     /// assert_eq!(serving.cache_stats().generation, 1);
-    /// let after = serving.top_k(0, 2).unwrap();
+    /// let after = serving.top_k_opts(0, 2, &opts).unwrap().value;
     /// assert!(!after.iter().any(|&(i, _)| i == 1), "series 1 is no longer near");
     /// ```
-    ///
-    /// # Panics
-    /// If `i` is out of range, the replacement lengths differ from the
-    /// original, or multi-observation presence disagrees with the task —
-    /// thin wrapper over [`ShardedEngine::try_update_series`], which
-    /// reports the same conditions as a typed [`UpdateError`].
-    pub fn update_series(
-        &mut self,
-        i: usize,
-        clean: TimeSeries,
-        uncertain: UncertainSeries,
-        multi: Option<MultiObsSeries>,
-    ) {
-        self.try_update_series(i, clean, uncertain, multi)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ShardedEngine::update_series`]: a replacement
-    /// whose shape the task cannot absorb is a typed [`UpdateError`] and
-    /// leaves the engine (shards, indexes, cache) untouched.
     pub fn try_update_series(
         &mut self,
         i: usize,
@@ -790,9 +759,10 @@ impl ShardedEngine {
                 .task()
                 .try_with_replaced(local, clean, uncertain, multi)?,
         );
-        self.shards[owner] =
-            QueryEngine::try_prepare_with(updated, &self.technique, self.index_config)
-                .expect("a shape-validated replacement re-prepares under the same technique");
+        let fresh = QueryEngine::try_prepare_with(updated, &self.technique, self.index_config)
+            .expect("a shape-validated replacement re-prepares under the same technique");
+        let replaced = std::mem::replace(&mut self.shards[owner], fresh);
+        self.retired_stats.absorb(&replaced.index_stats());
         self.cache.invalidate();
         Ok(())
     }
@@ -825,9 +795,12 @@ mod unit {
             task.len() + 3,
             ShardAssignment::RoundRobin,
         );
+        let opts = QueryOptions::default();
         for q in 0..task.len() {
-            assert_eq!(*sharded.top_k(q, 3).unwrap(), flat.top_k(q, 3).unwrap());
-            assert_eq!(*sharded.answer_set(q, 1.5), flat.answer_set(q, 1.5));
+            let top = sharded.top_k_opts(q, 3, &opts).unwrap();
+            assert_eq!(*top.value, flat.top_k(q, 3).unwrap());
+            let range = sharded.answer_set_opts(q, 1.5, &opts).unwrap();
+            assert_eq!(*range.value, flat.answer_set(q, 1.5));
         }
     }
 
@@ -836,13 +809,14 @@ mod unit {
         let task = small_task();
         let sharded =
             ShardedEngine::prepare(&task, &Technique::Euclidean, 3, ShardAssignment::Contiguous);
-        let first = sharded.answer_set(2, 1.0);
-        let second = sharded.answer_set(2, 1.0);
+        let opts = QueryOptions::default();
+        let first = sharded.answer_set_opts(2, 1.0, &opts).unwrap().value;
+        let second = sharded.answer_set_opts(2, 1.0, &opts).unwrap().value;
         assert!(Arc::ptr_eq(&first, &second));
         let stats = sharded.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // A different ε is a different key.
-        let _ = sharded.answer_set(2, 2.0);
+        let _ = sharded.answer_set_opts(2, 2.0, &opts);
         assert_eq!(sharded.cache_stats().misses, 2);
     }
 
@@ -854,14 +828,15 @@ mod unit {
             tau: 0.5,
         };
         let sharded = ShardedEngine::prepare(&task, &technique, 2, ShardAssignment::RoundRobin);
+        let opts = QueryOptions::default();
         assert_eq!(
-            sharded.top_k(0, 3),
-            Err(TaskError::NotDistanceRanked(crate::TechniqueKind::Proud))
+            sharded.top_k_opts(0, 3, &opts),
+            Err(ServeError::NotDistanceRanked(crate::TechniqueKind::Proud))
         );
-        assert!(sharded.probabilities(0, 1.0).is_some());
+        assert!(sharded.probabilities_opts(0, 1.0, &opts).unwrap().is_some());
         // And the distance techniques have no probabilities.
         let euclid =
             ShardedEngine::prepare(&task, &Technique::Euclidean, 2, ShardAssignment::RoundRobin);
-        assert!(euclid.probabilities(0, 1.0).is_none());
+        assert!(euclid.probabilities_opts(0, 1.0, &opts).unwrap().is_none());
     }
 }

@@ -7,7 +7,7 @@
 //! wrong: the deadline passed ([`ServeError::Timeout`]), the admission
 //! gate was full ([`ServeError::Overloaded`]), a shard failed after its
 //! retries ([`ServeError::Shard`]), or the question itself is not
-//! well-posed for the technique ([`ServeError::Task`]).
+//! well-posed for the technique ([`ServeError::NotDistanceRanked`]).
 //!
 //! Under [`Strictness::Degraded`] a failing or straggling shard does not
 //! fail the query: the merge proceeds over the shards that finished and
@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use crate::matching::TaskError;
+use crate::matching::TechniqueKind;
 
 /// How the serving layer reacts to per-shard failures and deadline
 /// expiry.
@@ -38,9 +38,9 @@ pub enum Strictness {
 
 /// Per-query serving options: deadline, retry budget, strictness.
 ///
-/// The default (`no deadline, no retries, strict`) is exactly the
-/// behaviour of the classic entry points — the fault-free hot path pays
-/// nothing for the machinery.
+/// The default (`no deadline, no retries, strict`) is the fault-free
+/// contract: the hot path pays nothing for the machinery, and answers
+/// are bit-identical to the unsharded engine's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryOptions {
     /// Wall-clock budget for the whole query (fan-out, retries and
@@ -125,9 +125,10 @@ pub enum ServeError {
     /// A shard failed after its retries (strict mode; in degraded mode
     /// this surfaces only when no shard at all finished).
     Shard(ShardError),
-    /// The question is not well-posed for the technique (e.g. top-k by
-    /// distance on a probabilistic technique).
-    Task(TaskError),
+    /// The technique answers probabilistic range queries, not distance
+    /// rankings — top-k by distance is undefined for it (paper §2: MUNICH
+    /// and PROUD return `Pr(dist ≤ ε)`, not a real-valued distance).
+    NotDistanceRanked(TechniqueKind),
 }
 
 impl std::fmt::Display for ServeError {
@@ -136,18 +137,16 @@ impl std::fmt::Display for ServeError {
             Self::Timeout => f.write_str("query deadline expired"),
             Self::Overloaded => f.write_str("admission gate at capacity: query rejected"),
             Self::Shard(e) => write!(f, "{e}"),
-            Self::Task(e) => write!(f, "{e}"),
+            Self::NotDistanceRanked(kind) => write!(
+                f,
+                "{kind} answers probabilistic range queries, not distance rankings; \
+                 top-k by distance is undefined"
+            ),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
-
-impl From<TaskError> for ServeError {
-    fn from(e: TaskError) -> Self {
-        Self::Task(e)
-    }
-}
 
 /// Which shards contributed to a merged answer, as a bitmap.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -39,7 +39,6 @@ use uts_uncertain::UncertainSeries;
 
 /// Denominator convention for the UMA/UEMA filters (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WeightNormalization {
     /// The paper's literal Eq. 17–18 denominators (window size / decay
     /// sum, without the `1/σ` factors).
@@ -52,7 +51,6 @@ pub enum WeightNormalization {
 
 /// The UMA filter + Euclidean distance (paper Eq. 17).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Uma {
     /// Window half-width `w` (full window `2w + 1`). The paper settles on
     /// `w = 2` (§5.2).
@@ -100,7 +98,6 @@ impl Uma {
 
 /// The UEMA filter + Euclidean distance (paper Eq. 18).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Uema {
     /// Window half-width `w`.
     pub w: usize,

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use uts_core::dust::Dust;
 use uts_core::engine::{PrepareError, QueryEngine};
-use uts_core::matching::{MatchingTask, TaskError, Technique, UpdateError};
+use uts_core::matching::{MatchingTask, Technique, UpdateError};
 use uts_core::munich::Munich;
 use uts_core::parallel::try_parallel_map;
 use uts_core::proud::{Proud, ProudConfig};
@@ -245,6 +245,65 @@ fn top_k_and_probabilities_share_the_fault_boundary() {
     }
 }
 
+/// Top-k and probabilities go through the same cache as range: a
+/// degraded partial is never cached, so the next ask (fault spent)
+/// computes the complete answer, and only that one is replayed.
+#[test]
+fn degraded_partials_are_not_cached_for_top_k_or_probabilities() {
+    quiet_injected_panics();
+    let task = build_task(0xFA0C, 12, 20, 3);
+    let degraded = QueryOptions::default().degraded();
+
+    let technique = Technique::Euclidean;
+    let flat = QueryEngine::prepare(&task, &technique);
+    let mut sharded = ShardedEngine::prepare(&task, &technique, 4, ShardAssignment::RoundRobin);
+    sharded.inject_faults(FaultPlan::new().one_shot(1, FaultKind::Panic));
+    let partial = sharded
+        .top_k_opts(0, 4, &degraded)
+        .expect("healthy shards answer");
+    assert_eq!(partial.coverage.missing(), vec![1]);
+    assert_eq!(sharded.cache_stats().entries, 0, "partial top-k not cached");
+    let full = sharded.top_k_opts(0, 4, &degraded).expect("fault spent");
+    assert!(full.is_complete());
+    for (a, b) in full.value.iter().zip(&flat.top_k(0, 4).unwrap()) {
+        assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
+    }
+    let hit = sharded.top_k_opts(0, 4, &degraded).expect("cached");
+    assert!(Arc::ptr_eq(&full.value, &hit.value));
+
+    let technique = Technique::Proud {
+        proud: Proud::new(ProudConfig::with_sigma(0.4)),
+        tau: 0.4,
+    };
+    let flat = QueryEngine::prepare(&task, &technique);
+    let mut sharded = ShardedEngine::prepare(&task, &technique, 4, ShardAssignment::RoundRobin);
+    sharded.inject_faults(FaultPlan::new().one_shot(2, FaultKind::Panic));
+    let eps = task.calibrated_threshold(0, &technique);
+    let partial = sharded
+        .probabilities_opts(0, eps, &degraded)
+        .expect("healthy shards answer")
+        .expect("probabilistic technique");
+    assert_eq!(partial.coverage.missing(), vec![2]);
+    assert_eq!(
+        sharded.cache_stats().entries,
+        0,
+        "partial probabilities not cached"
+    );
+    let full = sharded
+        .probabilities_opts(0, eps, &degraded)
+        .expect("fault spent")
+        .expect("probabilistic technique");
+    assert!(full.is_complete());
+    for (a, b) in full.value.iter().zip(&flat.probabilities(0, eps).unwrap()) {
+        assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
+    }
+    let hit = sharded
+        .probabilities_opts(0, eps, &degraded)
+        .expect("cached")
+        .expect("probabilistic technique");
+    assert!(Arc::ptr_eq(&full.value, &hit.value));
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines
 // ---------------------------------------------------------------------------
@@ -461,7 +520,7 @@ fn degenerate_series_inputs_are_typed_at_construction() {
 /// Ill-posed questions stay typed per technique: MUNICH without
 /// multi-observation data is a [`PrepareError`] from the sharded
 /// prepare, and distance rankings on the probabilistic techniques are
-/// [`TaskError::NotDistanceRanked`] through the serving layer.
+/// [`ServeError::NotDistanceRanked`] through the serving layer.
 #[test]
 fn ill_posed_questions_are_typed_for_every_technique() {
     let base = build_task(0xFA0A, 12, 20, 3);
@@ -482,7 +541,7 @@ fn ill_posed_questions_are_typed_for_every_technique() {
         let sharded = prepared.expect("non-MUNICH techniques need no multi-obs");
         let probabilistic = matches!(technique, Technique::Proud { .. });
         match sharded.top_k_opts(0, 3, &QueryOptions::default()) {
-            Err(ServeError::Task(TaskError::NotDistanceRanked(kind))) => {
+            Err(ServeError::NotDistanceRanked(kind)) => {
                 assert!(probabilistic, "{kind} wrongly refused a distance ranking");
                 assert_eq!(kind, technique.kind());
             }
@@ -503,7 +562,13 @@ fn try_update_series_rejects_mismatched_shapes_without_damage() {
     let technique = Technique::Euclidean;
     let mut sharded = ShardedEngine::prepare(&task, &technique, 3, ShardAssignment::Contiguous);
     let eps = task.calibrated_threshold(0, &technique);
-    let before = sharded.answer_set(0, eps);
+    let range = |sharded: &ShardedEngine| {
+        sharded
+            .answer_set_opts(0, eps, &QueryOptions::default())
+            .expect("fault-free query")
+            .value
+    };
+    let before = range(&sharded);
     let e = uts_uncertain::PointError::new(ErrorFamily::Normal, 0.1);
 
     let short = TimeSeries::from_values((0..5).map(|t| t as f64));
@@ -540,7 +605,7 @@ fn try_update_series_rejects_mismatched_shapes_without_damage() {
 
     // Nothing was damaged: no cache invalidation, identical answers.
     assert_eq!(sharded.cache_stats().generation, 0);
-    assert!(Arc::ptr_eq(&before, &sharded.answer_set(0, eps)));
+    assert!(Arc::ptr_eq(&before, &range(&sharded)));
 }
 
 // ---------------------------------------------------------------------------

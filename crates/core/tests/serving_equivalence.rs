@@ -11,11 +11,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use uts_core::dust::Dust;
 use uts_core::engine::QueryEngine;
-use uts_core::index::IndexConfig;
-use uts_core::matching::{MatchingTask, TaskError, Technique};
+use uts_core::index::{IndexConfig, IndexStats};
+use uts_core::matching::{MatchingTask, Technique};
 use uts_core::munich::Munich;
 use uts_core::proud::{Proud, ProudConfig};
-use uts_core::serving::{QueryOptions, ShardAssignment, ShardedEngine};
+use uts_core::serving::{QueryOptions, ScoredAnswer, ServeError, ShardAssignment, ShardedEngine};
 use uts_core::uma::{Uema, Uma};
 use uts_stats::rng::Seed;
 use uts_tseries::TimeSeries;
@@ -77,6 +77,29 @@ fn probe_queries(task: &MatchingTask) -> [usize; 3] {
     [0, task.len() / 2, task.len() - 1]
 }
 
+/// Default-options range query; a fault-free engine always answers.
+fn range(engine: &ShardedEngine, q: usize, eps: f64) -> Arc<Vec<usize>> {
+    engine
+        .answer_set_opts(q, eps, &QueryOptions::default())
+        .expect("fault-free default-options query")
+        .value
+}
+
+/// Default-options top-k; `Err` only for the probabilistic techniques.
+fn top_k(engine: &ShardedEngine, q: usize, k: usize) -> Result<ScoredAnswer, ServeError> {
+    engine
+        .top_k_opts(q, k, &QueryOptions::default())
+        .map(|r| r.value)
+}
+
+/// Default-options probabilities; `None` for the distance techniques.
+fn probabilities(engine: &ShardedEngine, q: usize, eps: f64) -> Option<ScoredAnswer> {
+    engine
+        .probabilities_opts(q, eps, &QueryOptions::default())
+        .expect("fault-free default-options query")
+        .map(|r| r.value)
+}
+
 /// Range answer sets: sharded ≡ unsharded, all six techniques, all
 /// shard counts, both assignments, sparse and dense thresholds — and
 /// with every shard's candidate index forced on, the same bits again
@@ -102,13 +125,13 @@ fn sharded_answer_sets_bit_identical() {
                         let e = eps * scale;
                         let want = flat.answer_set(q, e);
                         assert_eq!(
-                            *sharded.answer_set(q, e),
+                            *range(&sharded, q, e),
                             want,
                             "{} shards={shards} {assignment:?} q={q} eps={e}",
                             technique.kind()
                         );
                         assert_eq!(
-                            *indexed.answer_set(q, e),
+                            *range(&indexed, q, e),
                             want,
                             "{} shards={shards} {assignment:?} q={q} eps={e} (indexed)",
                             technique.kind()
@@ -121,7 +144,7 @@ fn sharded_answer_sets_bit_identical() {
 }
 
 /// Top-k: identical indices and bit-identical distances for the
-/// distance techniques; the typed [`TaskError::NotDistanceRanked`] for
+/// distance techniques; the typed [`ServeError::NotDistanceRanked`] for
 /// the probabilistic ones.
 #[test]
 fn sharded_top_k_bit_identical() {
@@ -141,7 +164,7 @@ fn sharded_top_k_bit_identical() {
                 for q in probe_queries(&task) {
                     for k in [1, 3, task.len() - 1] {
                         for (label, engine) in [("scan", &sharded), ("indexed", &indexed)] {
-                            match (engine.top_k(q, k), flat.top_k(q, k)) {
+                            match (top_k(engine, q, k), flat.top_k(q, k)) {
                                 (Ok(s), Some(f)) => {
                                     assert_eq!(s.len(), f.len());
                                     for (a, b) in s.iter().zip(&f) {
@@ -153,7 +176,7 @@ fn sharded_top_k_bit_identical() {
                                         );
                                     }
                                 }
-                                (Err(TaskError::NotDistanceRanked(kind)), None) => {
+                                (Err(ServeError::NotDistanceRanked(kind)), None) => {
                                     assert_eq!(kind, technique.kind());
                                 }
                                 (s, f) => panic!(
@@ -181,7 +204,7 @@ fn sharded_probabilities_bit_identical() {
                 let sharded = ShardedEngine::prepare(&task, &technique, shards, assignment);
                 for q in probe_queries(&task) {
                     let eps = task.calibrated_threshold(q, &technique);
-                    match (sharded.probabilities(q, eps), flat.probabilities(q, eps)) {
+                    match (probabilities(&sharded, q, eps), flat.probabilities(q, eps)) {
                         (Some(s), Some(f)) => {
                             assert_eq!(s.len(), f.len());
                             for (a, b) in s.iter().zip(&f) {
@@ -210,24 +233,58 @@ fn sharded_probabilities_bit_identical() {
 // ---------------------------------------------------------------------------
 
 /// A cache hit returns the very allocation the miss computed — hit ≡
-/// miss by construction — and the counters see both.
+/// miss by construction — and the counters see both, for all three
+/// operations (range and top-k on a distance technique, probabilities on
+/// a probabilistic one).
 #[test]
 fn cache_hit_is_identical_to_miss() {
     let task = build_task(0x5E44, 12, 20, 3);
     let sharded =
         ShardedEngine::prepare(&task, &Technique::Euclidean, 4, ShardAssignment::RoundRobin);
     let eps = task.calibrated_threshold(0, &Technique::Euclidean);
-    let miss = sharded.answer_set(0, eps);
-    let hit = sharded.answer_set(0, eps);
+    let miss = range(&sharded, 0, eps);
+    let hit = range(&sharded, 0, eps);
     assert!(Arc::ptr_eq(&miss, &hit));
-    let k_miss = sharded.top_k(1, 3).unwrap();
-    let k_hit = sharded.top_k(1, 3).unwrap();
+    let k_miss = top_k(&sharded, 1, 3).unwrap();
+    let k_hit = top_k(&sharded, 1, 3).unwrap();
     assert!(Arc::ptr_eq(&k_miss, &k_hit));
     let stats = sharded.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
+
+    let proud = Technique::Proud {
+        proud: Proud::new(ProudConfig::with_sigma(0.4)),
+        tau: 0.4,
+    };
+    let sharded = ShardedEngine::prepare(&task, &proud, 4, ShardAssignment::RoundRobin);
+    let eps = task.calibrated_threshold(2, &proud);
+    let p_miss = probabilities(&sharded, 2, eps).expect("probabilistic technique");
+    let p_hit = probabilities(&sharded, 2, eps).expect("probabilistic technique");
+    assert!(Arc::ptr_eq(&p_miss, &p_hit));
+    let stats = sharded.cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 }
 
-/// `update_series` on a sharded engine is equivalent to rebuilding from
+/// Every pruning counter of `before` is at most its twin in `after`.
+fn assert_no_counter_decreases(before: &IndexStats, after: &IndexStats, ctx: &str) {
+    let fields = |s: &IndexStats| {
+        [
+            s.indexed_queries,
+            s.scan_queries,
+            s.leaves_visited,
+            s.leaves_pruned,
+            s.series_pruned,
+            s.candidates,
+        ]
+    };
+    for (b, a) in fields(before).into_iter().zip(fields(after)) {
+        assert!(
+            a >= b,
+            "{ctx}: index stats went backwards: {before:?} -> {after:?}"
+        );
+    }
+}
+
+/// `try_update_series` on a sharded engine is equivalent to rebuilding from
 /// the mutated collection: the stale cached answer is dropped and the
 /// re-prepared owner shard serves the new data, bit-identical to a
 /// from-scratch unsharded engine.
@@ -263,24 +320,26 @@ fn update_series_matches_full_rebuild() {
         // Warm the cache with pre-mutation answers for every probe query.
         let eps = task.calibrated_threshold(0, &technique);
         for q in probe_queries(&task) {
-            let _ = sharded.answer_set(q, eps);
-            let _ = sharded.top_k(q, k);
+            let _ = range(&sharded, q, eps);
+            let _ = top_k(&sharded, q, k);
         }
-        sharded.update_series(
-            victim,
-            new_clean.clone(),
-            new_uncertain.clone(),
-            Some(new_multi.clone()),
-        );
+        sharded
+            .try_update_series(
+                victim,
+                new_clean.clone(),
+                new_uncertain.clone(),
+                Some(new_multi.clone()),
+            )
+            .expect("shape-preserving replacement");
         assert_eq!(sharded.cache_stats().generation, 1, "shards={shards}");
         assert_eq!(sharded.cache_stats().entries, 0, "shards={shards}");
         for q in probe_queries(&task) {
             assert_eq!(
-                *sharded.answer_set(q, eps),
+                *range(&sharded, q, eps),
                 reference.answer_set(q, eps),
                 "shards={shards} q={q}"
             );
-            let s = sharded.top_k(q, k).unwrap();
+            let s = top_k(&sharded, q, k).unwrap();
             let f = reference.top_k(q, k).unwrap();
             for (a, b) in s.iter().zip(&f) {
                 assert_eq!(
@@ -294,11 +353,12 @@ fn update_series_matches_full_rebuild() {
 }
 
 /// Regression for the index-path cache contract: with per-shard indexes
-/// enabled, `update_series` must invalidate every cached answer *and*
+/// enabled, `try_update_series` must invalidate every cached answer *and*
 /// rebuild the owner shard's index under the same config — a re-query
 /// of the exact cached key returns the post-update answer, bit-identical
 /// to a from-scratch engine over the mutated collection (indexed or
-/// not).
+/// not). The pruning counters never go backwards across the update: the
+/// replaced shard's counts carry over.
 #[test]
 fn update_series_with_index_serves_post_update_answers() {
     let seed = 0x5E47;
@@ -336,18 +396,28 @@ fn update_series_with_index_serves_post_update_answers() {
         assert_eq!(sharded.index_config(), IndexConfig::always());
         let eps = task.calibrated_threshold(q, &technique);
         // Warm the cache on the exact keys re-queried after the update.
-        let stale_range = sharded.answer_set(q, eps);
-        let stale_top = sharded.top_k(q, k).unwrap();
-        sharded.update_series(
-            victim,
-            new_clean.clone(),
-            new_uncertain.clone(),
-            Some(new_multi.clone()),
-        );
+        let stale_range = range(&sharded, q, eps);
+        let stale_top = top_k(&sharded, q, k).unwrap();
+        // Extra range traffic so every shard's counters are non-zero
+        // before its engine may be replaced.
+        for probe in probe_queries(&task) {
+            let _ = range(&sharded, probe, eps * 1.5);
+        }
+        let before = sharded.index_stats();
+        sharded
+            .try_update_series(
+                victim,
+                new_clean.clone(),
+                new_uncertain.clone(),
+                Some(new_multi.clone()),
+            )
+            .expect("shape-preserving replacement");
+        let ctx = format!("shards={shards}");
+        assert_no_counter_decreases(&before, &sharded.index_stats(), &ctx);
         // Same keys, post-update: the stale allocations must not be
         // served (generation bump), and the fresh answers must match a
         // from-scratch engine bit for bit — with and without its index.
-        let fresh_range = sharded.answer_set(q, eps);
+        let fresh_range = range(&sharded, q, eps);
         assert!(!Arc::ptr_eq(&stale_range, &fresh_range), "shards={shards}");
         assert_eq!(
             *fresh_range,
@@ -359,7 +429,7 @@ fn update_series_with_index_serves_post_update_answers() {
             reference_indexed.answer_set(q, eps),
             "shards={shards}"
         );
-        let fresh_top = sharded.top_k(q, k).unwrap();
+        let fresh_top = top_k(&sharded, q, k).unwrap();
         assert!(!Arc::ptr_eq(&stale_top, &fresh_top), "shards={shards}");
         for (a, b) in fresh_top
             .iter()
@@ -373,6 +443,7 @@ fn update_series_with_index_serves_post_update_answers() {
         }
         // The updated owner shard kept its index (same config as built).
         let stats = sharded.index_stats();
+        assert_no_counter_decreases(&before, &stats, &ctx);
         assert!(stats.indexed_queries > 0, "shards={shards}: index engaged");
         assert_eq!(stats.scan_queries, 0, "shards={shards}: no silent fallback");
     }
@@ -405,7 +476,7 @@ fn concurrent_queries_are_consistent() {
                     for q in 0..task.len() {
                         let q = (q + t * 2 + round) % task.len();
                         let eps = task.calibrated_threshold(q, technique);
-                        assert_eq!(*sharded.answer_set(q, eps), expected[q], "thread={t} q={q}");
+                        assert_eq!(*range(sharded, q, eps), expected[q], "thread={t} q={q}");
                     }
                 }
             });
@@ -416,12 +487,12 @@ fn concurrent_queries_are_consistent() {
     assert!(stats.entries <= task.len());
 }
 
-/// Default-options `_opts` entry points ≡ the classic entry points ≡
-/// the unsharded engine, bit for bit, with complete coverage and zero
-/// retries — the fault-tolerance machinery is invisible until asked
-/// for, across all six techniques and every shard count.
+/// Default-options entry points ≡ the unsharded engine, bit for bit,
+/// with complete coverage and zero retries — the fault-tolerance
+/// machinery is invisible until asked for, across all six techniques and
+/// every shard count.
 #[test]
-fn default_options_path_is_bit_identical_to_legacy_and_flat() {
+fn default_options_path_is_bit_identical_to_flat() {
     let task = build_task(0x5E47, 12, 20, 3);
     let opts = QueryOptions::default();
     for technique in techniques() {
@@ -441,10 +512,9 @@ fn default_options_path_is_bit_identical_to_legacy_and_flat() {
                 assert!(via_opts.is_complete());
                 assert_eq!(via_opts.coverage.shard_count(), shards);
                 assert_eq!(via_opts.retries, 0);
-                assert_eq!(*via_opts.value, flat.answer_set(q, eps));
                 assert_eq!(
                     *via_opts.value,
-                    *sharded.answer_set(q, eps),
+                    flat.answer_set(q, eps),
                     "{} shards={shards} q={q}",
                     technique.kind()
                 );
@@ -453,21 +523,17 @@ fn default_options_path_is_bit_identical_to_legacy_and_flat() {
                     Ok(resp) => {
                         assert!(!probabilistic);
                         assert!(resp.is_complete());
-                        let legacy = sharded.top_k(q, 3).unwrap();
+                        assert_eq!(resp.retries, 0);
                         let want = flat.top_k(q, 3).unwrap();
-                        for ((a, b), c) in resp.value.iter().zip(&*legacy).zip(&want) {
-                            assert_eq!(a.0, b.0);
-                            assert_eq!(a.1.to_bits(), b.1.to_bits());
+                        assert_eq!(resp.value.len(), want.len());
+                        for (a, c) in resp.value.iter().zip(&want) {
                             assert_eq!(a.0, c.0);
                             assert_eq!(a.1.to_bits(), c.1.to_bits());
                         }
                     }
                     Err(e) => {
                         assert!(probabilistic, "{}: unexpected {e:?}", technique.kind());
-                        assert!(matches!(
-                            e,
-                            uts_core::serving::ServeError::Task(TaskError::NotDistanceRanked(_))
-                        ));
+                        assert_eq!(e, ServeError::NotDistanceRanked(technique.kind()));
                     }
                 }
 
@@ -478,11 +544,10 @@ fn default_options_path_is_bit_identical_to_legacy_and_flat() {
                     Some(resp) => {
                         assert!(probabilistic);
                         assert!(resp.is_complete());
-                        let legacy = sharded.probabilities(q, eps).unwrap();
+                        assert_eq!(resp.retries, 0);
                         let want = flat.probabilities(q, eps).unwrap();
-                        for ((a, b), c) in resp.value.iter().zip(&*legacy).zip(&want) {
-                            assert_eq!(a.0, b.0);
-                            assert_eq!(a.1.to_bits(), b.1.to_bits());
+                        assert_eq!(resp.value.len(), want.len());
+                        for (a, c) in resp.value.iter().zip(&want) {
                             assert_eq!(a.0, c.0);
                             assert_eq!(a.1.to_bits(), c.1.to_bits());
                         }
@@ -530,10 +595,10 @@ proptest! {
         for q in [0, n / 2, n - 1] {
             let eps = task.calibrated_threshold(q, &technique);
             prop_assert_eq!(
-                &*sharded.answer_set(q, eps),
+                &*range(&sharded, q, eps),
                 &task.answer_set_naive(q, &technique, eps)
             );
-            let s = sharded.top_k(q, k.max(1)).unwrap();
+            let s = top_k(&sharded, q, k.max(1)).unwrap();
             let naive = task.top_k_naive(q, &technique, k.max(1)).unwrap();
             prop_assert_eq!(s.len(), naive.len());
             for (a, b) in s.iter().zip(&naive) {

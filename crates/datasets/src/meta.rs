@@ -7,7 +7,6 @@
 
 /// Identifier of one of the paper's 17 evaluation datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)] // variant names are the dataset names
 pub enum DatasetId {
     FiftyWords,
@@ -34,7 +33,6 @@ pub enum DatasetId {
 /// low average inter-series distance ⇒ uncertainty swamps the signal ⇒
 /// low F1 for every technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Spread {
     /// Series lie close together (hard: e.g. Adiac, SwedishLeaf).
     Tight,
@@ -58,7 +56,6 @@ impl Spread {
 
 /// Static description of one dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DatasetMeta {
     /// Dataset identifier.
     pub id: DatasetId,

@@ -8,7 +8,6 @@ use uts_stats::rng::Seed;
 /// 290, using *every* series as a query — far more compute than a figure
 /// regeneration needs. The presets trade completeness for wall-clock:
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scale {
     /// Smoke-test scale: few series, few queries, coarse σ grid.
     /// Whole-suite runtime: seconds-to-minutes.

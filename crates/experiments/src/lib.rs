@@ -18,12 +18,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature is a placeholder: the hermetic build has no vendored serde yet. \
-     Vendor a serde stand-in under vendor/ (and switch this gate off) before enabling it."
-);
-
 pub mod config;
 pub mod figures;
 pub mod runner;

@@ -148,7 +148,7 @@ pub fn technique_scores_optimal_tau(
             // One probability pass per query (the expensive part), then a
             // cheap τ sweep by thresholding — exactly equivalent to
             // re-running `answer_set` per τ (see
-            // `MatchingTask::probabilities`).
+            // `MatchingTask::probabilities_naive`).
             let engine = QueryEngine::prepare(task, technique);
             let per_query = parallel_map(queries, |&q| {
                 let gt = task.ground_truth(q);

@@ -11,7 +11,6 @@ use std::path::Path;
 
 /// A rectangular result table.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table {
     /// Table title (figure reference + description).
     pub title: String,

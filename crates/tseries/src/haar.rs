@@ -72,7 +72,6 @@ pub fn haar_inverse(coeffs: &[f64]) -> Vec<f64> {
 /// series: `‖P_k(X) − P_k(Y)‖ ≤ ‖X − Y‖`. PROUD's synopsis mode uses this
 /// as a cheap pre-filter.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HaarSynopsis {
     coeffs: Vec<f64>,
     original_len: usize,

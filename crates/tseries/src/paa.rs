@@ -60,7 +60,6 @@ pub fn paa(values: &[f64], segments: usize) -> Vec<f64> {
 /// A PAA synopsis carrying the scaling needed for its lower-bound
 /// distance.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PaaSynopsis {
     means: Vec<f64>,
     original_len: usize,

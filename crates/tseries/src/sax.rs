@@ -22,7 +22,6 @@ use crate::paa::paa;
 
 /// A SAX word: the symbolic representation of one series.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SaxWord {
     symbols: Vec<u8>,
     alphabet: u8,

@@ -22,7 +22,6 @@ use uts_stats::Moments;
 /// assert!((z.population_std() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeSeries {
     values: Box<[f64]>,
 }

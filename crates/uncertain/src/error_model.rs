@@ -14,7 +14,6 @@ use uts_stats::dist::{ContinuousDistribution, Exponential, Normal, Uniform};
 
 /// The three zero-mean error families of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ErrorFamily {
     /// Gaussian `N(0, σ²)`.
     Normal,
@@ -64,7 +63,6 @@ impl std::fmt::Display for ErrorFamily {
 /// A zero-mean error distribution attached to one timestamp: a family
 /// plus a standard deviation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PointError {
     /// Distribution family.
     pub family: ErrorFamily,

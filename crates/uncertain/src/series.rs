@@ -22,7 +22,6 @@ use crate::error_model::PointError;
 /// it diverge from the truth in the misreported-σ workload (paper
 /// Figure 10) via [`UncertainSeries::with_reported_sigma`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UncertainSeries {
     values: Box<[f64]>,
     errors: Box<[PointError]>,
@@ -128,7 +127,6 @@ impl UncertainSeries {
 /// across timestamps, matching the paper's setup ("for each timestamp, we
 /// have 5 samples as input for MUNICH").
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiObsSeries {
     /// Flattened observations, timestamp-major: `obs[i * s + j]`.
     obs: Box<[f64]>,

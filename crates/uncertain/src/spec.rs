@@ -21,7 +21,6 @@ use crate::error_model::{ErrorFamily, PointError};
 /// Description of a perturbation workload over a series of arbitrary
 /// length. Realise it into per-point errors with [`ErrorSpec::realize`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ErrorSpec {
     /// Same family and σ at every timestamp.
     Constant {

@@ -13,7 +13,8 @@
 //! similarity search to find which machines match a known failure
 //! signature.
 
-use uncertts::core::query::{RangeQuery, TopK};
+use uncertts::core::engine::{QueryEngine, QueryRef};
+use uncertts::core::matching::{MatchingTask, Technique};
 use uncertts::core::uma::Uema;
 use uncertts::stats::rng::Seed;
 use uncertts::tseries::TimeSeries;
@@ -90,10 +91,22 @@ fn main() {
         .collect();
     let query = observe(&signature, 0.25, seed.derive("query-sensor"));
 
-    // Rank the fleet by UEMA similarity to the failure signature.
+    // The fleet as a matching task (the clean profiles are the truth the
+    // sensors observe), prepared once for UEMA: every machine's filtered
+    // view is computed here, not per query.
+    let task = MatchingTask::new(profiles, observations, None, 5);
     let uema = Uema::default();
+    let engine = QueryEngine::prepare(&task, &Technique::Uema(uema));
+
+    // Rank the fleet by UEMA similarity to the failure signature. The
+    // signature is not a fleet member, so it is passed as an external
+    // query view: its own UEMA-filtered series, nothing excluded.
+    let filtered = uema.filter(&query);
+    let signature_view = QueryRef::Filtered(&filtered);
     println!("top-8 machines most similar to the failure signature (UEMA):");
-    let ranked = TopK::new(8).evaluate(&query, &observations, &uema);
+    let ranked = engine
+        .top_k_ref(&signature_view, 8, None)
+        .expect("UEMA ranks by distance");
     for (rank, (machine, dist)) in ranked.iter().enumerate() {
         let truth = if *machine < 5 { "FAULT" } else { "ok" };
         println!(
@@ -107,7 +120,7 @@ fn main() {
     // Range alert: flag everything within the distance of the 5th-ranked
     // machine (a simple operational threshold).
     let threshold = ranked[4].1;
-    let flagged = RangeQuery::new(threshold).evaluate(&query, &observations, &uema);
+    let flagged = engine.answer_set_ref(&signature_view, threshold, None);
     let hits = flagged.iter().filter(|&&m| m < 5).count();
     println!(
         "\nrange alert at ε = {threshold:.3}: {} machines flagged, {hits}/5 true faults caught",
@@ -116,8 +129,10 @@ fn main() {
 
     // Show why the uncertainty-aware filter helps: compare with raw
     // Euclidean on the noisy observations.
-    let eucl = uncertts::core::query::EuclideanMeasure;
-    let ranked_eucl = TopK::new(8).evaluate(&query, &observations, &eucl);
+    let eucl = QueryEngine::prepare(&task, &Technique::Euclidean);
+    let ranked_eucl = eucl
+        .top_k_ref(&QueryRef::Uncertain(&query), 8, None)
+        .expect("Euclidean ranks by distance");
     let uema_hits = ranked.iter().filter(|(m, _)| *m < 5).count();
     let eucl_hits = ranked_eucl.iter().filter(|(m, _)| *m < 5).count();
     println!(

@@ -16,7 +16,7 @@ use std::time::Instant;
 use uncertts::core::engine::QueryEngine;
 use uncertts::core::matching::{MatchingTask, Technique};
 use uncertts::core::proud::{Proud, ProudConfig};
-use uncertts::core::serving::{ShardAssignment, ShardedEngine};
+use uncertts::core::serving::{QueryOptions, ShardAssignment, ShardedEngine};
 use uncertts::core::uma::Uma;
 use uncertts::stats::rng::Seed;
 use uncertts::tseries::TimeSeries;
@@ -63,6 +63,7 @@ fn main() {
     let queries: Vec<usize> = (0..n).step_by(4).collect();
     let shards = 4; // 23 = 4·5 + 3: shard sizes 6/6/6/5
 
+    let opts = QueryOptions::default();
     let t0 = Instant::now();
     for (name, technique) in &techniques {
         let flat = QueryEngine::prepare(&task, technique);
@@ -70,14 +71,15 @@ fn main() {
         for &q in &queries {
             let eps = task.calibrated_threshold(q, technique);
             assert_eq!(
-                *sharded.answer_set(q, eps),
+                *sharded.answer_set_opts(q, eps, &opts).unwrap().value,
                 flat.answer_set(q, eps),
                 "{name}: sharded range answers diverged (q={q})"
             );
-            match (sharded.top_k(q, 3), flat.top_k(q, 3)) {
+            match (sharded.top_k_opts(q, 3, &opts), flat.top_k(q, 3)) {
                 (Ok(s), Some(f)) => {
                     assert!(
-                        s.iter()
+                        s.value
+                            .iter()
                             .zip(&f)
                             .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
                         "{name}: sharded top-k diverged (q={q})"
@@ -86,10 +88,11 @@ fn main() {
                 (Err(_), None) => {} // probabilistic: both layers decline
                 (s, f) => panic!("{name}: top-k disagreement {s:?} vs {f:?}"),
             }
-            if let Some(s) = sharded.probabilities(q, eps) {
+            if let Some(s) = sharded.probabilities_opts(q, eps, &opts).unwrap() {
                 let f = flat.probabilities(q, eps).expect("both probabilistic");
                 assert!(
-                    s.iter()
+                    s.value
+                        .iter()
                         .zip(&f)
                         .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
                     "{name}: sharded probabilities diverged (q={q})"
@@ -100,8 +103,8 @@ fn main() {
         // allocations coming back.
         let q = queries[0];
         let eps = task.calibrated_threshold(q, technique);
-        let first = sharded.answer_set(q, eps);
-        let again = sharded.answer_set(q, eps);
+        let first = sharded.answer_set_opts(q, eps, &opts).unwrap().value;
+        let again = sharded.answer_set_opts(q, eps, &opts).unwrap().value;
         assert!(
             Arc::ptr_eq(&first, &again),
             "{name}: repeated query missed the cache"

@@ -14,6 +14,7 @@
 //! 4. ground truth := the 10 clean NNs; every technique is scored on it.
 
 use uncertts::core::dust::Dust;
+use uncertts::core::engine::QueryEngine;
 use uncertts::core::matching::{MatchingTask, Technique};
 use uncertts::core::proud::{Proud, ProudConfig};
 use uncertts::datasets::{Catalogue, DatasetId};
@@ -72,9 +73,10 @@ fn main() {
         ("DUST", &dust),
         ("PROUD", &proud),
     ] {
+        let engine = QueryEngine::prepare(&task, technique);
         let eps = task.calibrated_threshold(q, technique);
-        let answer = task.answer_set(q, technique, eps);
-        let scores = task.query_quality(q, technique);
+        let answer = engine.answer_set(q, eps);
+        let scores = engine.query_quality(q);
         println!(
             "{name:>10}  {:>7}  {:>9.3}  {:>7.3}  {:>6.3}",
             answer.len(),
@@ -92,9 +94,10 @@ fn main() {
     );
     for tau in [0.05, 0.2, 0.4, 0.6, 0.8, 0.95] {
         let t = proud.with_tau(tau);
+        let engine = QueryEngine::prepare(&task, &t);
         let eps = task.calibrated_threshold(q, &t);
-        let answer = task.answer_set(q, &t, eps);
-        let s = task.query_quality(q, &t);
+        let answer = engine.answer_set(q, eps);
+        let s = engine.query_quality(q);
         println!(
             "{tau:>6.2}  {:>7}  {:>9.3}  {:>7.3}  {:>6.3}",
             answer.len(),

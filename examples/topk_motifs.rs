@@ -12,7 +12,9 @@
 //! DUST-DTW handling phase-shifted beats where aligned distances fail.
 
 use uncertts::core::dust::{Dust, DustConfig};
-use uncertts::core::query::TopK;
+use uncertts::core::engine::QueryEngine;
+use uncertts::core::matching::{MatchingTask, Technique};
+use uncertts::core::TopKMotifs;
 use uncertts::datasets::{Catalogue, DatasetId};
 use uncertts::stats::rng::Seed;
 use uncertts::tseries::DtwOptions;
@@ -32,40 +34,32 @@ fn main() {
     let dust = Dust::new(DustConfig::default());
 
     // --- top-k nearest neighbours -------------------------------------
+    // Prepared once (DUST lookup tables warmed for the collection's
+    // errors); the query is a member, excluded from its own answer.
+    let task = MatchingTask::new(dataset.series.clone(), collection.clone(), None, 5);
+    let engine = QueryEngine::prepare(&task, &Technique::Dust(dust.clone()));
     let q = 0;
-    let others: Vec<_> = collection[1..].to_vec();
-    let top = TopK::new(5).evaluate(&collection[q], &others, &dust);
+    let top = engine.top_k(q, 5).expect("DUST ranks by distance");
     println!(
         "top-5 DUST neighbours of series #{q} (class {}):",
         dataset.labels[q]
     );
-    for (rank, (i, d)) in top.iter().enumerate() {
-        // +1: the query itself was removed from the collection head.
+    for (rank, &(i, d)) in top.iter().enumerate() {
         println!(
-            "  #{:<2} series {:>2}  dust {:>7.3}  class {}",
+            "  #{:<2} series {i:>2}  dust {d:>7.3}  class {}",
             rank + 1,
-            i + 1,
-            d,
-            dataset.labels[i + 1]
+            dataset.labels[i]
         );
     }
 
     // --- top-k motifs ---------------------------------------------------
-    // The motif pair: the two most similar series in the collection —
+    // The motif pairs: the most similar series in the collection —
     // quadratic scan, as in the classical motif definition.
-    let mut best: Vec<(f64, usize, usize)> = Vec::new();
-    for i in 0..collection.len() {
-        for j in (i + 1)..collection.len() {
-            let d = dust.distance(&collection[i], &collection[j]);
-            best.push((d, i, j));
-        }
-    }
-    best.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
     println!("\ntop-3 motif pairs under DUST:");
-    for (d, i, j) in best.iter().take(3) {
+    for (i, j, d) in TopKMotifs::new(3).evaluate(&collection, &dust) {
         println!(
             "  ({i:>2}, {j:>2})  dust {d:>7.3}  classes ({}, {})",
-            dataset.labels[*i], dataset.labels[*j]
+            dataset.labels[i], dataset.labels[j]
         );
     }
 
