@@ -88,8 +88,9 @@
 //!
 //! [`CandidateIndex::build`] fans the PAA summarization and the per-leaf
 //! MBR construction over all cores via
-//! [`parallel_map`](crate::parallel::parallel_map); both stages are
-//! order-preserving and per-item pure, so the layout is bit-identical to
+//! [`parallel_map`](crate::parallel::parallel_map), which runs them on
+//! the process-wide worker pool; both stages are order-preserving and
+//! per-item pure, so the layout is bit-identical to
 //! [`CandidateIndex::build_serial`] (asserted in the unit suite). On a
 //! single-core host `parallel_map` degrades to the sequential loop.
 

@@ -20,14 +20,15 @@ use std::sync::{Arc, RwLock};
 use crate::matching::TechniqueKind;
 
 /// The query-shape part of a cache key. Thresholds are keyed by their
-/// IEEE bit pattern: two ε values hit the same entry iff they are the
-/// same float (NaN included — a NaN ε caches like any other value and
-/// matches nothing, exactly like the scan it memoises).
+/// IEEE bit pattern, with `-0.0` folded into `+0.0` (every technique
+/// answers both zeros bit-identically): two ε values hit the same entry
+/// iff they compare equal or are the same NaN (a NaN ε caches like any
+/// other value and matches nothing, exactly like the scan it memoises).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheOp {
     /// Range query at ε (bit pattern).
     Range {
-        /// `ε.to_bits()`.
+        /// `ε.to_bits()`, `-0.0` read as `+0.0`.
         eps_bits: u64,
     },
     /// Top-k query.
@@ -37,16 +38,26 @@ pub enum CacheOp {
     },
     /// Probability query at ε (bit pattern).
     Probabilities {
-        /// `ε.to_bits()`.
+        /// `ε.to_bits()`, `-0.0` read as `+0.0`.
         eps_bits: u64,
     },
+}
+
+/// The key bits of threshold `epsilon`; `-0.0 == 0.0`, so both zeros
+/// key as `+0.0`.
+fn eps_bits(epsilon: f64) -> u64 {
+    if epsilon == 0.0 {
+        0.0f64.to_bits()
+    } else {
+        epsilon.to_bits()
+    }
 }
 
 impl CacheOp {
     /// Key for a range query at `epsilon`.
     pub fn range(epsilon: f64) -> Self {
         CacheOp::Range {
-            eps_bits: epsilon.to_bits(),
+            eps_bits: eps_bits(epsilon),
         }
     }
 
@@ -58,7 +69,7 @@ impl CacheOp {
     /// Key for a probability query at `epsilon`.
     pub fn probabilities(epsilon: f64) -> Self {
         CacheOp::Probabilities {
-            eps_bits: epsilon.to_bits(),
+            eps_bits: eps_bits(epsilon),
         }
     }
 }
@@ -210,6 +221,13 @@ mod unit {
         assert!(cache.get(&key(1, 1.0)).is_none());
         // Same bit pattern, same key.
         assert!(cache.get(&key(0, 0.5 + 0.5)).is_some());
+    }
+
+    #[test]
+    fn signed_zeros_are_one_key() {
+        assert_eq!(key(0, -0.0), key(0, 0.0));
+        assert_eq!(CacheOp::probabilities(-0.0), CacheOp::probabilities(0.0));
+        assert_ne!(key(0, -f64::MIN_POSITIVE), key(0, 0.0));
     }
 
     #[test]

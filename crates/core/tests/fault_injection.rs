@@ -137,6 +137,68 @@ fn injected_panic_is_typed_shard_error_then_recovers() {
     assert_eq!(*ok.value, flat.answer_set(0, eps));
 }
 
+/// Shard panics leave the worker pool that runs the fan-out healthy:
+/// after every shard of a 4-shard engine crashes, round after round and
+/// for every technique, the next fault-free query on the same engine
+/// covers all four shards and answers bit-identically to the unsharded
+/// engine. Each round asks a new query member, so the recovery is a
+/// real fan-out, never a cache hit.
+#[test]
+fn pool_stays_healthy_after_injected_shard_panics() {
+    quiet_injected_panics();
+    let task = build_task(0xFA0E, 12, 20, 3);
+    let crash_every_shard =
+        || (0..4).fold(FaultPlan::new(), |p, s| p.one_shot(s, FaultKind::Panic));
+    for technique in all_techniques() {
+        let name = format!("{:?}", technique.kind());
+        let flat = QueryEngine::prepare(&task, &technique);
+        let mut sharded = ShardedEngine::prepare(&task, &technique, 4, ShardAssignment::RoundRobin);
+        for q in 0..3 {
+            let eps = task.calibrated_threshold(q, &technique);
+            sharded.inject_faults(crash_every_shard());
+            let err = sharded.answer_set_opts(q, eps, &QueryOptions::default());
+            assert!(matches!(err, Err(ServeError::Shard(_))), "{name}: {err:?}");
+            assert_eq!(sharded.armed_faults(), 0, "{name}: every shard crashed");
+            let ok = sharded
+                .answer_set_opts(q, eps, &QueryOptions::default())
+                .expect("faults spent");
+            assert_eq!(ok.coverage.covered_count(), 4, "{name}");
+            assert_eq!(*ok.value, flat.answer_set(q, eps), "{name}, q {q}");
+
+            sharded.inject_faults(crash_every_shard());
+            if matches!(
+                technique,
+                Technique::Proud { .. } | Technique::Munich { .. }
+            ) {
+                let err = sharded.probabilities_opts(q, eps, &QueryOptions::default());
+                assert!(matches!(err, Err(ServeError::Shard(_))), "{name}");
+                let ok = sharded
+                    .probabilities_opts(q, eps, &QueryOptions::default())
+                    .expect("faults spent")
+                    .expect("probabilistic technique");
+                assert_eq!(ok.coverage.covered_count(), 4, "{name}");
+                let want = flat.probabilities(q, eps).expect("probabilistic technique");
+                assert_eq!(ok.value.len(), want.len(), "{name}");
+                for (a, b) in ok.value.iter().zip(&want) {
+                    assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "{name}");
+                }
+            } else {
+                let err = sharded.top_k_opts(q, 4, &QueryOptions::default());
+                assert!(matches!(err, Err(ServeError::Shard(_))), "{name}");
+                let ok = sharded
+                    .top_k_opts(q, 4, &QueryOptions::default())
+                    .expect("faults spent");
+                assert_eq!(ok.coverage.covered_count(), 4, "{name}");
+                let want = flat.top_k(q, 4).expect("distance-ranked technique");
+                assert_eq!(ok.value.len(), want.len(), "{name}");
+                for (a, b) in ok.value.iter().zip(&want) {
+                    assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "{name}");
+                }
+            }
+        }
+    }
+}
+
 /// Degraded mode survives the crash: the merge covers every healthy
 /// shard, the coverage bitmap pinpoints the lost one, and the partial
 /// answer is exactly the full answer minus the lost shard's members.

@@ -264,6 +264,40 @@ fn cache_hit_is_identical_to_miss() {
     assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 }
 
+/// `ε = -0.0` and `ε = +0.0` are the same threshold: for all six
+/// techniques the uncached answers at both are bit-identical, so the
+/// cache keys them as one entry and the second ask is a hit on the
+/// first ask's answer.
+#[test]
+fn signed_zero_thresholds_share_one_cache_entry() {
+    let task = build_task(0x5E4A, 12, 20, 3);
+    for technique in techniques() {
+        let name = format!("{:?}", technique.kind());
+        let flat = QueryEngine::prepare(&task, &technique);
+        let sharded = ShardedEngine::prepare(&task, &technique, 4, ShardAssignment::RoundRobin);
+        for q in probe_queries(&task) {
+            assert_eq!(flat.answer_set(q, 0.0), flat.answer_set(q, -0.0), "{name}");
+            let pos = flat.probabilities(q, 0.0);
+            let neg = flat.probabilities(q, -0.0);
+            assert_eq!(pos.is_some(), neg.is_some(), "{name}");
+            for (a, b) in pos.iter().flatten().zip(neg.iter().flatten()) {
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "{name}");
+            }
+
+            let hits = sharded.cache_stats().hits;
+            let miss = range(&sharded, q, 0.0);
+            let hit = range(&sharded, q, -0.0);
+            assert!(Arc::ptr_eq(&miss, &hit), "{name}: -0.0 reuses +0.0's entry");
+            assert_eq!(sharded.cache_stats().hits, hits + 1, "{name}");
+            if let Some(miss) = probabilities(&sharded, q, -0.0) {
+                let hit = probabilities(&sharded, q, 0.0).expect("probabilistic technique");
+                assert!(Arc::ptr_eq(&miss, &hit), "{name}: +0.0 reuses -0.0's entry");
+                assert_eq!(sharded.cache_stats().hits, hits + 2, "{name}");
+            }
+        }
+    }
+}
+
 /// Every pruning counter of `before` is at most its twin in `after`.
 fn assert_no_counter_decreases(before: &IndexStats, after: &IndexStats, ctx: &str) {
     let fields = |s: &IndexStats| {

@@ -8,7 +8,8 @@
 //!   (`quick` / `paper-shape` / `full`).
 //! * [`table`] — result tables: aligned console output + CSV files.
 //! * [`runner`] — the workload builder (dataset → perturbed task) and the
-//!   parallel query-evaluation loop (`std::thread::scope`).
+//!   parallel query-evaluation loop (`parallel_map` on uts-core's worker
+//!   pool).
 //! * [`figures`] — the per-figure experiment drivers; see DESIGN.md §4
 //!   for the figure-by-figure index.
 //!

@@ -2,8 +2,8 @@
 //!
 //! Translates a clean [`Dataset`] plus an [`ErrorSpec`] into the paper's
 //! §4.1.2 matching task, picks the query set, and evaluates techniques
-//! over all queries in parallel (`std::thread::scope` — queries are
-//! embarrassingly parallel).
+//! over all queries in parallel (`parallel_map` on uts-core's worker
+//! pool — queries are embarrassingly parallel).
 
 use std::time::Instant;
 
