@@ -63,7 +63,7 @@ use uts_uncertain::{MultiObsSeries, PointError, UncertainSeries};
 use crate::cancel::{Deadline, DeadlineExpired};
 use crate::dust::DustBoundTable;
 use crate::index::{admits, CandidateIndex, IndexConfig, IndexCounters, IndexStats};
-use crate::matching::{GroundTruth, MatchingTask, QualityScores, Technique};
+use crate::matching::{GroundTruth, MatchingTask, QualityScores, Technique, UpdateError};
 use crate::munich::MbiEnvelope;
 use crate::parallel::parallel_map;
 
@@ -305,15 +305,10 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 // (capped error sets, exact mode, construction refusal)
                 // keeps every DUST query on the exact scan.
                 let envelope = d.bound_envelope(&errors);
-                let max_abs = task
-                    .uncertain()
-                    .iter()
-                    .flat_map(|u| u.values())
-                    .fold(0.0f64, |m, &v| m.max(v.abs()));
                 Prepared::Dust {
                     errors,
                     envelope,
-                    max_abs,
+                    max_abs: collection_max_abs(task),
                 }
             }
             Technique::Uma(u) => {
@@ -1028,6 +1023,85 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     }
 }
 
+impl QueryEngine<Arc<MatchingTask>> {
+    /// Replaces member `i` of the owned collection in place and patches
+    /// only that member's slot of the prepared state and candidate index
+    /// — the serving layer's write path, `O(one member)` instead of a
+    /// re-prepare. Answers afterwards are bit-identical to a fresh engine
+    /// over the mutated collection, and the pruning counters carry on.
+    ///
+    /// DUST keeps its error set and envelope while every error
+    /// description of the new member is already in the set: the set is
+    /// then a superset of the collection's, so the envelope stays
+    /// admissible. A new description re-runs the DUST preparation and
+    /// index build under `cfg` (the config the engine was prepared with).
+    ///
+    /// # Errors
+    /// A replacement whose shape the task cannot absorb is a typed
+    /// [`UpdateError`] and leaves the engine untouched.
+    pub(crate) fn try_replace_member(
+        &mut self,
+        i: usize,
+        clean: TimeSeries,
+        uncertain: UncertainSeries,
+        multi: Option<MultiObsSeries>,
+        cfg: &IndexConfig,
+    ) -> Result<(), UpdateError> {
+        // A shard engine holds the only handle, so this never clones.
+        let old = Arc::make_mut(&mut self.task).try_replace(i, clean, uncertain, multi)?;
+        self.keogh = RwLock::default();
+        let task: &MatchingTask = &self.task;
+        let u = &task.uncertain()[i];
+        let view = match (&self.technique, &mut self.state) {
+            (Technique::Euclidean, _) => Some(u.values()),
+            (Technique::Uma(f), Prepared::Filtered(filtered)) => {
+                filtered[i] = f.filter(u);
+                Some(filtered[i].values())
+            }
+            (Technique::Uema(f), Prepared::Filtered(filtered)) => {
+                filtered[i] = f.filter(u);
+                Some(filtered[i].values())
+            }
+            (Technique::Munich { .. }, Prepared::Munich(envelopes)) => {
+                let multi = task
+                    .multi()
+                    .expect("MUNICH requires multi-observation data in the task");
+                envelopes[i] = MbiEnvelope::build(&multi[i]);
+                None
+            }
+            (
+                Technique::Dust(_),
+                Prepared::Dust {
+                    errors, max_abs, ..
+                },
+            ) if dust_query_covered(errors, u) => {
+                let new_max = series_max_abs(u.values());
+                if new_max > *max_abs {
+                    *max_abs = new_max;
+                } else if new_max < *max_abs && series_max_abs(old.values()) == *max_abs {
+                    // The replaced member held the maximum.
+                    *max_abs = collection_max_abs(task);
+                }
+                Some(u.values())
+            }
+            // A new error description: the envelope does not cover its
+            // pairs, so DUST is prepared afresh.
+            (Technique::Dust(_), _) => {
+                self.state = Self::build_state(task, &self.technique)
+                    .expect("DUST prepares on any collection");
+                self.index = Self::build_index(task, &self.technique, &self.state, cfg);
+                return Ok(());
+            }
+            // PROUD keeps no per-member state.
+            _ => None,
+        };
+        if let (Some(ix), Some(view)) = (self.index.as_mut(), view) {
+            ix.replace_member(i, view);
+        }
+        Ok(())
+    }
+}
+
 /// Ground truth for query `q` over the clean collection: the `k` nearest
 /// clean neighbours by Euclidean distance (self excluded), found with an
 /// early-abandoned selection scan instead of a full distance pass plus
@@ -1076,8 +1150,20 @@ fn dust_envelope_applies(
     envelope: &DustBoundTable,
     qu: &UncertainSeries,
 ) -> bool {
-    let q_max = qu.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    q_max + max_abs <= envelope.valid_delta() && dust_query_covered(errors, qu)
+    series_max_abs(qu.values()) + max_abs <= envelope.valid_delta()
+        && dust_query_covered(errors, qu)
+}
+
+/// Largest |value| of one series (0 when empty).
+fn series_max_abs(values: &[f64]) -> f64 {
+    values.iter().fold(0.0f64, |m, v| m.max(v.abs()))
+}
+
+/// Largest |value| across the collection's observed series.
+fn collection_max_abs(task: &MatchingTask) -> f64 {
+    task.uncertain()
+        .iter()
+        .fold(0.0f64, |m, u| m.max(series_max_abs(u.values())))
 }
 
 /// Exact cutoff for `distance <= epsilon` decisions in squared space,
@@ -1343,6 +1429,46 @@ mod unit {
         let _ = engine.dtw_answer_set(1, 1.0, 2);
         let _ = engine.dtw_answer_set(0, 1.0, 4);
         assert_eq!(engine.keogh.read().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn dtw_after_replace_member_matches_a_fresh_engine() {
+        let task = toy_task(37, 10, 18, 0.3, 3);
+        let (q, victim, donor) = (0, 6, 1);
+        // The victim becomes a copy of the query's near neighbour, so a
+        // stale LB_Keogh envelope (built from its old, distant series)
+        // would prune a true DTW answer.
+        let mut clean = task.clean().to_vec();
+        let mut uncertain = task.uncertain().to_vec();
+        let mut multi = task.multi().unwrap().to_vec();
+        clean[victim] = clean[donor].clone();
+        uncertain[victim] = uncertain[donor].clone();
+        multi[victim] = multi[donor].clone();
+        let mutated = MatchingTask::new(clean, uncertain, Some(multi), 3);
+        for technique in [Technique::Euclidean, Technique::Uma(Uma::default())] {
+            let eps = mutated.calibrated_threshold(q, &technique);
+            let mut engine = QueryEngine::prepare(Arc::new(task.clone()), &technique);
+            let stale = engine.dtw_answer_set(q, eps, 3).unwrap();
+            engine
+                .try_replace_member(
+                    victim,
+                    mutated.clean()[victim].clone(),
+                    mutated.uncertain()[victim].clone(),
+                    Some(mutated.multi().unwrap()[victim].clone()),
+                    &IndexConfig::default(),
+                )
+                .expect("shape-preserving replacement");
+            let want = QueryEngine::prepare(&mutated, &technique)
+                .dtw_answer_set(q, eps, 3)
+                .unwrap();
+            assert!(want.contains(&victim) && !stale.contains(&victim));
+            assert_eq!(
+                engine.dtw_answer_set(q, eps, 3).unwrap(),
+                want,
+                "{}",
+                technique.kind()
+            );
+        }
     }
 
     #[test]

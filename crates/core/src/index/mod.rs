@@ -285,15 +285,7 @@ impl CandidateIndex {
         let build_leaf = |chunk: &&[usize]| {
             let mut members = chunk.to_vec();
             members.sort_unstable();
-            let mut lo = vec![f64::INFINITY; segments];
-            let mut hi = vec![f64::NEG_INFINITY; segments];
-            for &i in &members {
-                let means = &member_paa[i * segments..(i + 1) * segments];
-                for (d, &m) in means.iter().enumerate() {
-                    lo[d] = lo[d].min(m);
-                    hi[d] = hi[d].max(m);
-                }
-            }
+            let (lo, hi) = bounding_box(&member_paa, segments, &members);
             Leaf { members, lo, hi }
         };
         let chunks: Vec<&[usize]> = order.chunks(leaf_capacity).collect();
@@ -310,6 +302,31 @@ impl CandidateIndex {
             member_paa,
             leaves,
         })
+    }
+
+    /// Re-summarises member `i` after its value view changed to `view`:
+    /// rewrites its PAA synopsis and recomputes its leaf's bounding
+    /// rectangle from that leaf's members — `O(leaves · log leaf_capacity
+    /// + leaf_capacity · segments)` work instead of a rebuild.
+    ///
+    /// The member stays in its leaf even when its SAX word moved, so the
+    /// layout can differ from a fresh [`Self::build`]. Every rectangle
+    /// still bounds its members exactly, so every bound stays admissible
+    /// and answers cannot change; only pruning counts can.
+    ///
+    /// # Panics
+    /// If `i` is not indexed or `view` has another length than the
+    /// indexed series (the engine validates both before patching).
+    pub(crate) fn replace_member(&mut self, i: usize, view: &[f64]) {
+        assert_eq!(view.len(), self.series_len, "replacement length mismatch");
+        let segments = self.segments;
+        self.member_paa[i * segments..(i + 1) * segments].copy_from_slice(&paa(view, segments));
+        let leaf = self
+            .leaves
+            .iter_mut()
+            .find(|l| l.members.binary_search(&i).is_ok())
+            .expect("every indexed member lives in one leaf");
+        (leaf.lo, leaf.hi) = bounding_box(&self.member_paa, segments, &leaf.members);
     }
 
     /// Number of members indexed.
@@ -553,6 +570,21 @@ impl CandidateIndex {
     pub fn leaf_members(&self, leaf: usize) -> &[usize] {
         &self.leaves[leaf].members
     }
+}
+
+/// Per-segment minimum and maximum of `members`' PAA means — a leaf's
+/// bounding rectangle.
+fn bounding_box(member_paa: &[f64], segments: usize, members: &[usize]) -> (Vec<f64>, Vec<f64>) {
+    let mut lo = vec![f64::INFINITY; segments];
+    let mut hi = vec![f64::NEG_INFINITY; segments];
+    for &i in members {
+        let means = &member_paa[i * segments..(i + 1) * segments];
+        for (d, &m) in means.iter().enumerate() {
+            lo[d] = lo[d].min(m);
+            hi[d] = hi[d].max(m);
+        }
+    }
+    (lo, hi)
 }
 
 /// Live pruning-effectiveness counters on a prepared engine, accumulated
@@ -839,6 +871,60 @@ mod unit {
                     .iter()
                     .zip(&b.hi)
                     .all(|(x, y)| x.to_bits() == y.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn replace_member_keeps_the_layout_invariants() {
+        use rand::Rng;
+        let cfg = IndexConfig {
+            leaf_capacity: 8,
+            ..IndexConfig::always()
+        };
+        let (mut vs, mut ix) = build(90, 24, &cfg);
+        let mut rng = uts_stats::rng::Seed::new(0x1DE7).rng();
+        for _ in 0..40 {
+            let i = rng.gen_range(0..vs.len());
+            let shift: f64 = rng.gen_range(-5.0..5.0);
+            let donor = rng.gen_range(0..vs.len());
+            vs[i] = vs[donor].iter().map(|v| v * -1.5 + shift).collect();
+            ix.replace_member(i, &vs[i]);
+        }
+        let mut seen = Vec::new();
+        for leaf in &ix.leaves {
+            assert!(leaf.members.windows(2).all(|w| w[0] < w[1]), "ascending");
+            seen.extend_from_slice(&leaf.members);
+            for d in 0..ix.segments {
+                let means = leaf
+                    .members
+                    .iter()
+                    .map(|&i| ix.member_paa[i * ix.segments + d]);
+                let lo = means.clone().fold(f64::INFINITY, f64::min);
+                let hi = means.fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(leaf.lo[d].to_bits(), lo.to_bits(), "segment {d}");
+                assert_eq!(leaf.hi[d].to_bits(), hi.to_bits(), "segment {d}");
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..vs.len()).collect::<Vec<_>>(), "leaves partition");
+        for (i, v) in vs.iter().enumerate() {
+            let want = paa(v, ix.segments);
+            let got = &ix.member_paa[i * ix.segments..(i + 1) * ix.segments];
+            assert!(got
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        // So the bounds stay admissible over the patched members.
+        let counters = IndexCounters::default();
+        for q in [0usize, 45, 89] {
+            let qp = ix.query_synopsis(&vs[q]).unwrap();
+            let cands = ix.range_candidates(&qp, 3.0, Some(q), &counters);
+            for (i, v) in vs.iter().enumerate() {
+                if i != q && euclidean(&vs[q], v) <= 3.0 {
+                    assert!(cands.contains(&i), "q={q}: true answer {i} dismissed");
+                }
             }
         }
     }

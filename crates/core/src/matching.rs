@@ -347,18 +347,19 @@ impl MatchingTask {
         }
     }
 
-    /// Copy of this task with member `i` replaced — the serving layer's
-    /// mutation primitive. Validates the replacement against the task's
-    /// shape: lengths must match the member it replaces, and the
-    /// multi-observation side must be supplied iff the task carries one.
-    /// A shape the task cannot absorb is a typed [`UpdateError`].
-    pub(crate) fn try_with_replaced(
-        &self,
+    /// Replaces member `i` in place — the serving layer's mutation
+    /// primitive — and returns the observed series it replaced. Validates
+    /// the replacement against the task's shape first: lengths must match
+    /// the member it replaces, and the multi-observation side must be
+    /// supplied iff the task carries one. A shape the task cannot absorb
+    /// is a typed [`UpdateError`] and leaves the task untouched.
+    pub(crate) fn try_replace(
+        &mut self,
         i: usize,
         clean: TimeSeries,
         uncertain: UncertainSeries,
         multi: Option<MultiObsSeries>,
-    ) -> Result<MatchingTask, UpdateError> {
+    ) -> Result<UncertainSeries, UpdateError> {
         if i >= self.len() {
             return Err(UpdateError::IndexOutOfRange {
                 index: i,
@@ -377,24 +378,25 @@ impl MatchingTask {
                 uncertain: uncertain.len(),
             });
         }
-        if self.multi.is_some() != multi.is_some() {
-            return Err(UpdateError::MultiPresenceMismatch {
-                task_has_multi: self.multi.is_some(),
-            });
-        }
-        let mut out = self.clone();
-        out.clean[i] = clean;
-        out.uncertain[i] = uncertain;
-        if let (Some(m), Some(new_m)) = (out.multi.as_mut(), multi) {
-            if new_m.len() != m[i].len() {
-                return Err(UpdateError::MultiLengthMismatch {
-                    expected: m[i].len(),
-                    got: new_m.len(),
-                });
+        match (self.multi.as_mut(), multi) {
+            (Some(m), Some(new_m)) => {
+                if new_m.len() != m[i].len() {
+                    return Err(UpdateError::MultiLengthMismatch {
+                        expected: m[i].len(),
+                        got: new_m.len(),
+                    });
+                }
+                m[i] = new_m;
             }
-            m[i] = new_m;
+            (None, None) => {}
+            (m, _) => {
+                return Err(UpdateError::MultiPresenceMismatch {
+                    task_has_multi: m.is_some(),
+                })
+            }
         }
-        Ok(out)
+        self.clean[i] = clean;
+        Ok(std::mem::replace(&mut self.uncertain[i], uncertain))
     }
 
     /// Number of series in the task.

@@ -21,14 +21,16 @@ use crate::matching::TechniqueKind;
 
 /// The query-shape part of a cache key. Thresholds are keyed by their
 /// IEEE bit pattern, with `-0.0` folded into `+0.0` (every technique
-/// answers both zeros bit-identically): two ε values hit the same entry
-/// iff they compare equal or are the same NaN (a NaN ε caches like any
-/// other value and matches nothing, exactly like the scan it memoises).
+/// answers both zeros bit-identically) and every NaN folded into one
+/// canonical NaN (every technique answers every NaN alike): two ε values
+/// hit the same entry iff they compare equal or are both NaN. A NaN ε
+/// caches like any other value, but as one entry, so NaN thresholds
+/// with varied payloads cannot fill the bounded cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheOp {
     /// Range query at ε (bit pattern).
     Range {
-        /// `ε.to_bits()`, `-0.0` read as `+0.0`.
+        /// `ε.to_bits()`, `-0.0` read as `+0.0`, any NaN as [`f64::NAN`].
         eps_bits: u64,
     },
     /// Top-k query.
@@ -38,16 +40,18 @@ pub enum CacheOp {
     },
     /// Probability query at ε (bit pattern).
     Probabilities {
-        /// `ε.to_bits()`, `-0.0` read as `+0.0`.
+        /// `ε.to_bits()`, `-0.0` read as `+0.0`, any NaN as [`f64::NAN`].
         eps_bits: u64,
     },
 }
 
 /// The key bits of threshold `epsilon`; `-0.0 == 0.0`, so both zeros
-/// key as `+0.0`.
+/// key as `+0.0`, and every NaN payload keys as [`f64::NAN`].
 fn eps_bits(epsilon: f64) -> u64 {
     if epsilon == 0.0 {
         0.0f64.to_bits()
+    } else if epsilon.is_nan() {
+        f64::NAN.to_bits()
     } else {
         epsilon.to_bits()
     }
@@ -228,6 +232,27 @@ mod unit {
         assert_eq!(key(0, -0.0), key(0, 0.0));
         assert_eq!(CacheOp::probabilities(-0.0), CacheOp::probabilities(0.0));
         assert_ne!(key(0, -f64::MIN_POSITIVE), key(0, 0.0));
+    }
+
+    #[test]
+    fn nan_payloads_share_one_entry() {
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(f64::NAN.to_bits() | 0xDEAD);
+        let negative = -f64::NAN;
+        assert!(payload.is_nan() && negative.is_nan());
+        assert_ne!(quiet.to_bits(), payload.to_bits());
+        assert_eq!(key(0, payload), key(0, quiet));
+        assert_eq!(key(0, negative), key(0, quiet));
+        assert_eq!(
+            CacheOp::probabilities(payload),
+            CacheOp::probabilities(quiet)
+        );
+
+        let cache = ResultCache::new(8);
+        cache.insert(key(0, quiet), CachedAnswer::Indices(Arc::new(vec![])));
+        cache.insert(key(0, payload), CachedAnswer::Indices(Arc::new(vec![])));
+        assert!(cache.get(&key(0, negative)).is_some());
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -205,10 +205,10 @@ pub struct ShardedEngine {
     plan: ShardPlan,
     shards: Vec<QueryEngine<Arc<MatchingTask>>>,
     cache: ResultCache,
-    /// The index config every shard was prepared with — kept so
-    /// [`ShardedEngine::try_update_series`] re-prepares the owner shard
-    /// with the same indexing decision (an updated shard must not
-    /// silently lose its index).
+    /// The index config every shard was prepared with — kept so a DUST
+    /// write that must rebuild its shard's index
+    /// ([`ShardedEngine::try_update_series`]) keeps the same indexing
+    /// decision.
     index_config: IndexConfig,
     /// Opt-in admission gate ([`ShardedEngine::with_admission`]); `None`
     /// admits everything.
@@ -216,10 +216,6 @@ pub struct ShardedEngine {
     /// Injected chaos faults ([`ShardedEngine::inject_faults`]); the
     /// default empty plan costs one branch per shard attempt.
     faults: FaultPlan,
-    /// Pruning counters of shard engines replaced by
-    /// [`ShardedEngine::try_update_series`], so
-    /// [`ShardedEngine::index_stats`] stays monotone across updates.
-    retired_stats: IndexStats,
 }
 
 impl ShardedEngine {
@@ -293,7 +289,6 @@ impl ShardedEngine {
             index_config: index,
             gate: None,
             faults: FaultPlan::new(),
-            retired_stats: IndexStats::default(),
         })
     }
 
@@ -375,7 +370,7 @@ impl ShardedEngine {
     /// in `scan_queries` there while still counting `indexed_queries`
     /// on shards where it engages.
     pub fn index_stats(&self) -> IndexStats {
-        let mut total = self.retired_stats;
+        let mut total = IndexStats::default();
         for shard in &self.shards {
             total.absorb(&shard.index_stats());
         }
@@ -685,17 +680,24 @@ impl ShardedEngine {
     }
 
     /// Replaces global member `i` with new clean/uncertain (and, iff
-    /// the task carries one, multi-observation) series, re-prepares the
-    /// owner shard (including its candidate index, under the same
-    /// [`IndexConfig`] the engine was built with), and invalidates the
-    /// result cache — the mutation path that keeps cached answers from
-    /// outliving the data.
+    /// the task carries one, multi-observation) series, patches the owner
+    /// shard in place, and invalidates the result cache — the mutation
+    /// path that keeps cached answers from outliving the data.
     ///
-    /// Only the owner shard pays the re-preparation cost; the other
-    /// shards' prepared state and indexes are untouched. The replaced
-    /// shard's pruning counters carry over, so
-    /// [`ShardedEngine::index_stats`] never goes backwards across an
-    /// update.
+    /// The patch touches only member `i`'s slot: its filtered view
+    /// (UMA/UEMA), MBI envelope (MUNICH) or DUST collection maximum, and
+    /// its PAA synopsis plus its leaf's bounding rectangle in the
+    /// candidate index. A write costs one member's share of preparation,
+    /// not a shard's, and answers stay bit-identical to a fresh engine
+    /// over the mutated collection. Two caveats: the member stays in its
+    /// index leaf, so pruning counts can differ from a fresh build; and
+    /// DUST keeps its error set and envelope as long as the new member's
+    /// error descriptions are all in the set, so the envelope can be
+    /// looser than a fresh one (still admissible). A new DUST error
+    /// description re-prepares the owner shard's DUST state and index
+    /// under the same [`IndexConfig`] the engine was built with. Shard
+    /// engines are never replaced, so [`ShardedEngine::index_stats`]
+    /// never goes backwards across an update.
     ///
     /// # Errors
     /// A replacement whose shape the task cannot absorb (index out of
@@ -754,15 +756,13 @@ impl ShardedEngine {
             });
         }
         let (owner, local) = self.plan.owner_of(i);
-        let updated = Arc::new(
-            self.shards[owner]
-                .task()
-                .try_with_replaced(local, clean, uncertain, multi)?,
-        );
-        let fresh = QueryEngine::try_prepare_with(updated, &self.technique, self.index_config)
-            .expect("a shape-validated replacement re-prepares under the same technique");
-        let replaced = std::mem::replace(&mut self.shards[owner], fresh);
-        self.retired_stats.absorb(&replaced.index_stats());
+        self.shards[owner].try_replace_member(
+            local,
+            clean,
+            uncertain,
+            multi,
+            &self.index_config,
+        )?;
         self.cache.invalidate();
         Ok(())
     }

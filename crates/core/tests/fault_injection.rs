@@ -665,9 +665,63 @@ fn try_update_series_rejects_mismatched_shapes_without_damage() {
         })
     );
 
-    // Nothing was damaged: no cache invalidation, identical answers.
+    // A multi-observation series of the wrong length is rejected after
+    // every other check passed — the in-place write must not have
+    // replaced the clean and observed sides before reaching it.
+    let spec = ErrorSpec::constant(ErrorFamily::Normal, 0.4);
+    let short_multi = perturb_multi(&short, &spec, 3, Seed::new(0xFA0C));
+    let far = TimeSeries::from_values((0..20).map(|t| 50.0 + t as f64));
+    let far_u = perturb(&far, &spec, Seed::new(0xFA0D));
+    let multi_mismatch = Err(UpdateError::MultiLengthMismatch {
+        expected: 20,
+        got: 5,
+    });
+    assert_eq!(
+        sharded.try_update_series(1, far.clone(), far_u.clone(), Some(short_multi.clone())),
+        multi_mismatch
+    );
+
+    // Nothing was damaged: no cache invalidation, identical answers, and
+    // uncached answers still those of the original collection.
     assert_eq!(sharded.cache_stats().generation, 0);
     assert!(Arc::ptr_eq(&before, &range(&sharded)));
+    let flat = QueryEngine::prepare(&task, &technique);
+    for q in [0, 1, 11] {
+        let eps = 2.0 * task.calibrated_threshold(q, &technique);
+        let served = sharded.answer_set_opts(q, eps, &QueryOptions::default());
+        assert_eq!(*served.unwrap().value, flat.answer_set(q, eps), "q={q}");
+    }
+
+    // The same mismatch on a MUNICH engine, whose answers read the
+    // multi-observation side.
+    let munich = Technique::Munich {
+        munich: Munich::default(),
+        tau: 0.4,
+    };
+    let mut sharded = ShardedEngine::prepare(&task, &munich, 3, ShardAssignment::Contiguous);
+    let flat = QueryEngine::prepare(&task, &munich);
+    assert_eq!(
+        sharded.try_update_series(1, far, far_u, Some(short_multi)),
+        multi_mismatch
+    );
+    assert_eq!(sharded.cache_stats().generation, 0);
+    let opts = QueryOptions::default();
+    for q in [0, 1, 11] {
+        let eps = task.calibrated_threshold(q, &munich);
+        let served = sharded.answer_set_opts(q, eps, &opts).unwrap();
+        assert_eq!(*served.value, flat.answer_set(q, eps), "MUNICH q={q}");
+        let served = sharded.probabilities_opts(q, eps, &opts).unwrap().unwrap();
+        let want = flat.probabilities(q, eps).unwrap();
+        assert!(
+            served.value.len() == want.len()
+                && served
+                    .value
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
+            "MUNICH probabilities q={q}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -298,6 +298,44 @@ fn signed_zero_thresholds_share_one_cache_entry() {
     }
 }
 
+/// Every NaN threshold is one threshold: two NaNs with different
+/// payloads get the same (empty) uncached answer from every technique
+/// whose range query accepts a NaN ε, so the cache keys them as one entry
+/// and the second ask is a hit. MUNICH rejects a NaN ε with a shard
+/// fault, which is never cached, so it is left out.
+#[test]
+fn nan_thresholds_share_one_cache_entry() {
+    let task = build_task(0x5E4B, 12, 20, 3);
+    let quiet = f64::NAN;
+    let payload = f64::from_bits(f64::NAN.to_bits() | 0xBEEF);
+    assert_ne!(quiet.to_bits(), payload.to_bits());
+    for technique in techniques()
+        .into_iter()
+        .filter(|t| !matches!(t, Technique::Munich { .. }))
+    {
+        let name = format!("{:?}", technique.kind());
+        let flat = QueryEngine::prepare(&task, &technique);
+        let sharded = ShardedEngine::prepare(&task, &technique, 4, ShardAssignment::RoundRobin);
+        for q in probe_queries(&task) {
+            assert_eq!(
+                flat.answer_set(q, quiet),
+                flat.answer_set(q, payload),
+                "{name}"
+            );
+            let hits = sharded.cache_stats().hits;
+            let miss = range(&sharded, q, payload);
+            let hit = range(&sharded, q, quiet);
+            assert_eq!(*miss, flat.answer_set(q, payload), "{name}");
+            assert!(
+                Arc::ptr_eq(&miss, &hit),
+                "{name}: both NaNs share one entry"
+            );
+            assert_eq!(sharded.cache_stats().hits, hits + 1, "{name}");
+        }
+        assert_eq!(sharded.cache_stats().entries, 3, "{name}");
+    }
+}
+
 /// Every pruning counter of `before` is at most its twin in `after`.
 fn assert_no_counter_decreases(before: &IndexStats, after: &IndexStats, ctx: &str) {
     let fields = |s: &IndexStats| {
@@ -320,7 +358,7 @@ fn assert_no_counter_decreases(before: &IndexStats, after: &IndexStats, ctx: &st
 
 /// `try_update_series` on a sharded engine is equivalent to rebuilding from
 /// the mutated collection: the stale cached answer is dropped and the
-/// re-prepared owner shard serves the new data, bit-identical to a
+/// patched owner shard serves the new data, bit-identical to a
 /// from-scratch unsharded engine.
 #[test]
 fn update_series_matches_full_rebuild() {
@@ -388,11 +426,11 @@ fn update_series_matches_full_rebuild() {
 
 /// Regression for the index-path cache contract: with per-shard indexes
 /// enabled, `try_update_series` must invalidate every cached answer *and*
-/// rebuild the owner shard's index under the same config — a re-query
+/// keep the owner shard's index current — a re-query
 /// of the exact cached key returns the post-update answer, bit-identical
 /// to a from-scratch engine over the mutated collection (indexed or
 /// not). The pruning counters never go backwards across the update: the
-/// replaced shard's counts carry over.
+/// owner shard keeps its counters.
 #[test]
 fn update_series_with_index_serves_post_update_answers() {
     let seed = 0x5E47;
@@ -433,7 +471,7 @@ fn update_series_with_index_serves_post_update_answers() {
         let stale_range = range(&sharded, q, eps);
         let stale_top = top_k(&sharded, q, k).unwrap();
         // Extra range traffic so every shard's counters are non-zero
-        // before its engine may be replaced.
+        // before the update.
         for probe in probe_queries(&task) {
             let _ = range(&sharded, probe, eps * 1.5);
         }
@@ -480,6 +518,174 @@ fn update_series_with_index_serves_post_update_answers() {
         assert_no_counter_decreases(&before, &stats, &ctx);
         assert!(stats.indexed_queries > 0, "shards={shards}: index engaged");
         assert_eq!(stats.scan_queries, 0, "shards={shards}: no silent fallback");
+    }
+}
+
+/// One replacement of member `i`: new clean, observed and
+/// multi-observation series.
+struct Write {
+    i: usize,
+    clean: TimeSeries,
+    uncertain: UncertainSeries,
+    multi: MultiObsSeries,
+}
+
+/// A seeded sequence of writes over `task` that visits every patch case:
+/// a far-away series (new SAX word, and a DUST `max_abs` beyond the
+/// envelope's validity horizon, which turns the index off), a smaller
+/// series over the member holding `max_abs`, a σ outside the prepared
+/// DUST error set (the re-prepare case), a write to a probe query's own
+/// member, and random members with fresh perturbations in between.
+fn write_sequence(task: &MatchingTask, seed: u64) -> Vec<Write> {
+    use rand::Rng;
+    let (n, len) = (task.len(), task.clean()[0].len());
+    let root = Seed::new(seed);
+    let mut rng = root.derive("writes").rng();
+    let mut writes = Vec::new();
+    for step in 0..24u64 {
+        let (i, offset, sigma) = match step {
+            3 => (7, 3000.0, 0.4),                 // far away: raises max_abs
+            8 => (7, 0.0, 0.4),                    // the max_abs holder shrinks back
+            12 => (rng.gen_range(0..n), 0.0, 0.7), // σ outside the error set
+            16 => (0, 0.0, 0.4),                   // a probe query's own member
+            _ => (rng.gen_range(0..n), 0.0, 0.4),
+        };
+        let phase: f64 = rng.gen_range(0.0..6.0);
+        let clean = TimeSeries::from_values((0..len).map(|t| {
+            let t = t as f64;
+            (t / 3.0 + phase).sin() + 0.3 * (t / 7.0 + phase).cos()
+        }))
+        .znormalized();
+        let clean = TimeSeries::from_values(clean.values().iter().map(|v| v + offset));
+        let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
+        let s = root.derive_u64(step);
+        writes.push(Write {
+            i,
+            uncertain: perturb(&clean, &spec, s.derive("pdf")),
+            multi: perturb_multi(&clean, &spec, 3, s.derive("multi")),
+            clean,
+        });
+    }
+    writes
+}
+
+/// What a freshly prepared engine answers for one probe query: range, top-k
+/// and probabilities (the last two `None` where the technique has none).
+type Expected = (
+    Vec<usize>,
+    Option<Vec<(usize, f64)>>,
+    Option<Vec<(usize, f64)>>,
+);
+
+/// A probe query, its calibrated ε and the answers expected for it.
+type Probe = (usize, f64, Expected);
+
+/// Bit-level view of scored answers, so `assert_eq!` compares scores by
+/// their bits.
+fn bits(scored: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    scored.iter().map(|&(i, d)| (i, d.to_bits())).collect()
+}
+
+/// A sequence of in-place writes is equivalent to rebuilding: after every
+/// `try_update_series`, range, top-k and probability answers are
+/// bit-identical to a freshly prepared unsharded engine over the mutated
+/// collection — six techniques × shard counts {1, 2, 4, 7} × index
+/// forced on and off. Each shard also engages its index exactly when a
+/// freshly prepared shard would, which pins the patched DUST `max_abs`.
+#[test]
+fn write_sequences_match_rebuild() {
+    let (n, len, k) = (12, 16, 3);
+    let task = build_task(0x5E48, n, len, k);
+    let writes = write_sequence(&task, 0x5E48);
+    for technique in techniques() {
+        let name = technique.kind();
+        // The expected answers after each write, from fresh engines.
+        let mut clean = task.clean().to_vec();
+        let mut uncertain = task.uncertain().to_vec();
+        let mut multi = task.multi().unwrap().to_vec();
+        let expected: Vec<(MatchingTask, Vec<Probe>)> = writes
+            .iter()
+            .map(|w| {
+                clean[w.i] = w.clean.clone();
+                uncertain[w.i] = w.uncertain.clone();
+                multi[w.i] = w.multi.clone();
+                let mutated =
+                    MatchingTask::new(clean.clone(), uncertain.clone(), Some(multi.clone()), k);
+                let fresh = QueryEngine::prepare(&mutated, &technique);
+                let mut queries = probe_queries(&mutated).to_vec();
+                queries.push(w.i);
+                let probes = queries
+                    .into_iter()
+                    .map(|q| {
+                        let eps = mutated.calibrated_threshold(q, &technique);
+                        let want = (
+                            fresh.answer_set(q, eps),
+                            fresh.top_k(q, k),
+                            fresh.probabilities(q, eps),
+                        );
+                        (q, eps, want)
+                    })
+                    .collect();
+                (mutated, probes)
+            })
+            .collect();
+        for shards in SHARD_COUNTS {
+            for cfg in [IndexConfig::always(), IndexConfig::disabled()] {
+                let mut sharded = ShardedEngine::prepare_with(
+                    &task,
+                    &technique,
+                    shards,
+                    ShardAssignment::RoundRobin,
+                    cfg,
+                );
+                for (step, (w, (mutated, probes))) in writes.iter().zip(&expected).enumerate() {
+                    sharded
+                        .try_update_series(
+                            w.i,
+                            w.clean.clone(),
+                            w.uncertain.clone(),
+                            Some(w.multi.clone()),
+                        )
+                        .expect("shape-preserving replacement");
+                    let ctx = format!("{name} shards={shards} enabled={} step={step}", cfg.enabled);
+                    let fresh = ShardedEngine::prepare_with(
+                        mutated,
+                        &technique,
+                        shards,
+                        ShardAssignment::RoundRobin,
+                        cfg,
+                    );
+                    for (q, eps, (want_range, want_top, want_prob)) in probes {
+                        let (before, fresh_before) = (sharded.index_stats(), fresh.index_stats());
+                        let _ = (range(&fresh, *q, *eps), top_k(&fresh, *q, k));
+                        assert_eq!(*range(&sharded, *q, *eps), *want_range, "{ctx} q={q}");
+                        match want_top {
+                            Some(f) => assert_eq!(
+                                bits(&top_k(&sharded, *q, k).expect("distance technique")),
+                                bits(f),
+                                "{ctx} q={q}"
+                            ),
+                            None => assert!(top_k(&sharded, *q, k).is_err(), "{ctx}"),
+                        }
+                        let got = probabilities(&sharded, *q, *eps);
+                        assert_eq!(
+                            got.map(|p| bits(&p)),
+                            want_prob.as_ref().map(|p| bits(p)),
+                            "{ctx} q={q}"
+                        );
+                        let engaged = |after: IndexStats, before: &IndexStats| {
+                            let d = after.since(before);
+                            (d.indexed_queries, d.scan_queries)
+                        };
+                        assert_eq!(
+                            engaged(sharded.index_stats(), &before),
+                            engaged(fresh.index_stats(), &fresh_before),
+                            "{ctx} q={q}: index engagement"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

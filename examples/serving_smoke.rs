@@ -9,10 +9,17 @@
 //! / probability workload through both, and asserts bit-identical
 //! answers plus a working result cache — the serving layer's two
 //! contracts, checked in seconds without a full criterion capture.
+//!
+//! It then gates the write path on a ratio rather than an absolute time
+//! (1-core timings drift by ±10%): on a 20k-series single-shard DUST
+//! engine, the median `try_update_series` must cost at most 1/20 of the
+//! median `ShardedEngine::prepare`, and answers after the writes must
+//! equal a fresh engine's over the mutated collection.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use uncertts::core::dust::Dust;
 use uncertts::core::engine::QueryEngine;
 use uncertts::core::matching::{MatchingTask, Technique};
 use uncertts::core::proud::{Proud, ProudConfig};
@@ -20,7 +27,7 @@ use uncertts::core::serving::{QueryOptions, ShardAssignment, ShardedEngine};
 use uncertts::core::uma::Uma;
 use uncertts::stats::rng::Seed;
 use uncertts::tseries::TimeSeries;
-use uncertts::uncertain::{perturb, perturb_multi, ErrorFamily, ErrorSpec};
+use uncertts::uncertain::{perturb, perturb_multi, ErrorFamily, ErrorSpec, UncertainSeries};
 
 fn main() {
     let seed = Seed::new(0x5E4E);
@@ -123,5 +130,97 @@ fn main() {
         techniques.len(),
         queries.len(),
         t0.elapsed()
+    );
+    write_cost_gate();
+}
+
+/// Median of a set of durations, in seconds.
+fn median(mut secs: Vec<f64>) -> f64 {
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
+}
+
+/// The write-path ratio gate described in the module docs.
+fn write_cost_gate() {
+    let seed = Seed::new(0x5E4F);
+    let (n, len, sigma) = (20_000, 64, 0.4);
+    let clean: Vec<TimeSeries> = (0..n)
+        .map(|i| {
+            // Sixteen coarse families, so the index packs real leaves.
+            let phase = (i % 16) as f64 * 0.9 + (i / 16) as f64 * 0.003;
+            TimeSeries::from_values((0..len).map(|t| {
+                let t = t as f64;
+                (t / 5.0 + phase).sin() + 0.3 * (t / 11.0 + phase * 1.7).cos()
+            }))
+            .znormalized()
+        })
+        .collect();
+    let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
+    let mut uncertain: Vec<UncertainSeries> = clean
+        .iter()
+        .enumerate()
+        .map(|(i, c)| perturb(c, &spec, seed.derive("pdf").derive_u64(i as u64)))
+        .collect();
+    let task = MatchingTask::new(clean.clone(), uncertain.clone(), None, 10);
+    let dust = Technique::Dust(Dust::default());
+    let prepare = || ShardedEngine::prepare(&task, &dust, 1, ShardAssignment::RoundRobin);
+
+    // One untimed prepare warms the DUST tables every later one shares.
+    let mut sharded = prepare();
+    let mut prepares = Vec::new();
+    for _ in 0..5 {
+        drop(sharded);
+        let t0 = Instant::now();
+        sharded = prepare();
+        prepares.push(t0.elapsed().as_secs_f64());
+    }
+
+    // Each write re-perturbs a member's own clean series.
+    let mut writes = Vec::new();
+    for w in 0..21u64 {
+        let i = (w as usize * 7919) % n;
+        let fresh = perturb(&clean[i], &spec, seed.derive("write").derive_u64(w));
+        uncertain[i] = fresh.clone();
+        let t0 = Instant::now();
+        sharded
+            .try_update_series(i, clean[i].clone(), fresh, None)
+            .expect("shape-preserving write");
+        writes.push(t0.elapsed().as_secs_f64());
+    }
+    let (prepare_s, write_s) = (median(prepares), median(writes));
+    assert!(
+        write_s * 20.0 <= prepare_s,
+        "a write ({:.3} ms) costs more than 1/20 of a prepare ({:.3} ms)",
+        write_s * 1e3,
+        prepare_s * 1e3
+    );
+
+    drop(task);
+    let mutated = MatchingTask::new(clean, uncertain, None, 10);
+    let fresh = QueryEngine::prepare(&mutated, &dust);
+    let opts = QueryOptions::default();
+    for q in (0..n).step_by(n / 8).chain([7919, 2 * 7919]) {
+        let eps = mutated.calibrated_threshold(q, &dust);
+        assert_eq!(
+            *sharded.answer_set_opts(q, eps, &opts).unwrap().value,
+            fresh.answer_set(q, eps),
+            "dust: range answers diverged after the writes (q={q})"
+        );
+        let served = sharded.top_k_opts(q, 10, &opts).unwrap().value;
+        let want = fresh.top_k(q, 10).expect("distance technique");
+        assert!(
+            served.len() == want.len()
+                && served
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
+            "dust: top-k diverged after the writes (q={q})"
+        );
+    }
+    println!(
+        "write gate ok: {n} series, median write {:.1} us vs median prepare {:.1} ms ({:.0}x)",
+        write_s * 1e6,
+        prepare_s * 1e3,
+        prepare_s / write_s
     );
 }
