@@ -262,16 +262,16 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         cfg: &IndexConfig,
     ) -> Option<CandidateIndex> {
         let views: Vec<&[f64]> = match (technique, state) {
-            (Technique::Euclidean, _) => task.uncertain().iter().map(|u| u.values()).collect(),
-            (
+            (Technique::Uma(_) | Technique::Uema(_), Prepared::Filtered(filtered)) => {
+                filtered.iter().map(|f| f.values()).collect()
+            }
+            (Technique::Euclidean, _)
+            | (
                 Technique::Dust(_),
                 Prepared::Dust {
                     envelope: Some(_), ..
                 },
             ) => task.uncertain().iter().map(|u| u.values()).collect(),
-            (Technique::Uma(_) | Technique::Uema(_), Prepared::Filtered(filtered)) => {
-                filtered.iter().map(|f| f.values()).collect()
-            }
             _ => return None,
         };
         CandidateIndex::build(&views, cfg)
@@ -311,11 +311,8 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                     max_abs: collection_max_abs(task),
                 }
             }
-            Technique::Uma(u) => {
-                Prepared::Filtered(parallel_map(task.uncertain(), |s| u.filter(s)))
-            }
-            Technique::Uema(u) => {
-                Prepared::Filtered(parallel_map(task.uncertain(), |s| u.filter(s)))
+            Technique::Uma(_) | Technique::Uema(_) => {
+                Prepared::Filtered(parallel_map(task.uncertain(), |s| technique.filtered(s)))
             }
             Technique::Munich { .. } => {
                 let multi = task.multi().ok_or(PrepareError::MissingMultiObs)?;
@@ -407,11 +404,10 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// Deadline-bounded twin of [`QueryEngine::answer_set_ref`]: the
     /// scan polls `deadline` at cooperative checkpoints (every
     /// [`crate::cancel::CHECK_INTERVAL`] candidates on the value scans,
-    /// every candidate
-    /// on the MUNICH/PROUD refinement loops) and abandons with the typed
-    /// [`DeadlineExpired`] once it passes. An answer that *is* returned
-    /// is bit-identical to the deadline-free scan — checkpoints never
-    /// alter a decision, they only stop the loop.
+    /// every candidate on the MUNICH/PROUD refinement loops) and abandons
+    /// with the typed [`DeadlineExpired`] once it passes. An answer that
+    /// *is* returned is bit-identical to the deadline-free scan —
+    /// checkpoints never alter a decision, they only stop the loop.
     pub(crate) fn answer_set_ref_within(
         &self,
         query: &QueryRef<'_>,
@@ -420,14 +416,19 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         deadline: &Deadline,
     ) -> Result<Vec<usize>, DeadlineExpired> {
         let task = self.task();
-        let n = task.len();
-        let mut out = Vec::new();
-        match (&self.technique, &self.state, query) {
+        let hits = match (&self.technique, &self.state, query) {
             (Technique::Euclidean, _, QueryRef::Uncertain(qu)) => {
                 let qv = qu.values();
-                out = self.range_select(qv, epsilon, n, exclude, deadline, |i, limit| {
-                    euclidean_squared_early_abandon(qv, task.uncertain()[i].values(), limit)
-                })?;
+                return self.range_select_by(
+                    qv,
+                    epsilon,
+                    exclude,
+                    deadline,
+                    Some(squared),
+                    |i, limit| {
+                        euclidean_squared_early_abandon(qv, task.uncertain()[i].values(), limit)
+                    },
+                );
             }
             (
                 Technique::Uma(_) | Technique::Uema(_),
@@ -435,9 +436,14 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 QueryRef::Filtered(fq),
             ) => {
                 let qv = fq.values();
-                out = self.range_select(qv, epsilon, n, exclude, deadline, |i, limit| {
-                    euclidean_squared_early_abandon(qv, filtered[i].values(), limit)
-                })?;
+                return self.range_select_by(
+                    qv,
+                    epsilon,
+                    exclude,
+                    deadline,
+                    Some(squared),
+                    |i, limit| euclidean_squared_early_abandon(qv, filtered[i].values(), limit),
+                );
             }
             (
                 Technique::Dust(d),
@@ -448,41 +454,20 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 },
                 QueryRef::Uncertain(qu),
             ) => {
-                // The index engages only when the envelope exists *and*
-                // is admissible for this query — every error description
-                // covered (an external query may carry errors the
-                // envelope was not built over) and every possible
-                // per-point gap inside the envelope's validity horizon;
-                // otherwise this is the exact scan, through the same
-                // decision kernel either way.
-                let env = envelope
-                    .as_ref()
-                    .filter(|e| dust_envelope_applies(errors, *max_abs, e, qu));
-                let cost = |g: f64| match env {
-                    Some(e) => e.cost(g.abs()),
-                    None => 0.0,
-                };
-                out = self.range_select_by(
+                return self.range_select_by(
                     qu.values(),
                     epsilon,
-                    n,
                     exclude,
-                    env.is_some(),
                     deadline,
-                    cost,
+                    dust_cost(errors, envelope.as_ref(), *max_abs, qu),
                     |i, cutoff| d.within_sq(qu, &task.uncertain()[i], cutoff).then_some(0.0),
-                )?;
+                );
             }
             (Technique::Proud { proud, tau }, _, QueryRef::Uncertain(qu)) => {
                 self.counters.scan_queries.fetch_add(1, Ordering::Relaxed);
-                // PROUD pays a per-pair moment computation: poll the
-                // deadline every candidate (cheap relative to the kernel).
-                for i in candidates(n, exclude) {
-                    deadline.check()?;
-                    if proud.matches(qu, &task.uncertain()[i], epsilon, *tau) {
-                        out.push(i);
-                    }
-                }
+                self.scan_pairs(exclude, deadline, false, |i| {
+                    proud.matches(qu, &task.uncertain()[i], epsilon, *tau)
+                })?
             }
             (
                 Technique::Munich { munich, tau },
@@ -494,29 +479,19 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 let multi = task
                     .multi()
                     .expect("MUNICH requires multi-observation data in the task");
-                // Pruned refinement, fanned over all cores: each candidate
-                // runs the MBI-filter → count-bound-abandon → refine
-                // pipeline, whose decision is bit-identical to the naive
-                // `matches` (and therefore to the `p ≥ τ` comparison the
-                // engine historically made). `parallel_map` preserves
-                // order, so the answer set stays sorted. The deadline is
-                // polled before each candidate's refinement — the natural
-                // checkpoint of the MUNICH hot loop, since one refinement
-                // is the unit of work.
-                let cands: Vec<usize> = candidates(n, exclude).collect();
-                let hits = parallel_map(&cands, |&i| {
-                    deadline.check()?;
-                    Ok(munich.matches_enveloped(qm, &multi[i], epsilon, *tau, qenv, &envelopes[i]))
-                });
-                for (&i, hit) in cands.iter().zip(hits) {
-                    if hit? {
-                        out.push(i);
-                    }
-                }
+                // Each candidate runs the MBI-filter → count-bound-abandon
+                // → refine pipeline, whose decision is bit-identical to
+                // the naive `matches`.
+                self.scan_pairs(exclude, deadline, true, |i| {
+                    munich.matches_enveloped(qm, &multi[i], epsilon, *tau, qenv, &envelopes[i])
+                })?
             }
             _ => panic!("query view does not match the prepared technique"),
-        }
-        Ok(out)
+        };
+        Ok(hits
+            .into_iter()
+            .filter_map(|(i, hit)| hit.then_some(i))
+            .collect())
     }
 
     /// `Pr(distance(q, i) ≤ ε)` for every candidate `i ≠ q` — `None` for
@@ -553,18 +528,11 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         deadline: &Deadline,
     ) -> Result<Option<Vec<(usize, f64)>>, DeadlineExpired> {
         let task = self.task();
-        let n = task.len();
         match (&self.technique, &self.state, query) {
             (Technique::Proud { proud, .. }, _, QueryRef::Uncertain(qu)) => {
-                let mut out = Vec::with_capacity(n.saturating_sub(1));
-                for i in candidates(n, exclude) {
-                    deadline.check()?;
-                    out.push((
-                        i,
-                        proud.probability_within(qu, &task.uncertain()[i], epsilon),
-                    ));
-                }
-                Ok(Some(out))
+                Ok(Some(self.scan_pairs(exclude, deadline, false, |i| {
+                    proud.probability_within(qu, &task.uncertain()[i], epsilon)
+                })?))
             }
             (
                 Technique::Munich { munich, .. },
@@ -574,25 +542,9 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 let multi = task
                     .multi()
                     .expect("MUNICH requires multi-observation data in the task");
-                // Full probabilities cannot abandon early (the value
-                // itself is the answer), but they parallelise perfectly;
-                // the deadline is polled before each candidate.
-                let cands: Vec<usize> = candidates(n, exclude).collect();
-                let probs = parallel_map(&cands, |&i| {
-                    deadline.check()?;
-                    Ok(munich.probability_within_enveloped(
-                        qm,
-                        &multi[i],
-                        epsilon,
-                        qenv,
-                        &envelopes[i],
-                    ))
-                });
-                let mut out = Vec::with_capacity(cands.len());
-                for (i, p) in cands.into_iter().zip(probs) {
-                    out.push((i, p?));
-                }
-                Ok(Some(out))
+                Ok(Some(self.scan_pairs(exclude, deadline, true, |i| {
+                    munich.probability_within_enveloped(qm, &multi[i], epsilon, qenv, &envelopes[i])
+                })?))
             }
             (Technique::Proud { .. } | Technique::Munich { .. }, _, _) => {
                 panic!("query view does not match the prepared technique")
@@ -611,7 +563,6 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// limit: a candidate whose running squared sum proves it cannot beat
     /// the k-th best is dropped mid-pass.
     pub fn top_k(&self, q: usize, k: usize) -> Option<Vec<(usize, f64)>> {
-        assert!(q < self.task().len(), "query index out of range");
         self.top_k_ref(&self.query_ref(q), k, Some(q))
     }
 
@@ -651,17 +602,16 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         deadline: &Deadline,
     ) -> Result<Option<Vec<(usize, f64)>>, DeadlineExpired> {
         let task = self.task();
-        let n = task.len();
         assert!(k > 0, "k must be positive");
         match (&self.technique, &self.state, query) {
             (Technique::Euclidean, _, QueryRef::Uncertain(qu)) => {
                 let qv = qu.values();
-                Ok(Some(self.top_k_select(
+                Ok(Some(self.top_k_select_by(
                     qv,
                     k,
-                    n,
                     exclude,
                     deadline,
+                    Some(squared),
                     |i, limit| {
                         euclidean_squared_early_abandon(qv, task.uncertain()[i].values(), limit)
                     },
@@ -673,12 +623,12 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 QueryRef::Filtered(fq),
             ) => {
                 let qv = fq.values();
-                Ok(Some(self.top_k_select(
+                Ok(Some(self.top_k_select_by(
                     qv,
                     k,
-                    n,
                     exclude,
                     deadline,
+                    Some(squared),
                     |i, limit| euclidean_squared_early_abandon(qv, filtered[i].values(), limit),
                 )?))
             }
@@ -690,25 +640,14 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                     max_abs,
                 },
                 QueryRef::Uncertain(qu),
-            ) => {
-                let env = envelope
-                    .as_ref()
-                    .filter(|e| dust_envelope_applies(errors, *max_abs, e, qu));
-                let cost = |g: f64| match env {
-                    Some(e) => e.cost(g.abs()),
-                    None => 0.0,
-                };
-                Ok(Some(self.top_k_select_by(
-                    qu.values(),
-                    k,
-                    n,
-                    exclude,
-                    env.is_some(),
-                    deadline,
-                    cost,
-                    |i, limit| d.distance_sq_early_abandon(qu, &task.uncertain()[i], limit),
-                )?))
-            }
+            ) => Ok(Some(self.top_k_select_by(
+                qu.values(),
+                k,
+                exclude,
+                deadline,
+                dust_cost(errors, envelope.as_ref(), *max_abs, qu),
+                |i, limit| d.distance_sq_early_abandon(qu, &task.uncertain()[i], limit),
+            )?)),
             (Technique::Proud { .. } | Technique::Munich { .. }, _, _) => Ok(None),
             _ => panic!("query view does not match the prepared technique"),
         }
@@ -765,144 +704,100 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         QualityScores::from_sets(&answer, &gt.neighbors)
     }
 
-    /// Protocol over a set of queries; returns per-query scores in the
-    /// order given. The per-collection preparation is shared by all of
-    /// them — the batching win the engine exists for.
-    pub fn evaluate_queries(&self, queries: &[usize]) -> Vec<QualityScores> {
-        queries.iter().map(|&q| self.query_quality(q)).collect()
+    /// The probabilistic techniques' scan: `pair(i)` for every candidate,
+    /// in order, polling the deadline before each pair — one pair's
+    /// moments (PROUD) or refinement (MUNICH) is the unit of work. MUNICH
+    /// pairs cost enough to fan over all cores (`parallel_map` preserves
+    /// order); PROUD's stay on the calling thread.
+    fn scan_pairs<R: Send>(
+        &self,
+        exclude: Option<usize>,
+        deadline: &Deadline,
+        parallel: bool,
+        pair: impl Fn(usize) -> R + Sync,
+    ) -> Result<Vec<(usize, R)>, DeadlineExpired> {
+        let cands: Vec<usize> = candidates(self.task().len(), exclude).collect();
+        let run = |&i: &usize| {
+            deadline.check()?;
+            Ok((i, pair(i)))
+        };
+        if parallel {
+            parallel_map(&cands, run).into_iter().collect()
+        } else {
+            cands.iter().map(run).collect()
+        }
+    }
+
+    /// The index and the query's synopsis when the index can serve this
+    /// query under `cost` — an index was built, the caller has an
+    /// admissible bound (`None` forces the scan: DUST with no envelope or
+    /// uncovered query errors) and the query length matches. Counts the
+    /// query on whichever path it takes.
+    fn index_route<C>(
+        &self,
+        qv: &[f64],
+        cost: Option<C>,
+    ) -> Option<(&CandidateIndex, Vec<f64>, C)> {
+        let route = match (&self.index, cost) {
+            (Some(ix), Some(cost)) => ix.query_synopsis(qv).map(|qp| (ix, qp, cost)),
+            _ => None,
+        };
+        let path = match route {
+            Some(_) => &self.counters.indexed_queries,
+            None => &self.counters.scan_queries,
+        };
+        path.fetch_add(1, Ordering::Relaxed);
+        route
     }
 
     /// Range selection over the value view: indexed candidate
-    /// generation when the prepared index can serve this query, exact
-    /// scan otherwise. Either way `dist_sq` (the early-abandon kernel)
-    /// makes every accept/reject decision against the exact ε² cutoff,
-    /// so the answer is bit-identical to the pure scan — the index only
-    /// dismisses candidates whose admissible lower bound proves `d > ε`.
-    fn range_select(
-        &self,
-        qv: &[f64],
-        epsilon: f64,
-        n: usize,
-        exclude: Option<usize>,
-        deadline: &Deadline,
-        dist_sq: impl FnMut(usize, f64) -> Option<f64>,
-    ) -> Result<Vec<usize>, DeadlineExpired> {
-        self.range_select_by(qv, epsilon, n, exclude, true, deadline, |d| d * d, dist_sq)
-    }
-
-    /// Cost-generalised twin of [`Self::range_select`]: the per-segment
-    /// pruning cost is a closure (DUST passes its envelope; `d * d` is
-    /// the Euclidean instance), and `use_index` lets the caller force the
-    /// scan when its bound is not admissible for this query (DUST with no
-    /// envelope or uncovered query errors).
-    #[allow(clippy::too_many_arguments)]
+    /// generation under the per-segment pruning `cost` ([`squared`] for
+    /// the Euclidean kernels, DUST's envelope) when the prepared index
+    /// can serve this query, exact scan otherwise. Either way `dist_sq`
+    /// (the early-abandon kernel) makes every accept/reject decision
+    /// against the exact ε² cutoff in [`range_decide`], so the answer is
+    /// bit-identical to the pure scan — the index only dismisses
+    /// candidates whose admissible lower bound proves `d > ε`.
     fn range_select_by(
         &self,
         qv: &[f64],
         epsilon: f64,
-        n: usize,
         exclude: Option<usize>,
-        use_index: bool,
         deadline: &Deadline,
-        cost: impl Fn(f64) -> f64,
-        mut dist_sq: impl FnMut(usize, f64) -> Option<f64>,
+        cost: Option<impl Fn(f64) -> f64>,
+        dist_sq: impl FnMut(usize, f64) -> Option<f64>,
     ) -> Result<Vec<usize>, DeadlineExpired> {
         let cutoff = range_cutoff(epsilon);
-        if use_index {
-            if let Some(ix) = &self.index {
-                if let Some(qp) = ix.query_synopsis(qv) {
-                    self.counters
-                        .indexed_queries
-                        .fetch_add(1, Ordering::Relaxed);
-                    let cands = ix.range_candidates_by(&qp, epsilon, exclude, &self.counters, cost);
-                    self.counters
-                        .candidates
-                        .fetch_add(cands.len() as u64, Ordering::Relaxed);
-                    let mut out = Vec::new();
-                    if deadline.is_armed() {
-                        for (it, i) in cands.into_iter().enumerate() {
-                            deadline.checkpoint(it)?;
-                            if dist_sq(i, cutoff).is_some() {
-                                out.push(i);
-                            }
-                        }
-                    } else {
-                        // Deadline-free twin of the loop above: the
-                        // armed branch costs a few ns per candidate —
-                        // measurable next to a short early-abandoned
-                        // kernel — so the default path keeps the exact
-                        // pre-deadline loop body.
-                        for i in cands {
-                            if dist_sq(i, cutoff).is_some() {
-                                out.push(i);
-                            }
-                        }
-                    }
-                    return Ok(out);
-                }
-            }
+        if let Some((ix, qp, cost)) = self.index_route(qv, cost) {
+            let cands = ix.range_candidates_by(&qp, epsilon, exclude, &self.counters, cost);
+            self.counters
+                .candidates
+                .fetch_add(cands.len() as u64, Ordering::Relaxed);
+            return range_decide(cands, cutoff, deadline, dist_sq);
         }
-        self.counters.scan_queries.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
-        if deadline.is_armed() {
-            for (it, i) in candidates(n, exclude).enumerate() {
-                deadline.checkpoint(it)?;
-                if dist_sq(i, cutoff).is_some() {
-                    out.push(i);
-                }
-            }
-        } else {
-            // Deadline-free twin: see the indexed branch above.
-            for i in candidates(n, exclude) {
-                if dist_sq(i, cutoff).is_some() {
-                    out.push(i);
-                }
-            }
-        }
-        Ok(out)
+        let scan = candidates(self.task().len(), exclude);
+        range_decide(scan, cutoff, deadline, dist_sq)
     }
 
     /// Top-k selection over the value view: best-first leaf visitation
     /// when the prepared index can serve this query, the index-order
-    /// scan of [`select_top_k`] otherwise.
-    fn top_k_select(
-        &self,
-        qv: &[f64],
-        k: usize,
-        n: usize,
-        exclude: Option<usize>,
-        deadline: &Deadline,
-        dist_sq: impl FnMut(usize, f64) -> Option<f64>,
-    ) -> Result<Vec<(usize, f64)>, DeadlineExpired> {
-        self.top_k_select_by(qv, k, n, exclude, true, deadline, |d| d * d, dist_sq)
-    }
-
-    /// Cost-generalised twin of [`Self::top_k_select`] (see
-    /// [`Self::range_select_by`] for the `use_index`/`cost` convention).
-    #[allow(clippy::too_many_arguments)]
+    /// scan of [`select_top_k`] otherwise (see [`Self::range_select_by`]
+    /// for the `cost` convention).
     fn top_k_select_by(
         &self,
         qv: &[f64],
         k: usize,
-        n: usize,
         exclude: Option<usize>,
-        use_index: bool,
         deadline: &Deadline,
-        cost: impl Fn(f64) -> f64,
+        cost: Option<impl Fn(f64) -> f64>,
         dist_sq: impl FnMut(usize, f64) -> Option<f64>,
     ) -> Result<Vec<(usize, f64)>, DeadlineExpired> {
-        if use_index {
-            if let Some(ix) = &self.index {
-                if let Some(qp) = ix.query_synopsis(qv) {
-                    self.counters
-                        .indexed_queries
-                        .fetch_add(1, Ordering::Relaxed);
-                    return self.indexed_top_k(ix, &qp, k, exclude, deadline, cost, dist_sq);
-                }
+        match self.index_route(qv, cost) {
+            Some((ix, qp, cost)) => {
+                self.indexed_top_k(ix, &qp, k, exclude, deadline, cost, dist_sq)
             }
+            None => select_top_k(self.task().len(), exclude, k, deadline, dist_sq),
         }
-        self.counters.scan_queries.fetch_add(1, Ordering::Relaxed);
-        select_top_k(n, exclude, k, deadline, dist_sq)
     }
 
     /// Best-first top-k through the index: leaves in ascending MBR-bound
@@ -979,14 +874,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
             }
         }
         self.counters
-            .leaves_visited
-            .fetch_add(leaves_visited, Ordering::Relaxed);
-        self.counters
-            .leaves_pruned
-            .fetch_add(leaves_pruned, Ordering::Relaxed);
-        self.counters
-            .series_pruned
-            .fetch_add(series_pruned, Ordering::Relaxed);
+            .record_descent(leaves_visited, leaves_pruned, series_pruned);
         self.counters.candidates.fetch_add(cands, Ordering::Relaxed);
         Ok(best.into_iter().map(|(d, i)| (i, d)).collect())
     }
@@ -1054,12 +942,8 @@ impl QueryEngine<Arc<MatchingTask>> {
         let u = &task.uncertain()[i];
         let view = match (&self.technique, &mut self.state) {
             (Technique::Euclidean, _) => Some(u.values()),
-            (Technique::Uma(f), Prepared::Filtered(filtered)) => {
-                filtered[i] = f.filter(u);
-                Some(filtered[i].values())
-            }
-            (Technique::Uema(f), Prepared::Filtered(filtered)) => {
-                filtered[i] = f.filter(u);
+            (t @ (Technique::Uma(_) | Technique::Uema(_)), Prepared::Filtered(filtered)) => {
+                filtered[i] = t.filtered(u);
                 Some(filtered[i].values())
             }
             (Technique::Munich { .. }, Prepared::Munich(envelopes)) => {
@@ -1138,20 +1022,25 @@ fn dust_query_covered(errors: &[PointError], qu: &UncertainSeries) -> bool {
         .all(|e| errors.iter().any(|k| crate::dust::same_error(k, e)))
 }
 
-/// Whether the DUST envelope's lower bound is admissible for this query:
-/// every query error description covered, and the largest per-point gap
-/// the query can produce against any collection member — its own maximum
-/// |value| plus the collection's — inside the envelope's validity
-/// horizon. Non-finite values fail the comparison and fall back to the
-/// exact scan.
-fn dust_envelope_applies(
+/// DUST's per-segment pruning cost for one query, range and top-k alike:
+/// the φ-space envelope when it exists *and* its lower bound is
+/// admissible for this query — every query error description covered (an
+/// external query may carry errors the envelope was not built over) and
+/// the largest per-point gap the query can produce against any member
+/// (its own maximum |value| plus the collection's) inside the envelope's
+/// validity horizon. `None` keeps the query on the exact scan, through
+/// the same decision kernel; non-finite values fail the comparison and
+/// land there too.
+fn dust_cost<'a>(
     errors: &[PointError],
+    envelope: Option<&'a DustBoundTable>,
     max_abs: f64,
-    envelope: &DustBoundTable,
     qu: &UncertainSeries,
-) -> bool {
-    series_max_abs(qu.values()) + max_abs <= envelope.valid_delta()
-        && dust_query_covered(errors, qu)
+) -> Option<impl Fn(f64) -> f64 + 'a> {
+    let env = envelope.filter(|e| {
+        series_max_abs(qu.values()) + max_abs <= e.valid_delta() && dust_query_covered(errors, qu)
+    })?;
+    Some(move |gap: f64| env.cost(gap.abs()))
 }
 
 /// Largest |value| of one series (0 when empty).
@@ -1166,6 +1055,11 @@ fn collection_max_abs(task: &MatchingTask) -> f64 {
         .fold(0.0f64, |m, u| m.max(series_max_abs(u.values())))
 }
 
+/// The Euclidean per-segment pruning cost `d²` — the index's own bound.
+fn squared(d: f64) -> f64 {
+    d * d
+}
+
 /// Exact cutoff for `distance <= epsilon` decisions in squared space,
 /// tolerating the degenerate `epsilon < 0` and `epsilon = NaN` (reject
 /// everything, matching the naive `d <= epsilon` comparison — distances
@@ -1176,6 +1070,37 @@ fn range_cutoff(epsilon: f64) -> f64 {
     } else {
         -1.0
     }
+}
+
+/// The range decision loop, generic over the candidate source (the
+/// index's candidate list or the full scan): `dist_sq` decides every
+/// candidate against the exact squared `cutoff`.
+fn range_decide(
+    cands: impl IntoIterator<Item = usize>,
+    cutoff: f64,
+    deadline: &Deadline,
+    mut dist_sq: impl FnMut(usize, f64) -> Option<f64>,
+) -> Result<Vec<usize>, DeadlineExpired> {
+    let mut out = Vec::new();
+    if deadline.is_armed() {
+        for (it, i) in cands.into_iter().enumerate() {
+            deadline.checkpoint(it)?;
+            if dist_sq(i, cutoff).is_some() {
+                out.push(i);
+            }
+        }
+    } else {
+        // Deadline-free twin of the loop above: the armed branch costs a
+        // few ns per candidate — measurable next to a short
+        // early-abandoned kernel — so the default path keeps the exact
+        // pre-deadline loop body.
+        for i in cands {
+            if dist_sq(i, cutoff).is_some() {
+                out.push(i);
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Shared top-k selection: scans candidates (skipping `exclude`) in
@@ -1198,7 +1123,7 @@ fn select_top_k(
     let mut best: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
     let mut limit = f64::INFINITY;
     // The checkpoint branch is hoisted out of the loop (see
-    // `range_select_by`): the armed path polls, the default path is the
+    // `range_decide`): the armed path polls, the default path is the
     // exact deadline-free loop body.
     let armed = deadline.is_armed();
     for (it, i) in candidates(n, exclude).enumerate() {
@@ -1473,14 +1398,25 @@ mod unit {
 
     #[test]
     fn degenerate_epsilon_matches_nothing() {
-        // Negative and NaN thresholds must reject every candidate on both
-        // paths (the naive `d <= eps` comparison is false for both).
+        // Negative and NaN thresholds must reject every candidate from
+        // both candidate sources, index and scan (the naive `d <= eps`
+        // comparison is false for both).
         let task = toy_task(29, 8, 10, 0.3, 3);
-        for technique in [Technique::Euclidean, Technique::Dust(Dust::default())] {
-            let engine = QueryEngine::prepare(&task, &technique);
-            for eps in [-1.0, f64::NAN] {
-                assert!(engine.answer_set(0, eps).is_empty());
-                assert!(task.answer_set_naive(0, &technique, eps).is_empty());
+        for technique in all_techniques(0.3)
+            .into_iter()
+            .filter(|t| !t.is_probabilistic())
+        {
+            let name = technique.kind();
+            for cfg in [IndexConfig::disabled(), IndexConfig::always()] {
+                let engine = QueryEngine::prepare_with(&task, &technique, cfg);
+                assert_eq!(engine.is_indexed(), cfg.enabled, "{name}");
+                for eps in [-1.0, f64::NAN] {
+                    assert!(engine.answer_set(0, eps).is_empty(), "{name} eps={eps}");
+                    assert!(task.answer_set_naive(0, &technique, eps).is_empty());
+                }
+                let s = engine.index_stats();
+                let routed = if cfg.enabled { (2, 0) } else { (0, 2) };
+                assert_eq!((s.indexed_queries, s.scan_queries), routed, "{name}");
             }
         }
     }

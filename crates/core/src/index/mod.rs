@@ -1,13 +1,11 @@
 //! Lower-bound candidate index: sub-linear candidate generation for the
 //! value-based techniques.
 //!
-//! Every range/top-k entry point of the [`QueryEngine`](crate::engine)
-//! historically scanned all `n` collection members per query; PR 5/6 made
-//! the per-candidate kernels cheap, leaving candidate *generation* as the
-//! remaining `O(n)` bottleneck (ROADMAP item 2). The Lernaean Hydra survey
-//! (Echihabi et al., PVLDB 2019) shows that at ≥100k series,
-//! summarization-based indexes with *admissible* lower bounds dominate
-//! linear scan. This module supplies that stage.
+//! A scan pays `O(n)` candidate generation per query, however cheap its
+//! kernels. The Lernaean Hydra survey (Echihabi et al., PVLDB 2019) shows
+//! that at ≥100k series, summarization-based indexes with *admissible*
+//! lower bounds dominate linear scan. This module supplies that stage for
+//! the [`QueryEngine`](crate::engine)'s range and top-k queries.
 //!
 //! # Shape: a flat PAA grid with SAX-ordered leaf packing
 //!
@@ -28,10 +26,9 @@
 //! balance, leaves are scanned linearly (cache-friendly: all PAA means
 //! live in one flat array), and the SAX sort gives the same locality a
 //! tree's prefix splits would — tight MBRs — without the pointer
-//! chasing. At the 10⁵ scale this PR targets, leaf-MBR pruning already
-//! removes the vast majority of candidates (see `BENCH_index.json`); a
-//! hierarchical index only starts paying for itself orders of magnitude
-//! later.
+//! chasing. At 10⁵ series, leaf-MBR pruning already removes the vast
+//! majority of candidates (see `BENCH_index.json`); a hierarchical index
+//! only starts paying for itself orders of magnitude later.
 //!
 //! # Pruning and admissibility
 //!
@@ -64,10 +61,10 @@
 //! averaging step only shrinks `Σᵢ H(|Δᵢ|)`, so
 //! `scale · sqrt(Σ_s H(gap_s))` stays an admissible lower bound whenever
 //! the exact distance is `sqrt(Σᵢ h(Δᵢ))` with `h(Δ) ≥ H(|Δ|)` pointwise.
-//! The `_by` variants ([`CandidateIndex::range_candidates_by`],
+//! The pruning entry points ([`CandidateIndex::range_candidates_by`],
 //! [`CandidateIndex::leaves_by_lower_bound_by`],
 //! [`CandidateIndex::member_bound_exceeds_by`]) take that cost as a
-//! closure; the plain methods are the `cost(d) = d²` Euclidean instance.
+//! closure; Euclidean is the instance `cost(d) = d * d`.
 //! This is what lets DUST queries run through the index: the engine pushes
 //! per-segment gaps through a conservatively-rounded monotone convex
 //! envelope of the `dust²` tables
@@ -395,20 +392,12 @@ impl CandidateIndex {
         }
     }
 
-    /// Whether member `i`'s squared PAA gap exceeds `limit` (obtained
-    /// from [`Self::squared_prune_limit`]) — the early-abandoning twin of
-    /// [`Self::member_lower_bound`]: the segment sum stops as soon as the
-    /// limit is crossed.
-    #[must_use]
-    pub fn member_bound_exceeds(&self, qp: &[f64], i: usize, limit: f64) -> bool {
-        self.member_bound_exceeds_by(qp, i, limit, |d| d * d)
-    }
-
-    /// Cost-generalised twin of [`Self::member_bound_exceeds`]: the
-    /// per-segment contribution is `cost(q − m)` instead of `(q − m)²`
-    /// (see the module docs for the admissibility requirements on
-    /// `cost`). `cost(d) = d * d` reproduces the Euclidean bound
-    /// bit-for-bit.
+    /// Whether member `i`'s cost-space PAA gap `Σ_s cost(q_s − m_s)`
+    /// exceeds `limit` (obtained from [`Self::squared_prune_limit`]),
+    /// abandoning the segment sum as soon as the limit is crossed (see
+    /// the module docs for the admissibility requirements on `cost`).
+    /// With `cost(d) = d * d` this is the early-abandoning form of
+    /// [`Self::member_lower_bound`].
     #[must_use]
     pub fn member_bound_exceeds_by(
         &self,
@@ -428,7 +417,7 @@ impl CandidateIndex {
         false
     }
 
-    /// Early-abandoning twin of [`Self::leaf_lower_bound_by`] against a
+    /// Early-abandoning form of [`Self::leaf_lower_bound_by`] against a
     /// squared-space (cost-space) limit.
     fn leaf_bound_exceeds_by(
         &self,
@@ -438,15 +427,8 @@ impl CandidateIndex {
         cost: &impl Fn(f64) -> f64,
     ) -> bool {
         let mut acc = 0.0;
-        for ((&q, &lo), &hi) in qp.iter().zip(&leaf.lo).zip(&leaf.hi) {
-            let d = if q < lo {
-                lo - q
-            } else if q > hi {
-                q - hi
-            } else {
-                0.0
-            };
-            acc += cost(d);
+        for gap in leaf_gaps(qp, leaf) {
+            acc += cost(gap);
             if acc > limit {
                 return true;
             }
@@ -455,44 +437,21 @@ impl CandidateIndex {
     }
 
     /// The admissible MBR lower bound between the query and *every*
-    /// member of leaf `leaf`: per segment, the cost of the gap from the
-    /// query mean to the rectangle (zero inside it).
+    /// member of leaf `leaf`: `scale · sqrt(Σ_s cost(gap_s))`.
     fn leaf_lower_bound_by(&self, qp: &[f64], leaf: &Leaf, cost: &impl Fn(f64) -> f64) -> f64 {
-        let mut acc = 0.0;
-        for ((&q, &lo), &hi) in qp.iter().zip(&leaf.lo).zip(&leaf.hi) {
-            let d = if q < lo {
-                lo - q
-            } else if q > hi {
-                q - hi
-            } else {
-                0.0
-            };
-            acc += cost(d);
-        }
-        self.scale * acc.sqrt()
+        self.scale
+            * leaf_gaps(qp, leaf)
+                .fold(0.0, |acc, gap| acc + cost(gap))
+                .sqrt()
     }
 
     /// Range-query candidate generation: every member whose leaf and
-    /// member bounds admit it under threshold `epsilon`, ascending,
-    /// `exclude` skipped. The caller runs the exact kernel over exactly
-    /// this list; admissibility guarantees it is a superset of the true
-    /// answer set.
+    /// member bounds under `cost` admit it under threshold `epsilon`,
+    /// ascending, `exclude` skipped. The caller runs the exact kernel
+    /// over exactly this list; admissibility guarantees it is a superset
+    /// of the true answer set.
     ///
     /// Pruning effort is recorded in `counters`.
-    #[must_use]
-    pub fn range_candidates(
-        &self,
-        qp: &[f64],
-        epsilon: f64,
-        exclude: Option<usize>,
-        counters: &IndexCounters,
-    ) -> Vec<usize> {
-        self.range_candidates_by(qp, epsilon, exclude, counters, |d| d * d)
-    }
-
-    /// Cost-generalised twin of [`Self::range_candidates`] (see the
-    /// module docs; `cost(d) = d * d` reproduces the Euclidean behaviour
-    /// bit-for-bit).
     #[must_use]
     pub fn range_candidates_by(
         &self,
@@ -524,31 +483,15 @@ impl CandidateIndex {
                 out.push(i);
             }
         }
-        counters
-            .leaves_visited
-            .fetch_add(leaves_visited, Ordering::Relaxed);
-        counters
-            .leaves_pruned
-            .fetch_add(leaves_pruned, Ordering::Relaxed);
-        counters
-            .series_pruned
-            .fetch_add(series_pruned, Ordering::Relaxed);
+        counters.record_descent(leaves_visited, leaves_pruned, series_pruned);
         out.sort_unstable();
         out
     }
 
-    /// Leaves ordered by ascending MBR lower bound (ties by leaf id) —
-    /// the best-first visit order for top-k. The bound is returned with
-    /// each leaf so the caller can stop as soon as the k-th best distance
-    /// proves the remainder unreachable.
-    #[must_use]
-    pub fn leaves_by_lower_bound(&self, qp: &[f64]) -> Vec<(f64, usize)> {
-        self.leaves_by_lower_bound_by(qp, |d| d * d)
-    }
-
-    /// Cost-generalised twin of [`Self::leaves_by_lower_bound`] (see the
-    /// module docs; `cost(d) = d * d` reproduces the Euclidean behaviour
-    /// bit-for-bit).
+    /// Leaves ordered by ascending MBR lower bound under `cost` (ties by
+    /// leaf id) — the best-first visit order for top-k. The bound is
+    /// returned with each leaf so the caller can stop as soon as the
+    /// k-th best distance proves the remainder unreachable.
     #[must_use]
     pub fn leaves_by_lower_bound_by(
         &self,
@@ -570,6 +513,21 @@ impl CandidateIndex {
     pub fn leaf_members(&self, leaf: usize) -> &[usize] {
         &self.leaves[leaf].members
     }
+}
+
+/// Per segment, the gap from the query mean to `leaf`'s rectangle (zero
+/// inside it) — the terms of the MBR bound.
+fn leaf_gaps<'a>(qp: &'a [f64], leaf: &'a Leaf) -> impl Iterator<Item = f64> + 'a {
+    let gap = |((&q, &lo), &hi): ((&f64, &f64), &f64)| {
+        if q < lo {
+            lo - q
+        } else if q > hi {
+            q - hi
+        } else {
+            0.0
+        }
+    };
+    qp.iter().zip(&leaf.lo).zip(&leaf.hi).map(gap)
 }
 
 /// Per-segment minimum and maximum of `members`' PAA means — a leaf's
@@ -610,6 +568,21 @@ pub struct IndexCounters {
 }
 
 impl IndexCounters {
+    /// Adds one query's leaf visits and prunes.
+    pub(crate) fn record_descent(
+        &self,
+        leaves_visited: u64,
+        leaves_pruned: u64,
+        series_pruned: u64,
+    ) {
+        self.leaves_visited
+            .fetch_add(leaves_visited, Ordering::Relaxed);
+        self.leaves_pruned
+            .fetch_add(leaves_pruned, Ordering::Relaxed);
+        self.series_pruned
+            .fetch_add(series_pruned, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of the counters.
     #[must_use]
     pub fn snapshot(&self) -> IndexStats {
@@ -688,6 +661,11 @@ mod unit {
                     .collect()
             })
             .collect()
+    }
+
+    /// The Euclidean per-segment cost.
+    fn sq(d: f64) -> f64 {
+        d * d
     }
 
     fn build(n: usize, len: usize, cfg: &IndexConfig) -> (Vec<Vec<f64>>, CandidateIndex) {
@@ -775,7 +753,7 @@ mod unit {
         for q in [0usize, 17, 119] {
             let qp = ix.query_synopsis(&vs[q]).unwrap();
             for eps in [0.0, 0.8, 2.5, f64::INFINITY] {
-                let cands = ix.range_candidates(&qp, eps, Some(q), &counters);
+                let cands = ix.range_candidates_by(&qp, eps, Some(q), &counters, sq);
                 assert!(cands.windows(2).all(|w| w[0] < w[1]), "ascending");
                 assert!(!cands.contains(&q), "exclude honoured");
                 for (i, v) in vs.iter().enumerate() {
@@ -800,17 +778,18 @@ mod unit {
         let (vs, ix) = build(60, 16, &IndexConfig::always());
         let counters = IndexCounters::default();
         let qp = ix.query_synopsis(&vs[3]).unwrap();
-        assert!(ix.range_candidates(&qp, -1.0, None, &counters).is_empty());
-        assert!(ix
-            .range_candidates(&qp, f64::NAN, None, &counters)
-            .is_empty());
+        for eps in [-1.0, f64::NAN] {
+            assert!(ix
+                .range_candidates_by(&qp, eps, None, &counters, sq)
+                .is_empty());
+        }
     }
 
     #[test]
     fn leaf_order_is_sorted_and_admissible() {
         let (vs, ix) = build(90, 20, &IndexConfig::always());
         let qp = ix.query_synopsis(&vs[5]).unwrap();
-        let order = ix.leaves_by_lower_bound(&qp);
+        let order = ix.leaves_by_lower_bound_by(&qp, sq);
         assert_eq!(order.len(), ix.leaf_count());
         assert!(
             order.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -920,7 +899,7 @@ mod unit {
         let counters = IndexCounters::default();
         for q in [0usize, 45, 89] {
             let qp = ix.query_synopsis(&vs[q]).unwrap();
-            let cands = ix.range_candidates(&qp, 3.0, Some(q), &counters);
+            let cands = ix.range_candidates_by(&qp, 3.0, Some(q), &counters, sq);
             for (i, v) in vs.iter().enumerate() {
                 if i != q && euclidean(&vs[q], v) <= 3.0 {
                     assert!(cands.contains(&i), "q={q}: true answer {i} dismissed");
@@ -929,34 +908,68 @@ mod unit {
         }
     }
 
+    /// The `cost(d) = d * d` instance of the pruning entry points is the
+    /// Euclidean PAA bound: it agrees with
+    /// [`CandidateIndex::member_lower_bound`] and with brute-force sums
+    /// over fresh synopses and the leaf rectangles.
     #[test]
-    fn cost_generalised_bounds_reduce_to_euclidean() {
+    fn squared_cost_bounds_are_the_euclidean_paa_bounds() {
         let (vs, ix) = build(80, 24, &IndexConfig::always());
         let counters = IndexCounters::default();
-        let qp = ix.query_synopsis(&vs[9]).unwrap();
-        let sq = |d: f64| d * d;
-        for eps in [0.0, 1.0, 3.0, f64::INFINITY] {
+        let q = 9;
+        let qp = ix.query_synopsis(&vs[q]).unwrap();
+        let sum_sq = |gaps: Vec<f64>| gaps.iter().fold(0.0, |acc, d| acc + d * d);
+        let member_acc: Vec<f64> = vs
+            .iter()
+            .map(|v| {
+                sum_sq(
+                    qp.iter()
+                        .zip(paa(v, ix.segments))
+                        .map(|(a, b)| a - b)
+                        .collect(),
+                )
+            })
+            .collect();
+        let leaf_acc: Vec<f64> = ix
+            .leaves
+            .iter()
+            .map(|l| {
+                let gaps = qp.iter().zip(&l.lo).zip(&l.hi);
+                sum_sq(
+                    gaps.map(|((&m, &lo), &hi)| (lo - m).max(m - hi).max(0.0))
+                        .collect(),
+                )
+            })
+            .collect();
+        for (i, &acc) in member_acc.iter().enumerate() {
             assert_eq!(
-                ix.range_candidates(&qp, eps, Some(9), &counters),
-                ix.range_candidates_by(&qp, eps, Some(9), &counters, sq),
-                "eps={eps}"
+                ix.member_lower_bound(&qp, i),
+                ix.scale * acc.sqrt(),
+                "i={i}"
             );
         }
-        let plain = ix.leaves_by_lower_bound(&qp);
-        let by = ix.leaves_by_lower_bound_by(&qp, sq);
-        assert_eq!(plain.len(), by.len());
-        assert!(plain
+        let mut order: Vec<(f64, usize)> = leaf_acc
             .iter()
-            .zip(&by)
-            .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1 == b.1));
-        for limit in [ix.squared_prune_limit(1.0), ix.squared_prune_limit(0.0)] {
-            for i in 0..ix.len() {
-                assert_eq!(
-                    ix.member_bound_exceeds(&qp, i, limit),
-                    ix.member_bound_exceeds_by(&qp, i, limit, sq),
-                    "i={i}"
-                );
+            .map(|acc| ix.scale * acc.sqrt())
+            .zip(0..)
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        assert_eq!(ix.leaves_by_lower_bound_by(&qp, sq), order);
+        for eps in [0.0, 1.0, 3.0, f64::INFINITY] {
+            let limit = ix.squared_prune_limit(eps);
+            let mut want = Vec::new();
+            for (leaf, &leaf_sum) in ix.leaves.iter().zip(&leaf_acc) {
+                for &i in &leaf.members {
+                    let pruned = member_acc[i] > limit;
+                    assert_eq!(ix.member_bound_exceeds_by(&qp, i, limit, sq), pruned);
+                    if i != q && leaf_sum <= limit && !pruned {
+                        want.push(i);
+                    }
+                }
             }
+            want.sort_unstable();
+            let got = ix.range_candidates_by(&qp, eps, Some(q), &counters, sq);
+            assert_eq!(got, want, "eps={eps}");
         }
     }
 

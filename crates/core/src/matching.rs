@@ -18,7 +18,9 @@
 //!    precision/recall/F1 against the ground truth. MUNICH and PROUD
 //!    additionally take the probability threshold τ, which the paper
 //!    optimises per configuration ("the optimal probabilistic threshold,
-//!    determined after repeated experiments") — [`MatchingTask::optimize_tau`].
+//!    determined after repeated experiments") — the experiment runner's
+//!    sweep over [`default_tau_grid`]: one probability pass per query,
+//!    then thresholding at every τ.
 //!
 //! The query itself is excluded from both ground truth and answers (it
 //! always matches itself; including it would inflate every score by the
@@ -115,6 +117,17 @@ impl Technique {
     /// (MUNICH, PROUD) rather than ranking by a distance.
     pub(crate) fn is_probabilistic(&self) -> bool {
         matches!(self, Technique::Munich { .. } | Technique::Proud { .. })
+    }
+
+    /// The filtered view of `series` under UMA or UEMA, which both compare
+    /// filtered views by Euclidean distance. Panics for the other
+    /// techniques, which callers match out first.
+    pub(crate) fn filtered(&self, series: &UncertainSeries) -> TimeSeries {
+        match self {
+            Technique::Uma(u) => u.filter(series),
+            Technique::Uema(u) => u.filter(series),
+            _ => unreachable!("only UMA and UEMA filter their series"),
+        }
     }
 
     /// Copy of this technique with a different τ (no-op for
@@ -491,62 +504,57 @@ impl MatchingTask {
     /// is tested against.
     pub fn answer_set_naive(&self, q: usize, technique: &Technique, epsilon: f64) -> Vec<usize> {
         assert!(q < self.len(), "query index out of range");
-        let qu = &self.uncertain[q];
-        let mut out = Vec::new();
+        let others = (0..self.len()).filter(|&i| i != q);
         match technique {
-            Technique::Euclidean => {
-                for i in (0..self.len()).filter(|&i| i != q) {
-                    if euclidean(qu.values(), self.uncertain[i].values()) <= epsilon {
-                        out.push(i);
-                    }
-                }
-            }
-            Technique::Dust(d) => {
-                for i in (0..self.len()).filter(|&i| i != q) {
-                    if d.distance(qu, &self.uncertain[i]) <= epsilon {
-                        out.push(i);
-                    }
-                }
-            }
-            Technique::Uma(u) => {
-                let fq = u.filter(qu);
-                for i in (0..self.len()).filter(|&i| i != q) {
-                    let fi = u.filter(&self.uncertain[i]);
-                    if euclidean(fq.values(), fi.values()) <= epsilon {
-                        out.push(i);
-                    }
-                }
-            }
-            Technique::Uema(u) => {
-                let fq = u.filter(qu);
-                for i in (0..self.len()).filter(|&i| i != q) {
-                    let fi = u.filter(&self.uncertain[i]);
-                    if euclidean(fq.values(), fi.values()) <= epsilon {
-                        out.push(i);
-                    }
-                }
-            }
             Technique::Proud { proud, tau } => {
-                for i in (0..self.len()).filter(|&i| i != q) {
-                    if proud.matches(qu, &self.uncertain[i], epsilon, *tau) {
-                        out.push(i);
-                    }
-                }
+                let qu = &self.uncertain[q];
+                others
+                    .filter(|&i| proud.matches(qu, &self.uncertain[i], epsilon, *tau))
+                    .collect()
             }
             Technique::Munich { munich, tau } => {
                 let multi = self
                     .multi
                     .as_ref()
                     .expect("MUNICH requires multi-observation data in the task");
-                let qm = &multi[q];
-                for i in (0..self.len()).filter(|&i| i != q) {
-                    if munich.matches(qm, &multi[i], epsilon, *tau) {
-                        out.push(i);
-                    }
-                }
+                others
+                    .filter(|&i| munich.matches(&multi[q], &multi[i], epsilon, *tau))
+                    .collect()
             }
+            _ => self
+                .naive_distances(q, technique)
+                .into_iter()
+                .flatten()
+                .filter(|&(_, d)| d <= epsilon)
+                .map(|(i, _)| i)
+                .collect(),
         }
-        out
+    }
+
+    /// The full distance pass behind the distance oracles: `(i,
+    /// distance(q, i))` for every `i ≠ q` in index order, re-filtering
+    /// each member per pair; `None` for the probabilistic techniques.
+    fn naive_distances(&self, q: usize, technique: &Technique) -> Option<Vec<(usize, f64)>> {
+        let qu = &self.uncertain[q];
+        let others = (0..self.len()).filter(|&i| i != q);
+        Some(match technique {
+            Technique::Euclidean => others
+                .map(|i| (i, euclidean(qu.values(), self.uncertain[i].values())))
+                .collect(),
+            Technique::Dust(d) => others
+                .map(|i| (i, d.distance(qu, &self.uncertain[i])))
+                .collect(),
+            Technique::Uma(_) | Technique::Uema(_) => {
+                let fq = technique.filtered(qu);
+                others
+                    .map(|i| {
+                        let fi = technique.filtered(&self.uncertain[i]);
+                        (i, euclidean(fq.values(), fi.values()))
+                    })
+                    .collect()
+            }
+            Technique::Proud { .. } | Technique::Munich { .. } => return None,
+        })
     }
 
     /// For probabilistic techniques: `Pr(distance(q, i) ≤ ε)` for every
@@ -565,10 +573,10 @@ impl MatchingTask {
         epsilon: f64,
     ) -> Option<Vec<(usize, f64)>> {
         let qu = &self.uncertain[q];
+        let others = (0..self.len()).filter(|&i| i != q);
         match technique {
             Technique::Proud { proud, .. } => Some(
-                (0..self.len())
-                    .filter(|&i| i != q)
+                others
                     .map(|i| (i, proud.probability_within(qu, &self.uncertain[i], epsilon)))
                     .collect(),
             ),
@@ -579,8 +587,7 @@ impl MatchingTask {
                     .expect("MUNICH requires multi-observation data in the task");
                 let qm = &multi[q];
                 Some(
-                    (0..self.len())
-                        .filter(|&i| i != q)
+                    others
                         .map(|i| (i, munich.probability_within(qm, &multi[i], epsilon)))
                         .collect(),
                 )
@@ -603,38 +610,7 @@ impl MatchingTask {
     ) -> Option<Vec<(usize, f64)>> {
         assert!(q < self.len(), "query index out of range");
         assert!(k > 0, "k must be positive");
-        let qu = &self.uncertain[q];
-        let mut dists: Vec<(usize, f64)> = match technique {
-            Technique::Euclidean => (0..self.len())
-                .filter(|&i| i != q)
-                .map(|i| (i, euclidean(qu.values(), self.uncertain[i].values())))
-                .collect(),
-            Technique::Dust(d) => (0..self.len())
-                .filter(|&i| i != q)
-                .map(|i| (i, d.distance(qu, &self.uncertain[i])))
-                .collect(),
-            Technique::Uma(u) => {
-                let fq = u.filter(qu);
-                (0..self.len())
-                    .filter(|&i| i != q)
-                    .map(|i| {
-                        let fi = u.filter(&self.uncertain[i]);
-                        (i, euclidean(fq.values(), fi.values()))
-                    })
-                    .collect()
-            }
-            Technique::Uema(u) => {
-                let fq = u.filter(qu);
-                (0..self.len())
-                    .filter(|&i| i != q)
-                    .map(|i| {
-                        let fi = u.filter(&self.uncertain[i]);
-                        (i, euclidean(fq.values(), fi.values()))
-                    })
-                    .collect()
-            }
-            Technique::Proud { .. } | Technique::Munich { .. } => return None,
-        };
+        let mut dists = self.naive_distances(q, technique)?;
         dists.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
                 .expect("finite distances")
@@ -645,56 +621,13 @@ impl MatchingTask {
     }
 
     /// Full §4.1.2 protocol for one query: calibrate, answer, score.
-    /// Prepares an engine for this one query; batch callers should use
-    /// [`MatchingTask::evaluate_queries`], which prepares once.
+    /// Prepares an engine for this one query; batch callers should
+    /// prepare one [`QueryEngine`] and call
+    /// [`QueryEngine::query_quality`] per query, which pays the
+    /// per-collection work (UMA/UEMA filtering, DUST table warm-up,
+    /// MUNICH envelopes) once.
     pub fn query_quality(&self, q: usize, technique: &Technique) -> QualityScores {
         QueryEngine::prepare(self, technique).query_quality(q)
-    }
-
-    /// Protocol over a set of queries; returns per-query scores in the
-    /// order given.
-    ///
-    /// Prepares one [`QueryEngine`] and shares it across all queries, so
-    /// the per-collection work (UMA/UEMA filtering, DUST table warm-up,
-    /// MUNICH envelopes) is paid once instead of once per query.
-    pub fn evaluate_queries(&self, queries: &[usize], technique: &Technique) -> Vec<QualityScores> {
-        QueryEngine::prepare(self, technique).evaluate_queries(queries)
-    }
-
-    /// Grid search for the optimal probability threshold τ of MUNICH or
-    /// PROUD over the given queries (the paper's "optimal probabilistic
-    /// threshold, determined after repeated experiments").
-    ///
-    /// Returns `(best_tau, best_mean_f1)`. For non-probabilistic
-    /// techniques the grid is irrelevant and the technique's score is
-    /// returned with τ = 0.
-    pub fn optimize_tau(
-        &self,
-        queries: &[usize],
-        technique: &Technique,
-        grid: &[f64],
-    ) -> (f64, f64) {
-        assert!(!grid.is_empty(), "τ grid must be non-empty");
-        match technique.kind() {
-            TechniqueKind::Munich | TechniqueKind::Proud => {
-                let mut best = (grid[0], f64::NEG_INFINITY);
-                for &tau in grid {
-                    let t = technique.with_tau(tau);
-                    let scores = self.evaluate_queries(queries, &t);
-                    let mean_f1 =
-                        scores.iter().map(|s| s.f1).sum::<f64>() / scores.len().max(1) as f64;
-                    if mean_f1 > best.1 {
-                        best = (tau, mean_f1);
-                    }
-                }
-                best
-            }
-            _ => {
-                let scores = self.evaluate_queries(queries, technique);
-                let mean_f1 = scores.iter().map(|s| s.f1).sum::<f64>() / scores.len().max(1) as f64;
-                (0.0, mean_f1)
-            }
-        }
     }
 }
 
@@ -862,8 +795,9 @@ mod unit {
         let t = Technique::Euclidean;
         let queries: Vec<usize> = (0..low.len()).collect();
         let f1 = |task: &MatchingTask| {
-            let scores = task.evaluate_queries(&queries, &t);
-            scores.iter().map(|s| s.f1).sum::<f64>() / scores.len() as f64
+            let engine = QueryEngine::prepare(task, &t);
+            let total: f64 = queries.iter().map(|&q| engine.query_quality(q).f1).sum();
+            total / queries.len() as f64
         };
         let f_low = f1(&low);
         let f_high = f1(&high);
@@ -871,26 +805,6 @@ mod unit {
             f_low > f_high,
             "σ=0.2 F1 {f_low} should beat σ=2.0 F1 {f_high}"
         );
-    }
-
-    #[test]
-    fn tau_optimization_finds_interior_optimum() {
-        let task = toy_task(4, 16, 0.5, 3);
-        let queries = [0, 5, 9];
-        let proud = Technique::Proud {
-            proud: Proud::new(ProudConfig::with_sigma(0.5)),
-            tau: 0.5,
-        };
-        let grid = default_tau_grid();
-        let (best_tau, best_f1) = task.optimize_tau(&queries, &proud, &grid);
-        assert!(grid.contains(&best_tau));
-        // The optimum must weakly beat the endpoints.
-        for tau in [grid[0], grid[grid.len() - 1]] {
-            let t = proud.with_tau(tau);
-            let scores = task.evaluate_queries(&queries, &t);
-            let f1 = scores.iter().map(|s| s.f1).sum::<f64>() / scores.len() as f64;
-            assert!(best_f1 + 1e-12 >= f1);
-        }
     }
 
     #[test]

@@ -33,11 +33,13 @@
 //! ## The refinement pipeline for PRQ decisions
 //!
 //! A probabilistic range query does not need the probability — it needs
-//! the *decision* `Pr(dist ≤ ε) ≥ τ`. [`Munich::decide_within`] (and its
-//! batched-engine twin [`Munich::matches_enveloped`]) runs a three-stage
-//! pipeline that is guaranteed to return exactly what
-//! [`Munich::matches`] would have returned, usually at a fraction of the
-//! cost:
+//! the *decision* `Pr(dist ≤ ε) ≥ τ`. Every decision entry point —
+//! [`Munich::decide_within`] on a pair of series,
+//! [`Munich::matches_enveloped`] on the engine's precomputed MBI
+//! envelopes — runs one three-stage pipeline that differs only in where
+//! the MBI bounds are read from, and is guaranteed to return exactly
+//! what [`Munich::matches`] would have returned, usually at a fraction
+//! of the cost:
 //!
 //! 1. **MBI filter** — the paper's interval bounds decide certain 0/1
 //!    answers without touching sample rows;
@@ -48,6 +50,10 @@
 //! 3. **exact/convolution refinement** — only candidates whose bound
 //!    interval straddles τ to the very end pay the full computation,
 //!    which is then *bit-identical* to the naive path.
+//!
+//! Probability estimates ([`Munich::probability_bounds`],
+//! [`Munich::probability_within_enveloped`]) share stage 1 and then run
+//! the full refinement, since the value itself is the answer.
 //!
 //! The per-timestamp squared-difference distributions feeding stages 2–3
 //! are computed once per pair (`PairContribs` internally) instead of
@@ -259,22 +265,7 @@ impl Munich {
         y: &MultiObsSeries,
         epsilon: f64,
     ) -> Result<ProbabilityBounds, MunichError> {
-        Self::validate_pair(x, y)?;
-        Self::validate_epsilon(epsilon)?;
-        let eps_sq = epsilon * epsilon;
-
-        // MBI filter step: certain answers without touching samples.
-        if self.config.use_mbi_filter {
-            let (lb_sq, ub_sq) = interval_distance_sq_bounds(x, y);
-            if ub_sq <= eps_sq {
-                return Ok(ProbabilityBounds::exact(1.0));
-            }
-            if lb_sq > eps_sq {
-                return Ok(ProbabilityBounds::exact(0.0));
-            }
-        }
-
-        Ok(self.refine_bounds(x, y, eps_sq))
+        self.estimate_bounds(x, y, epsilon, || interval_distance_sq_bounds(x, y))
     }
 
     /// The sample-level refinement step of [`Munich::probability_bounds`]
@@ -288,7 +279,15 @@ impl Munich {
         match self.config.strategy {
             MunichStrategy::Exact | MunichStrategy::Auto => {
                 let c = PairContribs::build(x, y);
-                self.exact_or_convolve(&c, eps_sq)
+                if c.distinct_product <= self.config.exact_support_limit {
+                    match exact_dp(&c, eps_sq, None) {
+                        DpRun::Completed(p) => ProbabilityBounds::exact(p),
+                        DpRun::Decided(_) => unreachable!("no decision threshold given"),
+                    }
+                } else {
+                    let bins = self.config.auto_bins;
+                    ProbabilityBounds::from(convolve_probability_from(&c, eps_sq, bins))
+                }
             }
             MunichStrategy::Convolution { bins } => {
                 let c = PairContribs::build(x, y);
@@ -307,12 +306,9 @@ impl Munich {
 
     /// [`Munich::probability_within`] with precomputed MBI envelopes for
     /// the pair: the filter step reads the envelopes instead of
-    /// re-scanning both series' sample rows, short-circuiting certain 0/1
-    /// answers. Undecided pairs go straight to the sample-level
-    /// refinement — the pairwise filter is *not* re-run (the envelope
-    /// bounds are bit-identical to it, so it could never fire).
-    /// Bit-identical to the pairwise path for the series the envelopes
-    /// were built from.
+    /// re-scanning both series' sample rows. Bit-identical to the
+    /// pairwise path for the series the envelopes were built from, and
+    /// panics on the same invalid inputs.
     pub fn probability_within_enveloped(
         &self,
         x: &MultiObsSeries,
@@ -321,20 +317,11 @@ impl Munich {
         env_x: &MbiEnvelope,
         env_y: &MbiEnvelope,
     ) -> f64 {
-        assert_eq!(x.len(), y.len(), "MUNICH requires equal-length series");
-        assert!(!x.is_empty(), "MUNICH requires non-empty series");
-        assert!(epsilon >= 0.0, "distance threshold must be non-negative");
-        let eps_sq = epsilon * epsilon;
-        if self.config.use_mbi_filter {
-            let (lb_sq, ub_sq) = interval_distance_sq_bounds_enveloped(env_x, env_y);
-            if ub_sq <= eps_sq {
-                return 1.0;
-            }
-            if lb_sq > eps_sq {
-                return 0.0;
-            }
-        }
-        self.refine_bounds(x, y, eps_sq).estimate()
+        self.estimate_bounds(x, y, epsilon, || {
+            interval_distance_sq_bounds_enveloped(env_x, env_y)
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
+        .estimate()
     }
 
     /// PRQ membership: `Pr(distance ≤ ε) ≥ τ` (paper Eq. 2), decided on
@@ -379,30 +366,14 @@ impl Munich {
         epsilon: f64,
         tau: f64,
     ) -> Result<bool, MunichError> {
-        Self::validate_pair(x, y)?;
-        Self::validate_epsilon(epsilon)?;
-        Self::validate_tau(tau)?;
-        if tau <= 0.0 {
-            // Probabilities are non-negative, so `p ≥ 0` always holds.
-            return Ok(true);
-        }
-        let eps_sq = epsilon * epsilon;
-        if self.config.use_mbi_filter {
-            let (lb_sq, ub_sq) = interval_distance_sq_bounds(x, y);
-            if ub_sq <= eps_sq {
-                return Ok(true); // p = 1 ≥ τ for every valid τ
-            }
-            if lb_sq > eps_sq {
-                return Ok(false); // p = 0 < τ (τ > 0 here)
-            }
-        }
-        Ok(self.decide_refine(x, y, eps_sq, tau))
+        self.decide(x, y, epsilon, tau, || interval_distance_sq_bounds(x, y))
     }
 
     /// [`Munich::decide_within`] with precomputed MBI envelopes — the
     /// batched engine's per-candidate decision. Bit-identical to the
     /// pairwise decision (and therefore to [`Munich::matches`]) for the
-    /// series the envelopes were built from.
+    /// series the envelopes were built from, and panics on the same
+    /// invalid inputs.
     pub fn matches_enveloped(
         &self,
         x: &MultiObsSeries,
@@ -412,24 +383,64 @@ impl Munich {
         env_x: &MbiEnvelope,
         env_y: &MbiEnvelope,
     ) -> bool {
-        assert_eq!(x.len(), y.len(), "MUNICH requires equal-length series");
-        assert!(!x.is_empty(), "MUNICH requires non-empty series");
-        assert!(epsilon >= 0.0, "distance threshold must be non-negative");
-        assert!((0.0..=1.0).contains(&tau), "τ must be in [0, 1]");
+        self.decide(x, y, epsilon, tau, || {
+            interval_distance_sq_bounds_enveloped(env_x, env_y)
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The estimate pipeline behind every probability entry point:
+    /// validation, the MBI filter over the pair's `(lb², ub²)` — taken
+    /// from the series or from their envelopes, whichever `bounds` reads
+    /// — then the sample-level refinement.
+    fn estimate_bounds(
+        &self,
+        x: &MultiObsSeries,
+        y: &MultiObsSeries,
+        epsilon: f64,
+        bounds: impl FnOnce() -> (f64, f64),
+    ) -> Result<ProbabilityBounds, MunichError> {
+        Self::validate_pair(x, y)?;
+        Self::validate_epsilon(epsilon)?;
+        let eps_sq = epsilon * epsilon;
+        Ok(match self.mbi_filter(eps_sq, bounds) {
+            Some(within) => ProbabilityBounds::exact(if within { 1.0 } else { 0.0 }),
+            None => self.refine_bounds(x, y, eps_sq),
+        })
+    }
+
+    /// The decision pipeline behind every PRQ entry point (see the
+    /// module docs): validation, the MBI filter over `bounds` as in
+    /// [`Self::estimate_bounds`], then the early-abandoning refinement.
+    fn decide(
+        &self,
+        x: &MultiObsSeries,
+        y: &MultiObsSeries,
+        epsilon: f64,
+        tau: f64,
+        bounds: impl FnOnce() -> (f64, f64),
+    ) -> Result<bool, MunichError> {
+        Self::validate_pair(x, y)?;
+        Self::validate_epsilon(epsilon)?;
+        Self::validate_tau(tau)?;
         if tau <= 0.0 {
-            return true;
+            // Probabilities are non-negative, so `p ≥ 0` always holds.
+            return Ok(true);
         }
         let eps_sq = epsilon * epsilon;
-        if self.config.use_mbi_filter {
-            let (lb_sq, ub_sq) = interval_distance_sq_bounds_enveloped(env_x, env_y);
-            if ub_sq <= eps_sq {
-                return true;
-            }
-            if lb_sq > eps_sq {
-                return false;
-            }
-        }
-        self.decide_refine(x, y, eps_sq, tau)
+        // A filter answer is p = 1 ≥ τ or p = 0 < τ (τ > 0 here).
+        Ok(self
+            .mbi_filter(eps_sq, bounds)
+            .unwrap_or_else(|| self.decide_refine(x, y, eps_sq, tau)))
+    }
+
+    /// The paper's MBI filter step: decides a pair without touching
+    /// sample rows when its squared-distance bounds settle `dist ≤ ε` for
+    /// every materialisation. `None` when the filter is switched off —
+    /// `bounds` is then never evaluated — or cannot decide.
+    fn mbi_filter(&self, eps_sq: f64, bounds: impl FnOnce() -> (f64, f64)) -> Option<bool> {
+        let (lb_sq, ub_sq) = self.config.use_mbi_filter.then(bounds)?;
+        bounds_decide(lb_sq, ub_sq, eps_sq)
     }
 
     /// Strategy dispatch for the decision pipeline's refinement stage.
@@ -471,11 +482,8 @@ impl Munich {
         assert!(samples > 0, "need at least one Monte-Carlo sample");
         let eps_sq = epsilon * epsilon;
         let (lb_sq, ub_sq) = dtw_interval_bounds(x, y, opts);
-        if ub_sq <= eps_sq {
-            return 1.0;
-        }
-        if lb_sq > eps_sq {
-            return 0.0;
+        if let Some(within) = bounds_decide(lb_sq, ub_sq, eps_sq) {
+            return if within { 1.0 } else { 0.0 };
         }
         let mut rng = Seed::new(self.config.mc_seed).derive("dtw").rng();
         let mut hits = 0usize;
@@ -498,17 +506,6 @@ impl Munich {
             }
         }
         hits as f64 / samples as f64
-    }
-
-    fn exact_or_convolve(&self, c: &PairContribs, eps_sq: f64) -> ProbabilityBounds {
-        if c.distinct_product <= self.config.exact_support_limit {
-            match exact_dp(c, eps_sq, None) {
-                DpRun::Completed(p) => ProbabilityBounds::exact(p),
-                DpRun::Decided(_) => unreachable!("no decision threshold given"),
-            }
-        } else {
-            ProbabilityBounds::from(convolve_probability_from(c, eps_sq, self.config.auto_bins))
-        }
     }
 
     fn monte_carlo_euclid(
@@ -1428,6 +1425,20 @@ fn convolve_decide(c: &PairContribs, eps_sq: f64, tau: f64, bins: usize) -> bool
     }
 }
 
+/// What squared-distance bounds `[lb², ub²]` over every materialisation
+/// pair say about `dist² ≤ ε²`: `Some(true)` when even the upper bound is
+/// within (p = 1), `Some(false)` when even the lower bound is beyond
+/// (p = 0), `None` when the bounds straddle ε².
+fn bounds_decide(lb_sq: f64, ub_sq: f64, eps_sq: f64) -> Option<bool> {
+    if ub_sq <= eps_sq {
+        Some(true)
+    } else if lb_sq > eps_sq {
+        Some(false)
+    } else {
+        None
+    }
+}
+
 /// Minimal-bounding-interval bounds on the squared Euclidean distance over
 /// all materialisation pairs: per timestamp, the distance between samples
 /// is bounded by the min/max distance between the MBIs.
@@ -1795,6 +1806,30 @@ mod unit {
         ]
     }
 
+    /// Every decision entry point — pairwise and enveloped — decides as
+    /// the reference `matches` at τ values around the pair's probability,
+    /// and the enveloped estimate is bit-identical to the pairwise one.
+    fn assert_decisions_match(
+        munich: &Munich,
+        x: &MultiObsSeries,
+        y: &MultiObsSeries,
+        eps: &[f64],
+    ) {
+        let (ex, ey) = (MbiEnvelope::build(x), MbiEnvelope::build(y));
+        for &eps in eps {
+            let p = munich.probability_within(x, y, eps);
+            let p_env = munich.probability_within_enveloped(x, y, eps, &ex, &ey);
+            assert_eq!(p_env.to_bits(), p.to_bits(), "ε={eps}");
+            for tau in decision_taus(p) {
+                let want = munich.matches(x, y, eps, tau);
+                let ctx = format!("{:?} ε={eps} τ={tau} p={p}", munich.config());
+                assert_eq!(munich.decide_within(x, y, eps, tau), want, "{ctx}");
+                let enveloped = munich.matches_enveloped(x, y, eps, tau, &ex, &ey);
+                assert_eq!(enveloped, want, "{ctx}");
+            }
+        }
+    }
+
     #[test]
     fn decide_within_equals_matches_for_every_strategy() {
         let strategies = [
@@ -1810,16 +1845,7 @@ mod unit {
                     strategy,
                     ..MunichConfig::default()
                 });
-                for eps in [0.0, 0.3, 0.7, 1.1, 1.9, 3.0, 10.0] {
-                    let p = munich.probability_within(&x, &y, eps);
-                    for tau in decision_taus(p) {
-                        assert_eq!(
-                            munich.decide_within(&x, &y, eps, tau),
-                            munich.matches(&x, &y, eps, tau),
-                            "{strategy:?} seed={seed} ε={eps} τ={tau} p={p}"
-                        );
-                    }
-                }
+                assert_decisions_match(&munich, &x, &y, &[0.0, 0.3, 0.7, 1.1, 1.9, 3.0, 10.0]);
             }
         }
     }
@@ -1834,33 +1860,13 @@ mod unit {
             exact_support_limit: 100,
             ..MunichConfig::default()
         });
-        for eps in [0.5, 1.5, 2.5, 4.0] {
-            let p = munich.probability_within(&x, &y, eps);
-            for tau in decision_taus(p) {
-                assert_eq!(
-                    munich.decide_within(&x, &y, eps, tau),
-                    munich.matches(&x, &y, eps, tau),
-                    "ε={eps} τ={tau} p={p}"
-                );
-            }
-        }
+        assert_decisions_match(&munich, &x, &y, &[0.5, 1.5, 2.5, 4.0]);
     }
 
     #[test]
     fn enveloped_decision_equals_pairwise() {
         let (x, y) = small_pair(17, 5, 3);
-        let ex = MbiEnvelope::build(&x);
-        let ey = MbiEnvelope::build(&y);
-        let munich = Munich::default();
-        for eps in [0.2, 0.9, 1.7, 4.0] {
-            for tau in [0.0, 0.3, 0.6, 1.0] {
-                assert_eq!(
-                    munich.matches_enveloped(&x, &y, eps, tau, &ex, &ey),
-                    munich.decide_within(&x, &y, eps, tau),
-                    "ε={eps} τ={tau}"
-                );
-            }
-        }
+        assert_decisions_match(&Munich::default(), &x, &y, &[0.2, 0.9, 1.7, 4.0]);
     }
 
     #[test]
@@ -1870,16 +1876,7 @@ mod unit {
             use_mbi_filter: false,
             ..MunichConfig::default()
         });
-        for eps in [0.0, 0.6, 1.4, 6.0] {
-            let p = munich.probability_within(&x, &y, eps);
-            for tau in decision_taus(p) {
-                assert_eq!(
-                    munich.decide_within(&x, &y, eps, tau),
-                    munich.matches(&x, &y, eps, tau),
-                    "ε={eps} τ={tau} p={p}"
-                );
-            }
-        }
+        assert_decisions_match(&munich, &x, &y, &[0.0, 0.6, 1.4, 6.0]);
     }
 
     #[test]

@@ -15,40 +15,29 @@ use std::collections::BinaryHeap;
 /// into one ascending index vector — "answer sets unioned in series
 /// order".
 pub fn merge_answer_sets(per_shard: &[Vec<usize>]) -> Vec<usize> {
+    merge_by_index(per_shard, |&i| i)
+}
+
+/// Union of per-shard `(index, value)` answers (each ascending in
+/// index, mutually disjoint) in series order — the probability merge.
+pub fn merge_scored_by_index(per_shard: &[Vec<(usize, f64)>]) -> Vec<(usize, f64)> {
+    merge_by_index(per_shard, |&(i, _)| i)
+}
+
+/// The k-way union behind both series-order merges: per-shard lists,
+/// each ascending in `index` and mutually disjoint, into one ascending
+/// list.
+fn merge_by_index<T: Copy>(per_shard: &[Vec<T>], index: impl Fn(&T) -> usize) -> Vec<T> {
     let total = per_shard.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     // Running cursor per shard; repeatedly take the smallest head. Shard
     // counts are small, so the linear head scan beats heap bookkeeping.
     let mut pos = vec![0usize; per_shard.len()];
     loop {
-        let mut best: Option<(usize, usize)> = None; // (value, shard)
+        let mut best: Option<(usize, usize)> = None; // (index, shard)
         for (s, list) in per_shard.iter().enumerate() {
-            if let Some(&v) = list.get(pos[s]) {
-                if best.is_none_or(|(bv, _)| v < bv) {
-                    best = Some((v, s));
-                }
-            }
-        }
-        match best {
-            Some((v, s)) => {
-                out.push(v);
-                pos[s] += 1;
-            }
-            None => return out,
-        }
-    }
-}
-
-/// Union of per-shard `(index, value)` answers (each ascending in
-/// index, mutually disjoint) in series order — the probability merge.
-pub fn merge_scored_by_index(per_shard: &[Vec<(usize, f64)>]) -> Vec<(usize, f64)> {
-    let total = per_shard.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut pos = vec![0usize; per_shard.len()];
-    loop {
-        let mut best: Option<(usize, usize)> = None;
-        for (s, list) in per_shard.iter().enumerate() {
-            if let Some(&(i, _)) = list.get(pos[s]) {
+            if let Some(head) = list.get(pos[s]) {
+                let i = index(head);
                 if best.is_none_or(|(bi, _)| i < bi) {
                     best = Some((i, s));
                 }

@@ -7,6 +7,7 @@
 //! property tests over random collection/shard shapes.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use uts_core::dust::Dust;
@@ -794,6 +795,57 @@ fn default_options_path_is_bit_identical_to_flat() {
                     }
                     None => assert!(!probabilistic, "{}", technique.kind()),
                 }
+            }
+        }
+    }
+}
+
+/// An armed deadline that does not expire changes no answer: range,
+/// top-k and probability answers under a 60 s budget are bit-identical
+/// to the default options' — the armed decision loops decide exactly as
+/// the unarmed ones — for all six techniques, index forced on and off,
+/// one and four shards. Armed and default queries go to separate
+/// engines, so neither is answered from the other's cache.
+#[test]
+fn armed_deadline_answers_match_default_options() {
+    let task = build_task(0x5E49, 12, 20, 3);
+    let armed = QueryOptions::default().with_deadline(Duration::from_secs(60));
+    for technique in techniques() {
+        let name = technique.kind();
+        let probabilistic = matches!(
+            technique,
+            Technique::Munich { .. } | Technique::Proud { .. }
+        );
+        for shards in [1, 4] {
+            for cfg in [IndexConfig::always(), IndexConfig::disabled()] {
+                let prepare = || {
+                    let rr = ShardAssignment::RoundRobin;
+                    ShardedEngine::prepare_with(&task, &technique, shards, rr, cfg)
+                };
+                let (deadlined, default) = (prepare(), prepare());
+                for q in probe_queries(&task) {
+                    let ctx = format!("{name} shards={shards} enabled={} q={q}", cfg.enabled);
+                    let eps = task.calibrated_threshold(q, &technique);
+                    let got = deadlined
+                        .answer_set_opts(q, eps, &armed)
+                        .expect("the deadline does not expire");
+                    assert!(got.is_complete(), "{ctx}");
+                    assert_eq!(*got.value, *range(&default, q, eps), "{ctx}");
+                    let got = deadlined.top_k_opts(q, 3, &armed);
+                    let want = top_k(&default, q, 3);
+                    assert_eq!(got.map(|r| bits(&r.value)), want.map(|v| bits(&v)), "{ctx}");
+                    let got = deadlined
+                        .probabilities_opts(q, eps, &armed)
+                        .expect("the deadline does not expire");
+                    assert_eq!(
+                        got.map(|r| bits(&r.value)),
+                        probabilities(&default, q, eps).map(|v| bits(&v)),
+                        "{ctx}"
+                    );
+                }
+                let stats = deadlined.index_stats();
+                let indexed = cfg.enabled && !probabilistic;
+                assert_eq!(stats.indexed_queries > 0, indexed, "{name} shards={shards}");
             }
         }
     }

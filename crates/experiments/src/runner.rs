@@ -311,6 +311,84 @@ mod unit {
         }
     }
 
+    /// The runner's τ sweep over one probability pass per query equals
+    /// re-running `answer_set` at every grid τ: its best F1 is the
+    /// maximum of the per-τ scores, and its τ the first grid point that
+    /// reaches it.
+    #[test]
+    fn optimal_tau_sweep_equals_per_tau_answer_sets() {
+        use uts_core::matching::default_tau_grid;
+        use uts_core::munich::Munich;
+        use uts_core::proud::{Proud, ProudConfig};
+        use uts_tseries::TimeSeries;
+        // Short series keep MUNICH's per-τ refinements cheap.
+        let mut d = small_dataset();
+        for s in &mut d.series {
+            *s = TimeSeries::from_values(s.values()[..24].iter().copied()).znormalized();
+        }
+        let spec = ErrorSpec::constant(ErrorFamily::Normal, 0.5);
+        let task = build_task(
+            &d,
+            &spec,
+            ReportedError::Truthful,
+            Some(3),
+            5,
+            Seed::new(13),
+        );
+        let queries = pick_queries(task.len(), 4, Seed::new(14));
+        let grid = default_tau_grid();
+        for technique in [
+            Technique::Proud {
+                proud: Proud::new(ProudConfig::with_sigma(0.5)),
+                tau: 0.5,
+            },
+            Technique::Munich {
+                munich: Munich::default(),
+                tau: 0.5,
+            },
+        ] {
+            let name = technique.kind();
+            let per_tau: Vec<f64> = grid
+                .iter()
+                .map(|&tau| {
+                    let t = technique.with_tau(tau);
+                    let engine = QueryEngine::prepare(&task, &t);
+                    let scores: Vec<QualityScores> = queries
+                        .iter()
+                        .map(|&q| {
+                            let gt = task.ground_truth(q);
+                            let eps = task.threshold_against(q, gt.anchor, &t);
+                            QualityScores::from_sets(&engine.answer_set(q, eps), &gt.neighbors)
+                        })
+                        .collect();
+                    ScoreAgg::from_scores(&scores).f1.mean()
+                })
+                .collect();
+            let max_of = |f1: &[f64]| f1.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            assert!(
+                per_tau.iter().any(|&f| f < max_of(&per_tau)),
+                "{name}: τ matters"
+            );
+            // The grid's smallest τ accept every candidate alike, so its
+            // head is a plateau: there the first-τ tie rule decides.
+            let head = 5;
+            assert!(per_tau[..head].iter().all(|&f| f == per_tau[0]), "{name}");
+            for len in [grid.len(), head] {
+                let (grid, per_tau) = (&grid[..len], &per_tau[..len]);
+                let max = max_of(per_tau);
+                let first = per_tau.iter().position(|&f| f == max).unwrap();
+                let (best_tau, best) =
+                    technique_scores_optimal_tau(&task, &queries, &technique, grid);
+                assert_eq!(best.f1.mean().to_bits(), max.to_bits(), "{name} len={len}");
+                assert_eq!(
+                    best_tau.to_bits(),
+                    grid[first].to_bits(),
+                    "{name} len={len}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn timing_returns_positive() {
         let d = small_dataset();
