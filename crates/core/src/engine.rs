@@ -476,6 +476,11 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
             ) => {
                 assert!((0.0..=1.0).contains(tau), "τ must be in [0, 1]");
                 self.counters.scan_queries.fetch_add(1, Ordering::Relaxed);
+                if epsilon.is_nan() || epsilon < 0.0 {
+                    // A negative or NaN ε matches nothing, as in every
+                    // other technique (MUNICH's pair API rejects it).
+                    return Ok(Vec::new());
+                }
                 let multi = task
                     .multi()
                     .expect("MUNICH requires multi-observation data in the task");
@@ -1400,22 +1405,25 @@ mod unit {
     fn degenerate_epsilon_matches_nothing() {
         // Negative and NaN thresholds must reject every candidate from
         // both candidate sources, index and scan (the naive `d <= eps`
-        // comparison is false for both).
+        // comparison is false for both). The probabilistic techniques
+        // always scan, and answer empty too: PROUD would otherwise square
+        // a negative ε away, and MUNICH's pair API rejects it.
         let task = toy_task(29, 8, 10, 0.3, 3);
-        for technique in all_techniques(0.3)
-            .into_iter()
-            .filter(|t| !t.is_probabilistic())
-        {
+        for technique in all_techniques(0.3) {
             let name = technique.kind();
             for cfg in [IndexConfig::disabled(), IndexConfig::always()] {
                 let engine = QueryEngine::prepare_with(&task, &technique, cfg);
-                assert_eq!(engine.is_indexed(), cfg.enabled, "{name}");
-                for eps in [-1.0, f64::NAN] {
+                let indexed = cfg.enabled && !technique.is_probabilistic();
+                assert_eq!(engine.is_indexed(), indexed, "{name}");
+                for eps in [-1.0, -10.0, f64::NAN] {
                     assert!(engine.answer_set(0, eps).is_empty(), "{name} eps={eps}");
-                    assert!(task.answer_set_naive(0, &technique, eps).is_empty());
+                    assert!(
+                        task.answer_set_naive(0, &technique, eps).is_empty(),
+                        "{name} eps={eps}"
+                    );
                 }
                 let s = engine.index_stats();
-                let routed = if cfg.enabled { (2, 0) } else { (0, 2) };
+                let routed = if indexed { (3, 0) } else { (0, 3) };
                 assert_eq!((s.indexed_queries, s.scan_queries), routed, "{name}");
             }
         }

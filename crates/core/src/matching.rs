@@ -517,6 +517,10 @@ impl MatchingTask {
                     .multi
                     .as_ref()
                     .expect("MUNICH requires multi-observation data in the task");
+                if epsilon.is_nan() || epsilon < 0.0 {
+                    // Matches nothing, as in every other technique.
+                    return Vec::new();
+                }
                 others
                     .filter(|&i| munich.matches(&multi[q], &multi[i], epsilon, *tau))
                     .collect()

@@ -36,18 +36,22 @@
 //! the *decision* `Pr(dist ≤ ε) ≥ τ`. Every decision entry point —
 //! [`Munich::decide_within`] on a pair of series,
 //! [`Munich::matches_enveloped`] on the engine's precomputed MBI
-//! envelopes — runs one three-stage pipeline that differs only in where
+//! envelopes — runs one four-stage pipeline that differs only in where
 //! the MBI bounds are read from, and is guaranteed to return exactly
 //! what [`Munich::matches`] would have returned, usually at a fraction
 //! of the cost:
 //!
 //! 1. **MBI filter** — the paper's interval bounds decide certain 0/1
 //!    answers without touching sample rows;
-//! 2. **count-bound early abandonment** — every refinement strategy keeps
+//! 2. **moment rung** — Cantelli and Berry–Esseen bounds from the exact
+//!    moments of the squared distance decide clearly-in and clearly-out
+//!    pairs in `O(n·s_x·s_y)`, before any convolution (see below;
+//!    deterministic strategies only);
+//! 3. **count-bound early abandonment** — every refinement strategy keeps
 //!    running lower/upper bounds on the fraction of materialisations
 //!    within ε as per-timestamp contributions fold in, and stops the
 //!    moment the bound interval can no longer cross τ;
-//! 3. **exact/convolution refinement** — only candidates whose bound
+//! 4. **exact/convolution refinement** — only candidates whose bound
 //!    interval straddles τ to the very end pay the full computation,
 //!    which is then *bit-identical* to the naive path.
 //!
@@ -55,7 +59,45 @@
 //! [`Munich::probability_within_enveloped`]) share stage 1 and then run
 //! the full refinement, since the value itself is the answer.
 //!
-//! The per-timestamp squared-difference distributions feeding stages 2–3
+//! ### Why the moment rung never changes an answer
+//!
+//! `S = Σᵢ Cᵢ` is a sum of independent terms, so its mean `μ = Σ E[Cᵢ]`,
+//! variance `V = Σ Var(Cᵢ)` and absolute third central moment
+//! `ρ = Σ E|Cᵢ − E Cᵢ|³` are exact and bound the true CDF
+//! `p(t) = Pr(S ≤ t)` from both sides, `L(t) ≤ p(t) ≤ U(t)`:
+//!
+//! * Cantelli's one-sided inequality gives `p(t) ≤ V / (V + (μ − t)²)`
+//!   for `t < μ` and `p(t) ≥ 1 − V / (V + (t − μ)²)` for `t > μ`;
+//! * the Berry–Esseen theorem for independent, not identically
+//!   distributed terms gives `|p(t) − Φ((t − μ)/√V)| ≤ 0.56·ρ / V^{3/2}`
+//!   (Shevtsova's constant). It is much the tighter of the two near the
+//!   bulk of the distribution, where τ = 0.5 decisions fall, while
+//!   Cantelli wins in the tails;
+//!
+//! and `U`, `L` take the tighter of the two on each side.
+//!
+//! But [`Munich::matches`] compares the *reference estimate* with τ, not
+//! `p(ε²)`. For the convolution that estimate is the midpoint
+//! `½(lo_F + hi_F)` of a floor- and a ceil-rounded histogram with bin
+//! width `w = total_max / bins`. Rounding moves each of the `n` terms by
+//! less than one bin, and ε² is itself floored to a bin, so
+//!
+//! * `lo_F ≤ p(ε²)` and `hi_F ≤ p(ε² + n·w)`;
+//! * `hi_F ≥ p(ε² − w)` and `lo_F ≥ p(ε² − (n+1)·w)`.
+//!
+//! The rung therefore rejects when `½(U(ε²) + U(ε² + n·w))` clears τ
+//! from below and accepts when `½(L(ε² − w) + L(ε² − (n+1)·w))` clears
+//! it from above, each by `DECISION_MARGIN` (1e-9). The exact DP's
+//! probability is `p(ε²)` itself, and the saturated convolution's
+//! estimate is 1, so both lie inside the same brackets: one rule serves
+//! every deterministic strategy. Floating-point drift is absorbed by
+//! widening every threshold by `1e-9·(1 + ε² + total_max)` (the exact
+//! DP's slack), inflating `V` by the same relative amount and the
+//! Berry–Esseen error by a little more. Monte-Carlo estimates are sample
+//! fractions that these bounds do not bracket, so that strategy skips
+//! the rung.
+//!
+//! The per-timestamp squared-difference distributions feeding stages 3–4
 //! are computed once per pair (`PairContribs` internally) instead of
 //! once per strategy attempt, and the exact DP folds them tightest-first
 //! (largest guaranteed contribution first) so the running bounds converge
@@ -65,6 +107,7 @@ use std::fmt;
 
 use rand::Rng;
 use uts_stats::rng::Seed;
+use uts_stats::Normal;
 use uts_tseries::dtw::{dtw_with_cost, DtwOptions};
 use uts_uncertain::MultiObsSeries;
 
@@ -200,9 +243,22 @@ pub struct Munich {
 
 impl Munich {
     /// Creates MUNICH with the given configuration.
+    ///
+    /// # Panics
+    /// If the support limit is below 2, `auto_bins` below 16, a
+    /// convolution has no bins, or a Monte-Carlo estimate no samples.
     pub fn new(config: MunichConfig) -> Self {
         assert!(config.exact_support_limit >= 2, "support limit too small");
         assert!(config.auto_bins >= 16, "need at least 16 bins");
+        match config.strategy {
+            MunichStrategy::Convolution { bins } => {
+                assert!(bins >= 1, "convolution needs at least one bin");
+            }
+            MunichStrategy::MonteCarlo { samples } => {
+                assert!(samples >= 1, "need at least one Monte-Carlo sample");
+            }
+            MunichStrategy::Exact | MunichStrategy::Auto => {}
+        }
         Self { config }
     }
 
@@ -411,7 +467,8 @@ impl Munich {
 
     /// The decision pipeline behind every PRQ entry point (see the
     /// module docs): validation, the MBI filter over `bounds` as in
-    /// [`Self::estimate_bounds`], then the early-abandoning refinement.
+    /// [`Self::estimate_bounds`], the moment rung, then the
+    /// early-abandoning refinement.
     fn decide(
         &self,
         x: &MultiObsSeries,
@@ -431,7 +488,42 @@ impl Munich {
         // A filter answer is p = 1 ≥ τ or p = 0 < τ (τ > 0 here).
         Ok(self
             .mbi_filter(eps_sq, bounds)
+            .or_else(|| self.moment_rung(x, y, eps_sq, tau))
             .unwrap_or_else(|| self.decide_refine(x, y, eps_sq, tau)))
+    }
+
+    /// The moment rung (see the module docs): decides the pair from the
+    /// moments of its squared distance when the brackets they put around
+    /// the reference estimate clear τ. `None` for Monte-Carlo, whose
+    /// estimate those brackets do not bound, and for pairs they cannot
+    /// settle.
+    fn moment_rung(
+        &self,
+        x: &MultiObsSeries,
+        y: &MultiObsSeries,
+        eps_sq: f64,
+        tau: f64,
+    ) -> Option<bool> {
+        let bins = match self.config.strategy {
+            MunichStrategy::Exact | MunichStrategy::Auto => self.config.auto_bins,
+            MunichStrategy::Convolution { bins } => bins,
+            MunichStrategy::MonteCarlo { .. } => return None,
+        };
+        let s = SumMoments::of(x, y)?;
+        // The convolution's rounding bracket and the FP slack (module
+        // docs, "Why the moment rung never changes an answer").
+        let slack = 1e-9 * (1.0 + eps_sq + s.total_max);
+        let w = s.total_max / bins as f64;
+        let nw = x.len() as f64 * w;
+        let hi = 0.5 * (s.cdf_upper(eps_sq + slack) + s.cdf_upper(eps_sq + nw + slack));
+        if hi + DECISION_MARGIN < tau {
+            return Some(false);
+        }
+        let lo = 0.5 * (s.cdf_lower(eps_sq - w - slack) + s.cdf_lower(eps_sq - nw - w - slack));
+        if lo - DECISION_MARGIN >= tau {
+            return Some(true);
+        }
+        None
     }
 
     /// The paper's MBI filter step: decides a pair without touching
@@ -1425,6 +1517,115 @@ fn convolve_decide(c: &PairContribs, eps_sq: f64, tau: f64, bins: usize) -> bool
     }
 }
 
+/// Upper bound on the Berry–Esseen constant for sums of independent,
+/// not identically distributed terms (Shevtsova 2010):
+/// `sup_t |Pr(S ≤ t) − Φ((t − μ)/√V)| ≤ C · Σ E|Cᵢ − E Cᵢ|³ / V^{3/2}`.
+const BERRY_ESSEEN: f64 = 0.56;
+
+/// The exact moments of a pair's squared distance `S = Σᵢ Cᵢ`, inflated
+/// just enough to cover their floating-point error, and the two-sided
+/// CDF bounds they imply.
+struct SumMoments {
+    /// `Σᵢ max Cᵢ`, accumulated exactly as `PairContribs::total_max` is.
+    total_max: f64,
+    /// `μ = Σ E[Cᵢ]`.
+    mean: f64,
+    /// `V = Σ Var(Cᵢ)`, inflated by a relative 1e-9.
+    var: f64,
+    /// `(√V, Berry–Esseen error)`, or `None` when `V` is too small for
+    /// the third moments to be computed without underflow.
+    normal: Option<(f64, f64)>,
+}
+
+impl SumMoments {
+    /// The moments of `S` for a pair; `None` when any of them overflows.
+    ///
+    /// The per-timestamp moments are taken over the same `d = a − b`
+    /// differences [`PairContribs::build`] enumerates, centred in a
+    /// second pass, so no precision is lost to a large common offset.
+    /// Nothing is allocated.
+    fn of(x: &MultiObsSeries, y: &MultiObsSeries) -> Option<Self> {
+        let inv_m = 1.0 / (x.samples_per_point() * y.samples_per_point()) as f64;
+        let (mut mean, mut var, mut abs3, mut total_max) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for i in 0..x.len() {
+            let (xr, yr) = (x.row(i), y.row(i));
+            let (mut sum, mut top) = (0.0f64, 0.0f64);
+            for &a in xr {
+                for &b in yr {
+                    let d = a - b;
+                    sum += d * d;
+                    top = top.max(d * d);
+                }
+            }
+            let e = sum * inv_m;
+            let (mut dev2, mut dev3) = (0.0f64, 0.0f64);
+            for &a in xr {
+                for &b in yr {
+                    let d = a - b;
+                    let r = d * d - e;
+                    dev2 += r * r;
+                    dev3 += r * r * r.abs();
+                }
+            }
+            mean += e;
+            var += dev2 * inv_m;
+            abs3 += dev3 * inv_m;
+            total_max += top;
+        }
+        if !(mean.is_finite() && var.is_finite() && total_max.is_finite()) {
+            return None;
+        }
+        let var = var * (1.0 + 1e-9);
+        // Below V = 1e-100 a cubed deviation could underflow while still
+        // mattering; the Cantelli bounds alone are safe at any scale.
+        let normal = (var >= 1e-100 && abs3.is_finite()).then(|| {
+            let sd = var.sqrt();
+            // The relative and absolute allowances cover the moments'
+            // rounding (V may be off by the 1e-9 inflation) and Φ's.
+            (sd, BERRY_ESSEEN * (abs3 / var / sd) * (1.0 + 1e-8) + 1e-9)
+        });
+        Some(Self {
+            total_max,
+            mean,
+            var,
+            normal,
+        })
+    }
+
+    /// An upper bound on `Pr(S ≤ t)`: the smaller of Cantelli's
+    /// `V / (V + (μ − t)²)` (below the mean, else 1) and Berry–Esseen's.
+    fn cdf_upper(&self, t: f64) -> f64 {
+        let cantelli = if t >= self.mean {
+            1.0
+        } else if self.var == 0.0 {
+            0.0
+        } else {
+            self.var / (self.var + (self.mean - t) * (self.mean - t))
+        };
+        match self.normal {
+            Some((sd, err)) => cantelli.min(Normal::phi((t - self.mean) / sd) + err),
+            None => cantelli,
+        }
+    }
+
+    /// A lower bound on `Pr(S ≤ t)`: the larger of Cantelli's
+    /// `1 − V / (V + (t − μ)²)` (above the mean, else 0) and
+    /// Berry–Esseen's.
+    fn cdf_lower(&self, t: f64) -> f64 {
+        let cantelli = if t <= self.mean {
+            0.0
+        } else if self.var == 0.0 {
+            1.0
+        } else {
+            1.0 - self.var / (self.var + (t - self.mean) * (t - self.mean))
+        };
+        match self.normal {
+            Some((sd, err)) => cantelli.max(Normal::phi((t - self.mean) / sd) - err),
+            None => cantelli,
+        }
+    }
+}
+
 /// What squared-distance bounds `[lb², ub²]` over every materialisation
 /// pair say about `dist² ≤ ε²`: `Some(true)` when even the upper bound is
 /// within (p = 1), `Some(false)` when even the lower bound is beyond
@@ -1877,6 +2078,141 @@ mod unit {
             ..MunichConfig::default()
         });
         assert_decisions_match(&munich, &x, &y, &[0.0, 0.6, 1.4, 6.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bin")]
+    fn new_rejects_binless_convolution() {
+        let _ = Munich::new(MunichConfig {
+            strategy: MunichStrategy::Convolution { bins: 0 },
+            ..MunichConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one Monte-Carlo sample")]
+    fn new_rejects_sampleless_monte_carlo() {
+        let _ = Munich::new(MunichConfig {
+            strategy: MunichStrategy::MonteCarlo { samples: 0 },
+            ..MunichConfig::default()
+        });
+    }
+
+    /// A GunPoint-shaped batch: `count` z-normalised plateau curves of
+    /// length 150 (a rise, a hold, a fall, at varying onsets and widths),
+    /// each observed with 3 normal samples (σ = 0.5) per timestamp.
+    fn gunpoint_batch(seed: u64, count: usize) -> Vec<MultiObsSeries> {
+        let spec = ErrorSpec::constant(ErrorFamily::Normal, 0.5);
+        (0..count)
+            .map(|k| {
+                let k_f = k as f64;
+                let (onset, width) = (40.0 + 6.0 * k_f, 45.0 + 4.0 * k_f);
+                let clean = TimeSeries::from_values((0..150).map(|t| {
+                    let t = t as f64;
+                    let rise = 1.0 / (1.0 + (-(t - onset) / 4.0).exp());
+                    let fall = 1.0 / (1.0 + (-(t - onset - width) / 4.0).exp());
+                    rise - fall + 0.1 * (t / 9.0 + k_f).sin()
+                }))
+                .znormalized();
+                perturb_multi(&clean, &spec, 3, Seed::new(seed).derive_u64(k as u64))
+            })
+            .collect()
+    }
+
+    /// The rung's moment bounds bracket the exact CDF on both sides of
+    /// every atom of few-term sums, where Berry–Esseen is nearly tight: a
+    /// single fair 0/1 term misses `Φ` by 0.34 just below its upper atom,
+    /// against a bound of 0.56.
+    #[test]
+    fn moment_bounds_bracket_the_exact_cdf() {
+        let rows = |r: &[&[f64]]| MultiObsSeries::from_rows(r.iter().map(|v| v.to_vec()).collect());
+        let mut pairs = vec![
+            (rows(&[&[0.0, 0.0]]), rows(&[&[0.0, 1.0]])),
+            (rows(&[&[0.0]]), rows(&[&[0.0, 0.0, 0.0, 1.0]])),
+            (
+                rows(&[&[0.0, 0.0], &[2.0, 2.0]]),
+                rows(&[&[0.0, 1.0], &[2.0, 3.0]]),
+            ),
+        ];
+        pairs.extend(
+            [(19, 1, 3), (20, 2, 2), (21, 3, 3), (22, 4, 2)]
+                .map(|(seed, n, s)| small_pair(seed, n, s)),
+        );
+        for (x, y) in &pairs {
+            let m = SumMoments::of(x, y).expect("finite moments");
+            // Every materialisation's squared distance, by brute force.
+            let c = PairContribs::build(x, y);
+            let mut sums = vec![0.0f64];
+            for i in 0..c.n {
+                sums = sums
+                    .iter()
+                    .flat_map(|s| c.step_raw(i).iter().map(move |v| s + v))
+                    .collect();
+            }
+            let cdf = |t: f64| sums.iter().filter(|&&s| s <= t).count() as f64 / sums.len() as f64;
+            for &atom in &sums {
+                for t in [atom, atom - 1e-9 * (1.0 + atom)] {
+                    let p = cdf(t);
+                    assert!(
+                        m.cdf_lower(t) <= p && p <= m.cdf_upper(t),
+                        "t={t}: [{}, {}] misses {p}",
+                        m.cdf_lower(t),
+                        m.cdf_upper(t)
+                    );
+                }
+            }
+        }
+    }
+
+    /// The moment rung, called directly on production-shaped pairs,
+    /// never contradicts the reference estimate — on either side, and
+    /// also at a resolution so coarse that the estimate sits far from the
+    /// true probability — and it does decide pairs.
+    #[test]
+    fn moment_rung_never_contradicts_the_estimate() {
+        let batch = gunpoint_batch(0x6E57, 6);
+        for strategy in [
+            MunichStrategy::Auto,
+            MunichStrategy::Convolution { bins: 1024 },
+            MunichStrategy::Convolution { bins: 64 },
+        ] {
+            let munich = Munich::new(MunichConfig {
+                strategy,
+                ..MunichConfig::default()
+            });
+            let (mut accepted, mut rejected, mut asked) = (0, 0, 0);
+            for (i, x) in batch.iter().enumerate() {
+                for y in &batch[i + 1..] {
+                    for eps_sq in [60.0, 110.0, 160.0, 260.0] {
+                        let mut estimate = None;
+                        for tau in [0.1, 0.5, 0.9] {
+                            asked += 1;
+                            let Some(hit) = munich.moment_rung(x, y, eps_sq, tau) else {
+                                continue;
+                            };
+                            if hit {
+                                accepted += 1;
+                            } else {
+                                rejected += 1;
+                            }
+                            let p = *estimate.get_or_insert_with(|| {
+                                munich.refine_bounds(x, y, eps_sq).estimate()
+                            });
+                            assert_eq!(hit, p >= tau, "{strategy:?} ε²={eps_sq} τ={tau} p={p}");
+                        }
+                    }
+                }
+            }
+            assert!(
+                accepted > 0 && rejected > 0,
+                "{strategy:?}: the rung accepted {accepted} and rejected {rejected} of {asked}"
+            );
+        }
+        let mc = Munich::new(MunichConfig {
+            strategy: MunichStrategy::MonteCarlo { samples: 100 },
+            ..MunichConfig::default()
+        });
+        assert_eq!(mc.moment_rung(&batch[0], &batch[1], 1e6, 0.5), None);
     }
 
     #[test]

@@ -191,6 +191,10 @@ impl Proud {
 
     /// PRQ membership test: `Pr(distance ≤ ε) ≥ τ`, evaluated exactly as
     /// the paper does — `ε_norm(X, Y) ≥ ε_limit(τ)` (Eq. 10).
+    ///
+    /// A negative or NaN ε matches nothing, as in every other
+    /// technique's range query (`ε_norm` squares ε and would otherwise
+    /// answer for `|ε|`).
     pub fn matches(
         &self,
         x: &UncertainSeries,
@@ -198,8 +202,8 @@ impl Proud {
         epsilon: f64,
         tau: f64,
     ) -> bool {
-        let stats = self.distance_stats(x, y);
-        stats.epsilon_norm(epsilon) >= Self::epsilon_limit(tau)
+        let limit = Self::epsilon_limit(tau);
+        epsilon >= 0.0 && self.distance_stats(x, y).epsilon_norm(epsilon) >= limit
     }
 
     /// Expected distance point estimate `sqrt(E[dist²])` — a convenient

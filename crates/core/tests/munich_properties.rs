@@ -7,10 +7,11 @@
 //! the support limit permits exact DP; and the pruned decision pipeline
 //! (`decide_within`) equals the reference decision (`matches`) for every
 //! strategy, ε, and τ — including τ sitting exactly on the computed
-//! probability.
+//! probability. The long-series property drives the pipeline's moment
+//! rung at production length, where it decides most pairs.
 
 use proptest::prelude::*;
-use uts_core::munich::{Munich, MunichConfig, MunichStrategy};
+use uts_core::munich::{MbiEnvelope, Munich, MunichConfig, MunichStrategy};
 use uts_uncertain::MultiObsSeries;
 
 /// Carves `n` rows of `s` samples out of a flat value pool.
@@ -32,6 +33,51 @@ fn pair() -> impl Strategy<Value = (MultiObsSeries, MultiObsSeries)> {
         prop::collection::vec(-3.0..3.0f64, 30),
     )
         .prop_map(|(n, sx, sy, pool)| (carve(&pool, n, sx), carve(&pool[15..], n, sy)))
+}
+
+/// A production-length pair: `n` timestamps, 2–4 samples per side, on a
+/// common offset up to ±1e4 (so a moment computed from raw values would
+/// lose ~7 digits to cancellation) with per-sample noise down to σ = 1e-3.
+/// `y` is `x`'s curve scaled and phase-shifted, so pairs range from
+/// near-identical to far apart.
+fn long_pair() -> impl Strategy<Value = (MultiObsSeries, MultiObsSeries)> {
+    (
+        (40usize..161, 2usize..5, 2usize..5),
+        (-1e4..1e4f64, -3.0..0.0f64),
+        (0.0..1.5f64, 0.5..1.5f64),
+        prop::collection::vec(-1.0..1.0f64, 2 * 160 * 4),
+    )
+        .prop_map(
+            |((n, sx, sy), (offset, log_sigma), (phase, scale), noise)| {
+                let sigma = 10f64.powf(log_sigma);
+                let rows = |s: usize, noise: &[f64], curve: &dyn Fn(f64) -> f64| {
+                    (0..n)
+                        .map(|i| {
+                            let base = offset + curve(i as f64);
+                            (0..s).map(|k| base + sigma * noise[i * s + k]).collect()
+                        })
+                        .collect()
+                };
+                let x = rows(sx, &noise, &|t| (t / 6.0).sin());
+                let y = rows(sy, &noise[160 * 4..], &|t| scale * (t / 6.0 + phase).sin());
+                (MultiObsSeries::from_rows(x), MultiObsSeries::from_rows(y))
+            },
+        )
+}
+
+/// `E[dist²]` over every materialisation pair, for placing ε around
+/// the bulk of the distribution.
+fn mean_sq_distance(x: &MultiObsSeries, y: &MultiObsSeries) -> f64 {
+    (0..x.len())
+        .map(|i| {
+            let (xr, yr) = (x.row(i), y.row(i));
+            let sum: f64 = xr
+                .iter()
+                .flat_map(|a| yr.iter().map(move |b| (a - b) * (a - b)))
+                .sum();
+            sum / (xr.len() * yr.len()) as f64
+        })
+        .sum()
 }
 
 /// A limit generous enough that every generated pair stays exactly
@@ -132,6 +178,44 @@ proptest! {
                 let p = m.probability_within(&x, &y, i as f64 * 0.5);
                 prop_assert!(p + 1e-9 >= prev, "{:?}: not monotone at ε={}", strategy, i as f64 * 0.5);
                 prev = p;
+            }
+        }
+    }
+
+    /// At production length the decision pipeline — moment rung
+    /// included — still returns exactly the reference decision, pairwise
+    /// and enveloped, with τ on, just below and just above the estimate.
+    /// `Convolution { bins: 64 }` is coarse enough that its estimate sits
+    /// far from the true probability, which a rung bracketing only the
+    /// true probability would get wrong.
+    #[test]
+    fn long_series_decisions_equal_reference(
+        (x, y) in long_pair(),
+        eps_frac in 0.3..2.0f64,
+        tau in 0.0..=1.0f64,
+    ) {
+        let eps = (eps_frac * mean_sq_distance(&x, &y)).sqrt();
+        let (ex, ey) = (MbiEnvelope::build(&x), MbiEnvelope::build(&y));
+        for strategy in [
+            MunichStrategy::Auto,
+            MunichStrategy::Convolution { bins: 1024 },
+            MunichStrategy::Convolution { bins: 8192 },
+            MunichStrategy::Convolution { bins: 64 },
+        ] {
+            let m = Munich::new(MunichConfig { strategy, ..MunichConfig::default() });
+            let p = m.probability_within(&x, &y, eps);
+            for t in [
+                tau,
+                p.clamp(0.0, 1.0),
+                (p - 1e-12).clamp(0.0, 1.0),
+                (p + 1e-12).clamp(0.0, 1.0),
+                0.1,
+                0.9,
+            ] {
+                let want = m.matches(&x, &y, eps, t);
+                let ctx = format!("{strategy:?} n={} ε={eps} τ={t} p={p}", x.len());
+                prop_assert_eq!(m.decide_within(&x, &y, eps, t), want, "{}", ctx);
+                prop_assert_eq!(m.matches_enveloped(&x, &y, eps, t, &ex, &ey), want, "{}", ctx);
             }
         }
     }

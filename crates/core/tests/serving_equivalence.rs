@@ -300,20 +300,16 @@ fn signed_zero_thresholds_share_one_cache_entry() {
 }
 
 /// Every NaN threshold is one threshold: two NaNs with different
-/// payloads get the same (empty) uncached answer from every technique
-/// whose range query accepts a NaN ε, so the cache keys them as one entry
-/// and the second ask is a hit. MUNICH rejects a NaN ε with a shard
-/// fault, which is never cached, so it is left out.
+/// payloads get the same (empty) uncached answer from every technique,
+/// MUNICH included, so the cache keys them as one entry and the second
+/// ask is a hit.
 #[test]
 fn nan_thresholds_share_one_cache_entry() {
     let task = build_task(0x5E4B, 12, 20, 3);
     let quiet = f64::NAN;
     let payload = f64::from_bits(f64::NAN.to_bits() | 0xBEEF);
     assert_ne!(quiet.to_bits(), payload.to_bits());
-    for technique in techniques()
-        .into_iter()
-        .filter(|t| !matches!(t, Technique::Munich { .. }))
-    {
+    for technique in techniques() {
         let name = format!("{:?}", technique.kind());
         let flat = QueryEngine::prepare(&task, &technique);
         let sharded = ShardedEngine::prepare(&task, &technique, 4, ShardAssignment::RoundRobin);

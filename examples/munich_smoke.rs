@@ -5,13 +5,16 @@
 //! cargo run --release --example munich_smoke
 //! ```
 //!
-//! Runs a modest MUNICH range workload twice — through the naive
-//! per-pair probability scan and through the engine's pruned decision
-//! pipeline — asserting (1) bit-identical answer sets and (2) a soft
-//! speedup floor, so a regression that quietly disables the pruning
-//! fails CI without paying for a full criterion capture.
+//! Runs a MUNICH range workload on production-length series (150
+//! timestamps, 3 samples each) at τ ∈ {0.1, 0.4, 0.9} twice — through
+//! the naive per-pair probability scan and through the engine's pruned
+//! decision pipeline — asserting (1) bit-identical answer sets at every
+//! τ, which exercises the moment rung's accept side (low τ) and reject
+//! side (high τ), and (2) a soft speedup floor, so a regression that
+//! quietly disables the pruning fails CI without paying for a full
+//! criterion capture.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use uncertts::core::engine::QueryEngine;
 use uncertts::core::matching::{MatchingTask, Technique};
@@ -23,7 +26,7 @@ use uncertts::uncertain::{perturb, perturb_multi, ErrorFamily, ErrorSpec};
 fn main() {
     let seed = Seed::new(0xBE7C);
     let n = 24;
-    let len = 120;
+    let len = 150;
     let clean: Vec<TimeSeries> = (0..n)
         .map(|i| {
             TimeSeries::from_values((0..len).map(|t| {
@@ -45,32 +48,43 @@ fn main() {
         .map(|(i, c)| perturb_multi(c, &spec, 3, seed.derive("multi").derive_u64(i as u64)))
         .collect();
     let task = MatchingTask::new(clean, uncertain, Some(multi), 3);
-    let technique = Technique::Munich {
-        munich: Munich::default(),
-        tau: 0.4,
-    };
     let queries: Vec<usize> = (0..n).step_by(3).collect();
-    let eps: Vec<(usize, f64)> = queries
-        .iter()
-        .map(|&q| (q, task.calibrated_threshold(q, &technique)))
-        .collect();
+    let (mut naive_time, mut engine_time) = (Duration::ZERO, Duration::ZERO);
+    for tau in [0.1, 0.4, 0.9] {
+        let technique = Technique::Munich {
+            munich: Munich::default(),
+            tau,
+        };
+        let eps: Vec<(usize, f64)> = queries
+            .iter()
+            .map(|&q| (q, task.calibrated_threshold(q, &technique)))
+            .collect();
 
-    let t0 = Instant::now();
-    let naive: Vec<Vec<usize>> = eps
-        .iter()
-        .map(|&(q, e)| task.answer_set_naive(q, &technique, e))
-        .collect();
-    let naive_time = t0.elapsed();
+        let t0 = Instant::now();
+        let naive: Vec<Vec<usize>> = eps
+            .iter()
+            .map(|&(q, e)| task.answer_set_naive(q, &technique, e))
+            .collect();
+        naive_time += t0.elapsed();
 
-    let engine = QueryEngine::prepare(&task, &technique);
-    let t0 = Instant::now();
-    let fast: Vec<Vec<usize>> = eps.iter().map(|&(q, e)| engine.answer_set(q, e)).collect();
-    let engine_time = t0.elapsed();
+        let engine = QueryEngine::prepare(&task, &technique);
+        let t0 = Instant::now();
+        let fast: Vec<Vec<usize>> = eps.iter().map(|&(q, e)| engine.answer_set(q, e)).collect();
+        engine_time += t0.elapsed();
 
-    assert_eq!(naive, fast, "engine answer sets diverged from naive");
+        assert_eq!(
+            naive, fast,
+            "engine answer sets diverged from naive at τ={tau}"
+        );
+        let hits: usize = fast.iter().map(Vec::len).sum();
+        println!(
+            "τ={tau}: {hits} hits over {} queries, answers identical",
+            queries.len()
+        );
+    }
     let speedup = naive_time.as_secs_f64() / engine_time.as_secs_f64().max(1e-9);
     println!(
-        "munich range x{} queries: naive {:?}, engine {:?} ({speedup:.1}x), answers identical",
+        "munich range x{} queries x3 τ: naive {:?}, engine {:?} ({speedup:.1}x)",
         queries.len(),
         naive_time,
         engine_time
