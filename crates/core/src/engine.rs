@@ -500,7 +500,8 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     }
 
     /// `Pr(distance(q, i) ≤ ε)` for every candidate `i ≠ q` — `None` for
-    /// non-probabilistic techniques. Bit-identical to
+    /// non-probabilistic techniques, and `0.0` for every candidate when
+    /// ε is negative or NaN. Bit-identical to
     /// [`MatchingTask::probabilities_naive`].
     pub fn probabilities(&self, q: usize, epsilon: f64) -> Option<Vec<(usize, f64)>> {
         self.probabilities_ref(&self.query_ref(q), epsilon, Some(q))
@@ -533,7 +534,16 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         deadline: &Deadline,
     ) -> Result<Option<Vec<(usize, f64)>>, DeadlineExpired> {
         let task = self.task();
+        // A negative or NaN ε bounds no distance: every candidate's
+        // probability is 0, as the range answer is empty.
+        let degenerate = epsilon.is_nan() || epsilon < 0.0;
         match (&self.technique, &self.state, query) {
+            (Technique::Proud { .. }, _, QueryRef::Uncertain(_))
+            | (Technique::Munich { .. }, Prepared::Munich(_), QueryRef::Multi(..))
+                if degenerate =>
+            {
+                Ok(Some(self.scan_pairs(exclude, deadline, false, |_| 0.0)?))
+            }
             (Technique::Proud { proud, .. }, _, QueryRef::Uncertain(qu)) => {
                 Ok(Some(self.scan_pairs(exclude, deadline, false, |i| {
                     proud.probability_within(qu, &task.uncertain()[i], epsilon)

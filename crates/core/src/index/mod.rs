@@ -212,6 +212,9 @@ pub struct CandidateIndex {
     member_paa: Vec<f64>,
     /// SAX-packed leaves.
     leaves: Vec<Leaf>,
+    /// The leaf holding each member, indexed by global slot, so a write
+    /// finds its leaf without searching every leaf's member list.
+    member_leaf: Vec<u32>,
 }
 
 impl CandidateIndex {
@@ -292,19 +295,28 @@ impl CandidateIndex {
             chunks.iter().map(build_leaf).collect()
         };
 
+        let mut member_leaf = vec![0; n];
+        for (l, leaf) in leaves.iter().enumerate() {
+            let l = u32::try_from(l).expect("fewer than 2³² leaves");
+            for &i in &leaf.members {
+                member_leaf[i] = l;
+            }
+        }
+
         Some(Self {
             series_len,
             segments,
             scale: (series_len as f64 / segments as f64).sqrt(),
             member_paa,
             leaves,
+            member_leaf,
         })
     }
 
     /// Re-summarises member `i` after its value view changed to `view`:
     /// rewrites its PAA synopsis and recomputes its leaf's bounding
-    /// rectangle from that leaf's members — `O(leaves · log leaf_capacity
-    /// + leaf_capacity · segments)` work instead of a rebuild.
+    /// rectangle from that leaf's members — `O(leaf_capacity · segments)`
+    /// work instead of a rebuild.
     ///
     /// The member stays in its leaf even when its SAX word moved, so the
     /// layout can differ from a fresh [`Self::build`]. Every rectangle
@@ -318,11 +330,7 @@ impl CandidateIndex {
         assert_eq!(view.len(), self.series_len, "replacement length mismatch");
         let segments = self.segments;
         self.member_paa[i * segments..(i + 1) * segments].copy_from_slice(&paa(view, segments));
-        let leaf = self
-            .leaves
-            .iter_mut()
-            .find(|l| l.members.binary_search(&i).is_ok())
-            .expect("every indexed member lives in one leaf");
+        let leaf = &mut self.leaves[self.member_leaf[i] as usize];
         (leaf.lo, leaf.hi) = bounding_box(&self.member_paa, segments, &leaf.members);
     }
 
@@ -871,8 +879,14 @@ mod unit {
             ix.replace_member(i, &vs[i]);
         }
         let mut seen = Vec::new();
-        for leaf in &ix.leaves {
+        for (l, leaf) in ix.leaves.iter().enumerate() {
             assert!(leaf.members.windows(2).all(|w| w[0] < w[1]), "ascending");
+            assert!(
+                leaf.members
+                    .iter()
+                    .all(|&i| ix.member_leaf[i] as usize == l),
+                "member_leaf names each member's leaf"
+            );
             seen.extend_from_slice(&leaf.members);
             for d in 0..ix.segments {
                 let means = leaf

@@ -562,10 +562,11 @@ impl MatchingTask {
     }
 
     /// For probabilistic techniques: `Pr(distance(q, i) ≤ ε)` for every
-    /// candidate `i ≠ q`, as `(index, probability)` pairs; `None` for
-    /// non-probabilistic techniques. Reference implementation of
-    /// [`QueryEngine::probabilities`] with per-pair MBI recomputation,
-    /// kept as the naive baseline the engine is tested against.
+    /// candidate `i ≠ q`, as `(index, probability)` pairs (all `0.0` for a
+    /// negative or NaN ε); `None` for non-probabilistic techniques.
+    /// Reference implementation of [`QueryEngine::probabilities`] with
+    /// per-pair MBI recomputation, kept as the naive baseline the engine
+    /// is tested against.
     ///
     /// Thresholding these probabilities at τ reproduces the range answer
     /// exactly (PROUD's `ε_norm ≥ ε_limit` test is `Φ(ε_norm) ≥ τ` by
@@ -578,7 +579,13 @@ impl MatchingTask {
     ) -> Option<Vec<(usize, f64)>> {
         let qu = &self.uncertain[q];
         let others = (0..self.len()).filter(|&i| i != q);
+        // A negative or NaN ε bounds no distance: every probability is 0,
+        // as the range answer is empty.
+        let degenerate = epsilon.is_nan() || epsilon < 0.0;
         match technique {
+            Technique::Proud { .. } | Technique::Munich { .. } if degenerate => {
+                Some(others.map(|i| (i, 0.0)).collect())
+            }
             Technique::Proud { proud, .. } => Some(
                 others
                     .map(|i| (i, proud.probability_within(qu, &self.uncertain[i], epsilon)))

@@ -102,6 +102,26 @@
 //! once per strategy attempt, and the exact DP folds them tightest-first
 //! (largest guaranteed contribution first) so the running bounds converge
 //! as fast as possible.
+//!
+//! ### The convolution fold
+//!
+//! Every convolution — the estimate and each rung of the decision
+//! ladder — runs one fold kernel (`LiveHist::step` internally). It folds
+//! the floor- and the ceil-rounded histogram one timestamp at a time over
+//! the window `[0, ε²-bin]`, since binned shifts are non-negative and
+//! mass that leaves the window never returns. Within the window it
+//! computes only the *live* bins: every bin below the sum of the folded
+//! minimum shifts is an exact zero, and no bin at or past the window's
+//! end minus the remaining minimum shifts can return. When the minimum
+//! shifts alone overshoot the window, the histogram is an exact zero and
+//! no bin is computed. Each live bin sums its shift groups in a register
+//! block, in ascending-shift order, reading a source buffer padded with
+//! zeros so no group needs a bounds branch. These are the additions, in
+//! the order, of the historical fold (one shifted saxpy per group into a
+//! zeroed window); every term trimmed or padded is `+0.0·w = +0.0`, and
+//! with non-negative masses no partial sum is `-0.0`, so the estimate is
+//! bit-identical to that fold — a test-only copy of it checks `to_bits`,
+//! including the sign of an all-zero total.
 
 use std::fmt;
 
@@ -959,13 +979,249 @@ impl FineShifts {
     }
 }
 
+/// Suffix sums of the per-timestamp binned shift extremes in fold order,
+/// at the rung `div_log` levels coarser than the fine shifts:
+/// `suffix[t]` is `[floor_min, floor_max, ceil_min, ceil_max]` summed
+/// over fold steps `t..n`, each saturated at `cap` (a shift past the
+/// window is simply "gone"). The per-step extremes are the first and
+/// last fine shifts — `dvals` is sorted per timestamp.
+fn shift_suffix(
+    c: &PairContribs,
+    shifts: &FineShifts,
+    div_log: u32,
+    cap: usize,
+) -> Vec<[usize; 4]> {
+    // Ceil rounding at this rung is `(fine_ceil + R - 1) >> div_log`
+    // (exact by the nesting property); floor is a plain shift.
+    let add = (1u32 << div_log) - 1;
+    let order = c.fold_order();
+    let mut suffix = vec![[0usize; 4]; c.n + 1];
+    for t in (0..c.n).rev() {
+        let i = order[t];
+        let (first, last) = (c.dstart[i], c.dstart[i + 1] - 1);
+        let step = [
+            (shifts.floor[first] >> div_log) as usize,
+            (shifts.floor[last] >> div_log) as usize,
+            ((shifts.ceil[first] + add) >> div_log) as usize,
+            ((shifts.ceil[last] + add) >> div_log) as usize,
+        ];
+        let prev = suffix[t + 1];
+        let mut cur = [0usize; 4];
+        for (slot, (p, s)) in cur.iter_mut().zip(prev.iter().zip(step.iter())) {
+            *slot = (p + s).min(cap);
+        }
+        suffix[t] = cur;
+    }
+    suffix
+}
+
+/// Output bins per register block of the fold kernel
+/// ([`LiveHist::step`]). Each bin's sum is a chain of dependent adds, so
+/// a block needs enough independent bins to hide the add latency; it is
+/// also the zero padding on each side of a histogram buffer.
+const LANES: usize = 32;
+
+/// One floor- or ceil-rounded histogram window, folded one timestamp at
+/// a time by [`LiveHist::step`] — the one fold kernel behind the
+/// probability estimate and every rung of the decision ladder.
+///
+/// Two ping-pong buffers hold bins `[0, cap)` at offset [`LANES`], with
+/// `LANES` bins of padding on both sides. Every bin outside a buffer's
+/// live window, padding included, is exactly `+0.0`: the kernel reads
+/// whole register blocks without a bounds branch and relies on it.
+struct LiveHist {
+    cur: Vec<f64>,
+    next: Vec<f64>,
+    /// `cur`'s live window `[lo, hi)` in bins; `(0, 0)` when empty.
+    live: (usize, usize),
+    /// `next`'s live window of two steps ago, zeroed as it is overwritten.
+    stale: (usize, usize),
+    /// The untrimmed fold's occupied-prefix bound: every bin of the full
+    /// `[0, cap)` window at or past it is zero. It caps `hi` and decides
+    /// the sign of an all-zero total (see [`Self::total`]).
+    sup: usize,
+    /// This step's `(bin shift, merged weight)` groups, reused per step.
+    groups: Vec<(usize, f64)>,
+}
+
+impl LiveHist {
+    /// A histogram of unit mass at bin 0, with room for windows of up to
+    /// `cap` bins.
+    fn new(cap: usize) -> Self {
+        let mut cur = vec![0.0f64; cap + 2 * LANES];
+        cur[LANES] = 1.0;
+        Self {
+            cur,
+            next: vec![0.0f64; cap + 2 * LANES],
+            live: (0, 1),
+            stale: (0, 0),
+            sup: 1,
+            groups: Vec::new(),
+        }
+    }
+
+    /// Back to unit mass at bin 0, zeroing only the bins still live.
+    fn reset(&mut self) {
+        for (buf, (lo, hi)) in [(&mut self.cur, self.live), (&mut self.next, self.stale)] {
+            if lo < hi {
+                buf[LANES + lo..LANES + hi].fill(0.0);
+            }
+        }
+        self.cur[LANES] = 1.0;
+        self.live = (0, 1);
+        self.stale = (0, 0);
+        self.sup = 1;
+    }
+
+    /// The live window: its first bin and its bins.
+    fn live(&self) -> (usize, &[f64]) {
+        let (lo, hi) = self.live;
+        (lo, &self.cur[LANES + lo..LANES + hi])
+    }
+
+    /// Folds one timestamp into a window of `cap` bins — the fold
+    /// kernel. The step's distribution arrives as fine-resolution integer
+    /// shifts (see [`FineShifts`]) with the weights of
+    /// [`PairContribs::step_distinct`]; this rung's shift is the integer
+    /// map `(s + add) >> div_log`, exact by the power-of-two nesting
+    /// property. Distinct values that land in the same bin merge into one
+    /// group, their weights summed in ascending-value order. `rem_min` is
+    /// the sum of the minimum shifts of the steps still to fold.
+    ///
+    /// Each output bin `j` is `0.0 + Σ_g src[j − shift_g]·w_g`, summed in
+    /// a register block over the groups in ascending-shift order — the
+    /// additions, and their order, of the historical input-stationary
+    /// fold (one shifted saxpy per group into a zeroed window). The
+    /// result is bit-identical to that fold on every bin it computes,
+    /// and it computes only the bins that can matter:
+    ///
+    /// * **Below `lo`**, the sum of the folded minimum shifts, every bin
+    ///   is an exact zero: no materialisation sums to less.
+    /// * **At or past `cap − rem_min`**, mass can never return to the
+    ///   window, so no later step or final sum reads those bins.
+    ///
+    /// The terms skipped — groups whose block reads fall outside the
+    /// source's live window, bins read from the zero padding — are all
+    /// `+0.0·w = +0.0`. Every mass is non-negative, so no partial sum is
+    /// ever `-0.0` and adding `+0.0` leaves every bit unchanged.
+    fn step(
+        &mut self,
+        shifts: &[u32],
+        dwts: &[f64],
+        add: u32,
+        div_log: u32,
+        cap: usize,
+        rem_min: usize,
+    ) {
+        let eff = |s: u32| ((s + add) >> div_log) as usize;
+        let Self {
+            cur,
+            next,
+            live,
+            stale,
+            sup,
+            groups,
+        } = self;
+        let (src_lo, src_hi) = *live;
+        // The untrimmed support: the largest in-window shift plus however
+        // much of the old support it carries (shifts are sorted).
+        *sup = shifts
+            .iter()
+            .rev()
+            .map(|&s| eff(s))
+            .find(|&s| s < cap)
+            .map_or(0, |s| s + (cap - s).min(*sup));
+        let lo = src_lo + eff(shifts[0]);
+        let hi = (*sup).min(cap.saturating_sub(rem_min));
+        let (lo, hi) = if src_lo < src_hi && lo < hi {
+            (lo, hi)
+        } else {
+            (0, 0)
+        };
+        groups.clear();
+        let mut idx = 0usize;
+        while idx < shifts.len() {
+            let shift = eff(shifts[idx]);
+            if shift >= hi {
+                break; // this and every later group lands past the window
+            }
+            let mut weight = dwts[idx];
+            idx += 1;
+            while idx < shifts.len() && eff(shifts[idx]) == shift {
+                weight += dwts[idx];
+                idx += 1;
+            }
+            groups.push((shift, weight));
+        }
+        // The groups that read the source's live window for block
+        // `[j0, j0 + LANES)` have shifts in `(j0 − src_hi, j0 + LANES −
+        // 1 − src_lo]`: a sliding range, since groups ascend. Its reads
+        // stay within `LANES − 1` bins of the live window, inside the
+        // padding.
+        let (mut first, mut end) = (0usize, 0usize);
+        for j0 in (lo..hi).step_by(LANES) {
+            while end < groups.len() && groups[end].0 + src_lo < j0 + LANES {
+                end += 1;
+            }
+            while first < end && groups[first].0 + src_hi <= j0 {
+                first += 1;
+            }
+            let mut acc = [0.0f64; LANES];
+            for &(shift, weight) in &groups[first..end] {
+                let at = LANES + j0 - shift;
+                let block: &[f64; LANES] = cur[at..at + LANES]
+                    .try_into()
+                    .expect("a block is LANES bins");
+                for (a, &v) in acc.iter_mut().zip(block) {
+                    *a += v * weight;
+                }
+            }
+            // Whole blocks store straight from registers; the last one
+            // may run up to `LANES − 1` bins past `hi`, into the padding.
+            next[LANES + j0..LANES + j0 + LANES].copy_from_slice(&acc);
+        }
+        // Zero what the last block wrote past `hi`, and what is left of
+        // `next`'s old window outside the new one.
+        let overrun = lo + (hi - lo).div_ceil(LANES) * LANES;
+        let (old_lo, old_hi) = *stale;
+        for (a, b) in [
+            (hi, overrun),
+            (old_lo, old_hi.min(lo)),
+            (old_lo.max(hi), old_hi),
+        ] {
+            if a < b {
+                next[LANES + a..LANES + b].fill(0.0);
+            }
+        }
+        std::mem::swap(cur, next);
+        *stale = *live;
+        *live = (lo, hi);
+    }
+
+    /// The window's total mass after the last step (`rem_min = 0`, so the
+    /// live window ends at `sup`), bit-identical to the untrimmed fold's
+    /// `Σ bins[0..sup]`: the bins outside the live window are `+0.0`, and
+    /// a sum of non-negative values that starts with some of them ends
+    /// equal. Only an all-zero total tells them apart — an empty `f64`
+    /// sum is `-0.0`, a sum of zeros `+0.0` — so it follows `sup`.
+    fn total(&self) -> f64 {
+        let (lo, hi) = self.live;
+        if lo < hi {
+            self.cur[LANES + lo..LANES + hi].iter().sum()
+        } else if self.sup > 0 {
+            0.0
+        } else {
+            -0.0
+        }
+    }
+}
+
 /// Per-decision fold state shared by every ladder rung: the fine shifts
-/// plus the two ping-pong window buffers, sized once to the finest cap
-/// so coarser rungs reuse prefixes instead of allocating.
+/// plus one histogram whose buffers are sized once to the finest cap, so
+/// coarser rungs reuse them instead of allocating.
 struct FoldCtx {
     shifts: FineShifts,
-    w: Vec<f64>,
-    s: Vec<f64>,
+    hist: LiveHist,
 }
 
 /// Histogram-convolution bounds on `Pr(Σ Cᵢ ≤ ε²)`.
@@ -994,37 +1250,32 @@ fn convolve_probability_from(c: &PairContribs, eps_sq: f64, bins: usize) -> (f64
     }
     // Only the prefix bins `[0, eps_bin]` are ever read, and binned
     // shifts are non-negative integers — mass that leaves the prefix can
-    // never return. Folding just that window reproduces the full
-    // histograms' prefix bins *bit-identically* (same additions, same
-    // order), at `cap / bins` of the cost.
+    // never return. Folding just that window (and within it only the
+    // live bins, see `LiveHist::step`) reproduces the full histograms'
+    // prefix bins *bit-identically* (same additions, same order).
     let cap = eps_bin + 1;
-    let mut wf = vec![0.0f64; cap];
-    let mut wc = vec![0.0f64; cap];
-    wf[0] = 1.0;
-    wc[0] = 1.0;
-    let mut sf = vec![0.0f64; cap];
-    let mut sc = vec![0.0f64; cap];
-    let (mut sup_f, mut sup_c) = (1usize, 1usize);
-    // Tightest-first order — the same order the decision pipeline folds
-    // in, so an abandoned decision that completes instead reproduces this
-    // fold's floating-point trajectory exactly. (Any order yields valid
-    // bounds; sharing one keeps decide ≡ estimate ≥ τ bit-for-bit.)
     let shifts = FineShifts::build(c, width);
-    for &i in c.fold_order() {
-        let (_, dw) = c.step_distinct(i);
-        sup_f = fold_step(&wf, &mut sf, shifts.step(c, i, false), dw, 0, 0, sup_f);
-        std::mem::swap(&mut wf, &mut sf);
-        sup_c = fold_step(&wc, &mut sc, shifts.step(c, i, true), dw, 0, 0, sup_c);
-        std::mem::swap(&mut wc, &mut sc);
-    }
+    let suffix = shift_suffix(c, &shifts, 0, cap);
+    let mut hist = LiveHist::new(cap);
     // Floored sums never exceed the true sums, so their CDF dominates the
     // true CDF (upper bound); ceiled sums never fall below the true sums,
     // so their CDF is dominated (lower bound). Both CDFs are read at the
     // largest integer bin k with k·width ≤ ε².
-    // Bins past the occupied support are exact zeros — restricting the
-    // sums drops only `+0.0` terms.
-    let upper: f64 = wf[..sup_f].iter().sum();
-    let lower: f64 = wc[..sup_c].iter().sum();
+    let [upper, lower] = [false, true].map(|ceil| {
+        hist.reset();
+        // This side's minimum-shift slot of `suffix`.
+        let k_min = if ceil { 2 } else { 0 };
+        // Tightest-first order — the same order the decision pipeline
+        // folds in, so an abandoned decision that completes instead
+        // reproduces this fold's floating-point trajectory exactly. (Any
+        // order yields valid bounds; sharing one keeps decide ≡ estimate
+        // ≥ τ bit-for-bit.)
+        for (t, &i) in c.fold_order().iter().enumerate() {
+            let (_, dw) = c.step_distinct(i);
+            hist.step(shifts.step(c, i, ceil), dw, 0, 0, cap, suffix[t + 1][k_min]);
+        }
+        hist.total()
+    });
     (lower.clamp(0.0, 1.0), upper.clamp(0.0, 1.0))
 }
 
@@ -1064,80 +1315,6 @@ fn convolve_saturated(c: &PairContribs, eps_bin: usize, width: f64, bins: usize)
     (lower.clamp(0.0, 1.0), upper.clamp(0.0, 1.0))
 }
 
-/// One per-timestamp fold of a histogram window: adds every binned shift
-/// of `src` into `dst` (zeroed here), dropping mass that leaves the
-/// window (shifts are non-negative, so it can never return). Callers
-/// ping-pong two buffers through successive steps instead of copying.
-///
-/// The step's distribution arrives as precomputed *fine-resolution*
-/// integer shifts (see [`FineShifts`]) with the aggregated weights of
-/// [`PairContribs::step_distinct`]; this rung's shift is the pure
-/// integer map `(s + add) >> div_log` — exact by the power-of-two
-/// nesting property, so no per-element float division remains. Distinct
-/// values that land in the same bin at this resolution merge into a
-/// single weighted saxpy (their weights summing in ascending-value
-/// order), so coarse rungs fold far fewer passes than there are raw
-/// samples. Sortedness also makes the binned shifts monotone: the fold
-/// stops at the first shift past the window.
-///
-/// `src_support` bounds the occupied prefix of `src` (`src[src_support..]`
-/// is exactly zero); the return value is the same bound for `dst`.
-/// Restricting the shifted saxpys to the occupied prefix skips only
-/// exact `+0.0` terms, so the result is bit-identical to a full-window
-/// fold. Shared by the naive probability path, the decision pipeline,
-/// and the coarse ladder so their arithmetic stays identical.
-fn fold_step(
-    src: &[f64],
-    dst: &mut [f64],
-    shifts: &[u32],
-    dwts: &[f64],
-    add: u32,
-    div_log: u32,
-    src_support: usize,
-) -> usize {
-    let cap = src.len();
-    let eff = |s: u32| ((s + add) >> div_log) as usize;
-    // Occupied-prefix bound for `dst`: the largest in-window shift plus
-    // however much of `src`'s support it carries. Shifts are monotone
-    // over the sorted values, so scan from the top.
-    let mut dst_support = 0usize;
-    for &s in shifts.iter().rev() {
-        let shift = eff(s);
-        if shift < cap {
-            dst_support = shift + (cap - shift).min(src_support);
-            break;
-        }
-    }
-    // `dst` is the ping-pong partner: its stale occupied prefix is the
-    // support of two steps ago, which never exceeds `src_support`
-    // (support is monotone while any shift stays inside the window, and
-    // the dead-window case zeroes up to the old support here). Zeroing
-    // to the larger of the old and new supports therefore keeps every
-    // untouched bin an exact zero without re-zeroing the full window.
-    let zero_to = dst_support.max(src_support);
-    dst[..zero_to].iter_mut().for_each(|v| *v = 0.0);
-    let mut idx = 0usize;
-    while idx < shifts.len() {
-        let shift = eff(shifts[idx]);
-        if shift >= cap {
-            break; // this and every later destination is past the window
-        }
-        let mut weight = dwts[idx];
-        idx += 1;
-        while idx < shifts.len() && eff(shifts[idx]) == shift {
-            weight += dwts[idx];
-            idx += 1;
-        }
-        let len = (cap - shift).min(src_support);
-        // Shifted saxpy over disjoint slices: bounds-check-free and
-        // autovectorizable.
-        for (out, &inp) in dst[shift..shift + len].iter_mut().zip(src[..len].iter()) {
-            *out += inp * weight;
-        }
-    }
-    dst_support
-}
-
 /// Compatibility shim for the historical per-pair entry point (unit tests
 /// and ablation benches exercise it directly).
 #[cfg(test)]
@@ -1150,37 +1327,29 @@ fn convolve_probability(
     convolve_probability_from(&PairContribs::build(x, y), eps_sq, bins)
 }
 
-/// One left-to-right pass over a window, bounding its final prefix mass:
-/// returns `(upper, lower)` — the mass that can still end at or below
-/// `eps_bin` given at least `rem_min` more bins of rightward shift, and
-/// the mass that stays at or below it even after `rem_max` more.
+/// One left-to-right pass over a live window (its first bin and its
+/// bins, as [`LiveHist::live`] returns them), bounding its final prefix
+/// mass: returns `(upper, lower)` — the mass that can still end at or
+/// below `eps_bin` given at least `rem_min` more bins of rightward shift,
+/// and the mass that stays at or below it even after `rem_max` more.
 fn bound_masses(
-    window: &[f64],
+    (lo, live): (usize, &[f64]),
     eps_bin: usize,
     rem_min: usize,
     rem_max: usize,
-    support: usize,
 ) -> (f64, f64) {
     debug_assert!(rem_min <= rem_max);
-    let ub_end = if rem_min > eps_bin {
-        0
-    } else {
-        eps_bin - rem_min + 1
-    };
-    let lb_end = if rem_max > eps_bin {
-        0
-    } else {
-        eps_bin - rem_max + 1
-    };
-    // Bins past the occupied support are exactly zero — truncating the
-    // scan drops only +0.0 terms. Two branch-free partial sums keep the
-    // scans autovectorizable; the re-association drift in `ub` (vs one
-    // running sum) is far below [`DECISION_MARGIN`], and every consumer
-    // of these bounds is margin-guarded.
-    let scan = ub_end.min(support);
-    let cut = lb_end.min(scan);
-    let head: f64 = window[..cut].iter().sum();
-    let tail: f64 = window[cut..scan].iter().sum();
+    let ub_end = (eps_bin + 1).saturating_sub(rem_min);
+    let lb_end = (eps_bin + 1).saturating_sub(rem_max);
+    // Bins outside the live window are exactly zero — truncating the
+    // scan drops only +0.0 terms. Two partial sums keep the scans
+    // branch-free; the re-association drift in `ub` (vs one running sum)
+    // is far below [`DECISION_MARGIN`], and every consumer of these
+    // bounds is margin-guarded.
+    let scan = ub_end.min(lo + live.len()).saturating_sub(lo);
+    let cut = lb_end.saturating_sub(lo).min(scan);
+    let head: f64 = live[..cut].iter().sum();
+    let tail: f64 = live[cut..scan].iter().sum();
     let lb = if lb_end > 0 { head } else { 0.0 };
     (head + tail, lb)
 }
@@ -1217,8 +1386,9 @@ enum FoldRun {
 ///
 /// * **Binned shifts are non-negative integers**, so mass only ever
 ///   moves right and mass beyond `eps_bin` can never return: folding
-///   just the `[0, eps_bin]` window reproduces the full histograms'
-///   prefix bins bit-identically.
+///   just the `[0, eps_bin]` window — and within it only the live bins
+///   ([`LiveHist::step`]) — reproduces the full histograms' prefix bins
+///   bit-identically.
 /// * **Integer suffix bounds on the remaining shifts** bracket where the
 ///   window mass can end up, so running lower/upper bounds on the final
 ///   prefix masses are available after every timestamp; the fold
@@ -1247,34 +1417,12 @@ fn windowed_fold(
     mode: FoldMode,
     hint_reject: bool,
 ) -> FoldRun {
-    let n = c.n;
     let cap = eps_bin + 1;
     let order = c.fold_order();
     // Ceil rounding at this rung is `(fine_ceil + R - 1) >> div_log`
     // (exact by the nesting property); floor is a plain shift.
     let add = (1u32 << div_log) - 1;
-    // Suffix sums of the per-timestamp integer shift bounds in fold
-    // order, one pair per rounding mode: [floor_min, floor_max, ceil_min,
-    // ceil_max], each saturated at `cap` (a shift past the window is
-    // simply "gone"). The per-step extremes are the first and last fine
-    // shifts — `dvals` is sorted per timestamp.
-    let mut suffix = vec![[0usize; 4]; n + 1];
-    for t in (0..n).rev() {
-        let i = order[t];
-        let (first, last) = (c.dstart[i], c.dstart[i + 1] - 1);
-        let step = [
-            (ctx.shifts.floor[first] >> div_log) as usize,
-            (ctx.shifts.floor[last] >> div_log) as usize,
-            ((ctx.shifts.ceil[first] + add) >> div_log) as usize,
-            ((ctx.shifts.ceil[last] + add) >> div_log) as usize,
-        ];
-        let prev = suffix[t + 1];
-        let mut cur = [0usize; 4];
-        for (slot, (p, s)) in cur.iter_mut().zip(prev.iter().zip(step.iter())) {
-            *slot = (p + s).min(cap);
-        }
-        suffix[t] = cur;
-    }
+    let suffix = shift_suffix(c, &ctx.shifts, div_log, cap);
     // Whole-query shortcuts before any allocation. All mass starts at
     // bin 0, so the suffix bounds at step 0 bracket the entire fold.
     if suffix[0][0] > eps_bin {
@@ -1290,7 +1438,7 @@ fn windowed_fold(
         // dominates it. τ = 1 edge cases escalate to the exact fold.
         return FoldRun::Decided(true);
     }
-    let FoldCtx { shifts, w, s } = ctx;
+    let FoldCtx { shifts, hist } = ctx;
     // Completed single-histogram sums (floor = naive upper bound hi_F,
     // ceil = naive lower bound lo_F), filled in as each fold finishes.
     let mut floor_sum: Option<f64> = None;
@@ -1301,26 +1449,21 @@ fn windowed_fold(
         [true, false]
     };
     for do_ceil in sides {
-        // Both buffers restart exactly zero so the support-aware partial
-        // zeroing inside `fold_step` never exposes a stale bin (they are
-        // shared across the whole ladder).
-        w[..cap].fill(0.0);
-        s[..cap].fill(0.0);
-        w[0] = 1.0;
+        hist.reset();
         let side_add = if do_ceil { add } else { 0 };
-        let mut sup = 1usize;
+        // This side's [min, max] slots of `suffix`.
+        let (k_min, k_max) = if do_ceil { (2, 3) } else { (0, 1) };
         for (t, &i) in order.iter().enumerate() {
             let (_, dw) = c.step_distinct(i);
-            sup = fold_step(
-                &w[..cap],
-                &mut s[..cap],
+            let rem = suffix[t + 1];
+            hist.step(
                 shifts.step(c, i, do_ceil),
                 dw,
                 side_add,
                 div_log,
-                sup,
+                cap,
+                rem[k_min],
             );
-            std::mem::swap(w, s);
             // Bounding the final prefix costs a window scan; every 4th
             // step keeps that overhead at a quarter while delaying an
             // abandonment by at most three fold steps. The checks are
@@ -1329,17 +1472,11 @@ fn windowed_fold(
             if t % 4 != 3 {
                 continue;
             }
-            let rem = suffix[t + 1];
             // Bracket this histogram's final prefix mass: mass needing
             // more shift than the window affords is certainly gone; mass
             // that cannot be pushed out even by the maximum remaining
             // shift certainly stays.
-            let (rmn, rmx) = if do_ceil {
-                (rem[2], rem[3])
-            } else {
-                (rem[0], rem[1])
-            };
-            let (ub, lb) = bound_masses(w, eps_bin, rmn, rmx, sup);
+            let (ub, lb) = bound_masses(hist.live(), eps_bin, rem[k_min], rem[k_max]);
             if do_ceil {
                 // Accept side: est ≥ lo_F ≥ lb (Exact) and
                 // est ≥ lo_F ≥ lo_C ≥ lb (Bracket rung). With the floor
@@ -1377,10 +1514,7 @@ fn windowed_fold(
                 }
             }
         }
-        // Bins past the support are exact zeros — restricting the sum
-        // drops only `+0.0` terms.
-        let total: f64 = w[..sup].iter().sum::<f64>();
-        let total = total.clamp(0.0, 1.0);
+        let total = hist.total().clamp(0.0, 1.0);
         if do_ceil {
             // est ≥ lo_F: a completed ceil fold that clears τ decides
             // without ever folding the floor histogram.
@@ -1449,12 +1583,11 @@ fn convolve_decide(c: &PairContribs, eps_sq: f64, tau: f64, bins: usize) -> bool
         return 0.5 * (lo + hi) >= tau;
     }
     // Shared fold state for the whole ladder: fine shifts computed once
-    // (coarser rungs derive theirs by integer arithmetic) and ping-pong
-    // buffers sized to the finest cap.
+    // (coarser rungs derive theirs by integer arithmetic) and one
+    // histogram sized to the finest cap.
     let mut ctx = FoldCtx {
         shifts: FineShifts::build(c, width),
-        w: vec![0.0f64; eps_bin + 1],
-        s: vec![0.0f64; eps_bin + 1],
+        hist: LiveHist::new(eps_bin + 1),
     };
     // Which histogram to fold first at each stage: until a completed
     // bracket locates the estimate, guess from where ε² sits between the
@@ -2232,5 +2365,246 @@ mod unit {
         assert!(munich.try_decide_within(&a, &a, 1.0, f64::NAN).is_err());
         // The valid case still answers.
         assert_eq!(munich.try_decide_within(&a, &a, 1.0, 0.5), Ok(true));
+    }
+
+    // ---------------------------------------------------------------
+    // The fold kernel: bit-identical to the historical fold
+    // ---------------------------------------------------------------
+
+    /// The historical input-stationary convolution, kept unchanged as the
+    /// bit-identity oracle for [`convolve_probability_from`].
+    ///
+    /// Histogram-convolution bounds on `Pr(Σ Cᵢ ≤ ε²)`.
+    ///
+    /// Maintains two histograms over `[0, total_max]`: one where every shift
+    /// is rounded *down* a bin (stochastically dominated by the true sum ⇒
+    /// upper bound on the CDF) and one rounded *up* (lower bound). The final
+    /// CDF at `ε²` is read off both.
+    fn reference_convolve(c: &PairContribs, eps_sq: f64, bins: usize) -> (f64, f64) {
+        let total_max = c.total_max;
+        if total_max == 0.0 {
+            // All samples identical: distance is exactly zero.
+            return if 0.0 <= eps_sq {
+                (1.0, 1.0)
+            } else {
+                (0.0, 0.0)
+            };
+        }
+        let width = total_max / bins as f64;
+        let eps_bin = ((eps_sq / width).floor() as usize).min(bins);
+        if eps_bin >= bins {
+            // The saturated top bin is inside the prefix, so mass parked
+            // there by the `.min(bins)` cap counts — fold the full
+            // histograms.
+            return convolve_saturated(c, eps_bin, width, bins);
+        }
+        // Only the prefix bins `[0, eps_bin]` are ever read, and binned
+        // shifts are non-negative integers — mass that leaves the prefix can
+        // never return. Folding just that window reproduces the full
+        // histograms' prefix bins *bit-identically* (same additions, same
+        // order), at `cap / bins` of the cost.
+        let cap = eps_bin + 1;
+        let mut wf = vec![0.0f64; cap];
+        let mut wc = vec![0.0f64; cap];
+        wf[0] = 1.0;
+        wc[0] = 1.0;
+        let mut sf = vec![0.0f64; cap];
+        let mut sc = vec![0.0f64; cap];
+        let (mut sup_f, mut sup_c) = (1usize, 1usize);
+        // Tightest-first order — the same order the decision pipeline folds
+        // in, so an abandoned decision that completes instead reproduces this
+        // fold's floating-point trajectory exactly. (Any order yields valid
+        // bounds; sharing one keeps decide ≡ estimate ≥ τ bit-for-bit.)
+        let shifts = FineShifts::build(c, width);
+        for &i in c.fold_order() {
+            let (_, dw) = c.step_distinct(i);
+            sup_f = reference_fold_step(&wf, &mut sf, shifts.step(c, i, false), dw, 0, 0, sup_f);
+            std::mem::swap(&mut wf, &mut sf);
+            sup_c = reference_fold_step(&wc, &mut sc, shifts.step(c, i, true), dw, 0, 0, sup_c);
+            std::mem::swap(&mut wc, &mut sc);
+        }
+        // Floored sums never exceed the true sums, so their CDF dominates the
+        // true CDF (upper bound); ceiled sums never fall below the true sums,
+        // so their CDF is dominated (lower bound). Both CDFs are read at the
+        // largest integer bin k with k·width ≤ ε².
+        // Bins past the occupied support are exact zeros — restricting the
+        // sums drops only `+0.0` terms.
+        let upper: f64 = wf[..sup_f].iter().sum();
+        let lower: f64 = wc[..sup_c].iter().sum();
+        (lower.clamp(0.0, 1.0), upper.clamp(0.0, 1.0))
+    }
+
+    /// One per-timestamp fold of a histogram window: adds every binned shift
+    /// of `src` into `dst` (zeroed here), dropping mass that leaves the
+    /// window (shifts are non-negative, so it can never return). Callers
+    /// ping-pong two buffers through successive steps instead of copying.
+    ///
+    /// The step's distribution arrives as precomputed *fine-resolution*
+    /// integer shifts (see [`FineShifts`]) with the aggregated weights of
+    /// [`PairContribs::step_distinct`]; this rung's shift is the pure
+    /// integer map `(s + add) >> div_log` — exact by the power-of-two
+    /// nesting property, so no per-element float division remains. Distinct
+    /// values that land in the same bin at this resolution merge into a
+    /// single weighted saxpy (their weights summing in ascending-value
+    /// order), so coarse rungs fold far fewer passes than there are raw
+    /// samples. Sortedness also makes the binned shifts monotone: the fold
+    /// stops at the first shift past the window.
+    ///
+    /// `src_support` bounds the occupied prefix of `src` (`src[src_support..]`
+    /// is exactly zero); the return value is the same bound for `dst`.
+    /// Restricting the shifted saxpys to the occupied prefix skips only
+    /// exact `+0.0` terms, so the result is bit-identical to a full-window
+    /// fold.
+    fn reference_fold_step(
+        src: &[f64],
+        dst: &mut [f64],
+        shifts: &[u32],
+        dwts: &[f64],
+        add: u32,
+        div_log: u32,
+        src_support: usize,
+    ) -> usize {
+        let cap = src.len();
+        let eff = |s: u32| ((s + add) >> div_log) as usize;
+        // Occupied-prefix bound for `dst`: the largest in-window shift plus
+        // however much of `src`'s support it carries. Shifts are monotone
+        // over the sorted values, so scan from the top.
+        let mut dst_support = 0usize;
+        for &s in shifts.iter().rev() {
+            let shift = eff(s);
+            if shift < cap {
+                dst_support = shift + (cap - shift).min(src_support);
+                break;
+            }
+        }
+        // `dst` is the ping-pong partner: its stale occupied prefix is the
+        // support of two steps ago, which never exceeds `src_support`
+        // (support is monotone while any shift stays inside the window, and
+        // the dead-window case zeroes up to the old support here). Zeroing
+        // to the larger of the old and new supports therefore keeps every
+        // untouched bin an exact zero without re-zeroing the full window.
+        let zero_to = dst_support.max(src_support);
+        dst[..zero_to].iter_mut().for_each(|v| *v = 0.0);
+        let mut idx = 0usize;
+        while idx < shifts.len() {
+            let shift = eff(shifts[idx]);
+            if shift >= cap {
+                break; // this and every later destination is past the window
+            }
+            let mut weight = dwts[idx];
+            idx += 1;
+            while idx < shifts.len() && eff(shifts[idx]) == shift {
+                weight += dwts[idx];
+                idx += 1;
+            }
+            let len = (cap - shift).min(src_support);
+            // Shifted saxpy over disjoint slices: bounds-check-free and
+            // autovectorizable.
+            for (out, &inp) in dst[shift..shift + len].iter_mut().zip(src[..len].iter()) {
+                *out += inp * weight;
+            }
+        }
+        dst_support
+    }
+
+    /// ε² values where the live window is at its edges: just below, at
+    /// and just above the sum of the per-step minima — exact, floor-binned
+    /// and ceil-binned at `bins`, where the floor or ceil window empties —
+    /// and around `total_max`, where the window saturates.
+    fn edge_eps_sq(c: &PairContribs, bins: usize) -> Vec<f64> {
+        let w = c.total_max / bins as f64;
+        let (mut exact, mut floor, mut ceil) = (0.0f64, 0.0f64, 0.0f64);
+        for &m in &c.step_min {
+            exact += m;
+            floor += (m / w).floor();
+            ceil += (m / w).ceil();
+        }
+        let mut out = Vec::new();
+        for base in [exact, floor * w, ceil * w, c.total_max] {
+            for x in [
+                base * (1.0 - 1e-12),
+                base,
+                base * (1.0 + 1e-12),
+                base - 0.5 * w,
+                base + 0.5 * w,
+            ] {
+                if x >= 0.0 {
+                    out.push(x);
+                }
+            }
+        }
+        out
+    }
+
+    /// Both bounds of the live-window fold equal the historical fold's,
+    /// bit for bit (`to_bits`, so the sign of a zero counts too).
+    fn assert_fold_bits(c: &PairContribs, eps_sq: f64, bins: usize) {
+        let (lo, hi) = convolve_probability_from(c, eps_sq, bins);
+        let (ref_lo, ref_hi) = reference_convolve(c, eps_sq, bins);
+        assert_eq!(
+            (lo.to_bits(), hi.to_bits()),
+            (ref_lo.to_bits(), ref_hi.to_bits()),
+            "bins={bins} ε²={eps_sq} n={}: ({lo:e}, {hi:e}) vs reference ({ref_lo:e}, {ref_hi:e})",
+            c.n
+        );
+    }
+
+    /// The fold bins at which both the exact and the empty-window cases
+    /// are checked: powers of two (the ladder's), one that is not, and a
+    /// single bin.
+    const FOLD_BINS: [usize; 5] = [8192, 1024, 64, 1000, 1];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// Random pairs — sample counts differing per side, a common
+        /// offset up to ±1e4, noise down to σ = 1e-3 — at every bin count,
+        /// at random ε² and at the live window's edges.
+        #[test]
+        fn live_fold_is_bit_identical_to_reference(
+            (n, sx, sy) in (1usize..24, 1usize..5, 1usize..5),
+            (offset, log_sigma) in (-1e4..1e4f64, -3.0..0.5f64),
+            pool in proptest::collection::vec(-1.0..1.0f64, 2 * 24 * 4),
+            fracs in proptest::collection::vec(0.0..1.2f64, 3),
+        ) {
+            let sigma = 10f64.powf(log_sigma);
+            let rows = |s: usize, noise: &[f64], phase: f64| {
+                MultiObsSeries::from_rows(
+                    (0..n)
+                        .map(|i| {
+                            let base = offset + (i as f64 / 3.0 + phase).sin();
+                            (0..s).map(|k| base + sigma * noise[i * s + k]).collect()
+                        })
+                        .collect(),
+                )
+            };
+            let c = PairContribs::build(&rows(sx, &pool, 0.0), &rows(sy, &pool[24 * 4..], 0.7));
+            for bins in FOLD_BINS {
+                for eps_sq in edge_eps_sq(&c, bins) {
+                    assert_fold_bits(&c, eps_sq, bins);
+                }
+                for &f in &fracs {
+                    assert_fold_bits(&c, f * c.total_max, bins);
+                }
+            }
+        }
+    }
+
+    /// Production-shaped pairs (length 150, 3 samples a side) at every
+    /// bin count, across the bulk of the distribution and at the live
+    /// window's edges.
+    #[test]
+    fn live_fold_matches_reference_on_gunpoint_batch() {
+        let batch = gunpoint_batch(0xF01D, 3);
+        for (i, x) in batch.iter().enumerate() {
+            for y in &batch[i + 1..] {
+                let c = PairContribs::build(x, y);
+                for bins in FOLD_BINS {
+                    for eps_sq in edge_eps_sq(&c, bins).into_iter().chain([60.0, 160.0]) {
+                        assert_fold_bits(&c, eps_sq, bins);
+                    }
+                }
+            }
+        }
     }
 }

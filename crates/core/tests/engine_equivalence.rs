@@ -250,6 +250,34 @@ fn probabilities_bit_identical_across_workloads() {
     }
 }
 
+/// A negative or NaN ε bounds no distance: PROUD and MUNICH answer every
+/// candidate with probability `0.0` on both paths instead of panicking,
+/// as their range queries answer empty.
+#[test]
+fn degenerate_epsilon_probabilities_equal_naive() {
+    let w = &WORKLOADS[0];
+    let task = build(w);
+    for technique in techniques(w.sigma) {
+        let engine = QueryEngine::prepare(&task, &technique);
+        for q in probe_queries(&task) {
+            for eps in [-1.0, -10.0, f64::NAN] {
+                let ctx = format!("{} q={q} ε={eps}", technique.kind());
+                let fast = engine.probabilities(q, eps);
+                let naive = task.probabilities_naive(q, &technique, eps);
+                let bits = |v: &Option<Vec<(usize, f64)>>| {
+                    v.as_ref()
+                        .map(|v| v.iter().map(|&(i, p)| (i, p.to_bits())).collect::<Vec<_>>())
+                };
+                assert_eq!(bits(&fast), bits(&naive), "{ctx}");
+                if let Some(fast) = fast {
+                    assert_eq!(fast.len(), task.len() - 1, "{ctx}");
+                    assert!(fast.iter().all(|&(_, p)| p.to_bits() == 0), "{ctx}");
+                }
+            }
+        }
+    }
+}
+
 /// Ground truth (early-abandoned selection scan) matches the naive full
 /// pass + sort, including the anchor and its clean distance.
 #[test]

@@ -80,6 +80,21 @@ fn mean_sq_distance(x: &MultiObsSeries, y: &MultiObsSeries) -> f64 {
         .sum()
 }
 
+/// `Σᵢ min Cᵢ`: the smallest squared distance of any materialisation
+/// pair. Just above it, every convolution window holds a single bin or
+/// none: the ceil-rounded histogram's live window is empty from the
+/// start while the floor-rounded one's is not.
+fn min_sq_distance(x: &MultiObsSeries, y: &MultiObsSeries) -> f64 {
+    (0..x.len())
+        .map(|i| {
+            let (xr, yr) = (x.row(i), y.row(i));
+            xr.iter()
+                .flat_map(|a| yr.iter().map(move |b| (a - b) * (a - b)))
+                .fold(f64::INFINITY, f64::min)
+        })
+        .sum()
+}
+
 /// A limit generous enough that every generated pair stays exactly
 /// feasible: at most (4·4)⁶ ≈ 1.7e7 distinct partial sums.
 const FEASIBLE_LIMIT: usize = 20_000_000;
@@ -145,6 +160,8 @@ proptest! {
         for strategy in [
             MunichStrategy::Exact,
             MunichStrategy::Convolution { bins: 512 },
+            MunichStrategy::Convolution { bins: 64 },
+            MunichStrategy::Convolution { bins: 1024 },
             MunichStrategy::MonteCarlo { samples: 2_000 },
             MunichStrategy::Auto,
         ] {
@@ -187,15 +204,20 @@ proptest! {
     /// and enveloped, with τ on, just below and just above the estimate.
     /// `Convolution { bins: 64 }` is coarse enough that its estimate sits
     /// far from the true probability, which a rung bracketing only the
-    /// true probability would get wrong.
+    /// true probability would get wrong. The second ε sits just above
+    /// `Σ min Cᵢ`, where a coarse rung's ceil window is empty; at
+    /// τ = 1e-12, below the decision margin, neither the moment rung nor
+    /// the MBI filter can settle the pair, so the ladder's Bracket rungs
+    /// fold it.
     #[test]
     fn long_series_decisions_equal_reference(
         (x, y) in long_pair(),
         eps_frac in 0.3..2.0f64,
         tau in 0.0..=1.0f64,
     ) {
-        let eps = (eps_frac * mean_sq_distance(&x, &y)).sqrt();
         let (ex, ey) = (MbiEnvelope::build(&x), MbiEnvelope::build(&y));
+        let bulk = (eps_frac * mean_sq_distance(&x, &y)).sqrt();
+        let floor = (min_sq_distance(&x, &y) * (1.0 + 1e-6)).sqrt();
         for strategy in [
             MunichStrategy::Auto,
             MunichStrategy::Convolution { bins: 1024 },
@@ -203,19 +225,22 @@ proptest! {
             MunichStrategy::Convolution { bins: 64 },
         ] {
             let m = Munich::new(MunichConfig { strategy, ..MunichConfig::default() });
-            let p = m.probability_within(&x, &y, eps);
-            for t in [
-                tau,
-                p.clamp(0.0, 1.0),
-                (p - 1e-12).clamp(0.0, 1.0),
-                (p + 1e-12).clamp(0.0, 1.0),
-                0.1,
-                0.9,
-            ] {
-                let want = m.matches(&x, &y, eps, t);
-                let ctx = format!("{strategy:?} n={} ε={eps} τ={t} p={p}", x.len());
-                prop_assert_eq!(m.decide_within(&x, &y, eps, t), want, "{}", ctx);
-                prop_assert_eq!(m.matches_enveloped(&x, &y, eps, t, &ex, &ey), want, "{}", ctx);
+            for eps in [bulk, floor] {
+                let p = m.probability_within(&x, &y, eps);
+                for t in [
+                    tau,
+                    p.clamp(0.0, 1.0),
+                    (p - 1e-12).clamp(0.0, 1.0),
+                    (p + 1e-12).clamp(0.0, 1.0),
+                    0.1,
+                    0.9,
+                    1e-12,
+                ] {
+                    let want = m.matches(&x, &y, eps, t);
+                    let ctx = format!("{strategy:?} n={} ε={eps} τ={t} p={p}", x.len());
+                    prop_assert_eq!(m.decide_within(&x, &y, eps, t), want, "{}", ctx);
+                    prop_assert_eq!(m.matches_enveloped(&x, &y, eps, t, &ex, &ey), want, "{}", ctx);
+                }
             }
         }
     }

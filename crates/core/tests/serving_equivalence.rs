@@ -333,6 +333,40 @@ fn nan_thresholds_share_one_cache_entry() {
     }
 }
 
+/// A negative or NaN ε bounds no distance: PROUD and MUNICH probability
+/// queries answer every candidate with `0.0` on every shard — no shard
+/// fault — bit-identical to the unsharded engine. (`-0.0` stays a valid
+/// threshold; `signed_zero_thresholds_share_one_cache_entry` covers it.)
+#[test]
+fn degenerate_thresholds_answer_zero_probabilities() {
+    let task = build_task(0x5E4C, 12, 20, 3);
+    for technique in techniques() {
+        let name = format!("{:?}", technique.kind());
+        let flat = QueryEngine::prepare(&task, &technique);
+        for shards in [1, 4, 7] {
+            let sharded =
+                ShardedEngine::prepare(&task, &technique, shards, ShardAssignment::RoundRobin);
+            for q in probe_queries(&task) {
+                for eps in [-1.0, -10.0, f64::NAN] {
+                    let ctx = format!("{name} shards={shards} q={q} ε={eps}");
+                    match (probabilities(&sharded, q, eps), flat.probabilities(q, eps)) {
+                        (Some(s), Some(f)) => {
+                            let bits = |v: &[(usize, f64)]| {
+                                v.iter().map(|&(i, p)| (i, p.to_bits())).collect::<Vec<_>>()
+                            };
+                            assert_eq!(bits(&s), bits(&f), "{ctx}");
+                            assert_eq!(s.len(), task.len() - 1, "{ctx}");
+                            assert!(s.iter().all(|&(_, p)| p.to_bits() == 0), "{ctx}");
+                        }
+                        (None, None) => {}
+                        (s, f) => panic!("{ctx}: sharded {s:?} vs flat {f:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Every pruning counter of `before` is at most its twin in `after`.
 fn assert_no_counter_decreases(before: &IndexStats, after: &IndexStats, ctx: &str) {
     let fields = |s: &IndexStats| {

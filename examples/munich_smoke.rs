@@ -12,7 +12,10 @@
 //! τ, which exercises the moment rung's accept side (low τ) and reject
 //! side (high τ), and (2) a soft speedup floor, so a regression that
 //! quietly disables the pruning fails CI without paying for a full
-//! criterion capture.
+//! criterion capture. A probability pass then asserts (3) the engine's
+//! per-candidate estimates equal the naive per-pair ones bit for bit at
+//! ε scales 0.3, 1.0 and 2.0 of the calibrated threshold — the fold
+//! kernel at a length the debug test suite cannot afford.
 
 use std::time::{Duration, Instant};
 
@@ -96,5 +99,34 @@ fn main() {
         speedup >= 2.0,
         "pruned refinement regressed: only {speedup:.2}x over naive"
     );
+
+    let technique = Technique::Munich {
+        munich: Munich::default(),
+        tau: 0.4,
+    };
+    let engine = QueryEngine::prepare(&task, &technique);
+    let bits = |v: &[(usize, f64)]| v.iter().map(|&(i, p)| (i, p.to_bits())).collect::<Vec<_>>();
+    for scale in [0.3, 1.0, 2.0] {
+        let mut interior = 0;
+        for &q in &queries {
+            let eps = scale * task.calibrated_threshold(q, &technique);
+            let fast = engine
+                .probabilities(q, eps)
+                .expect("probabilistic technique");
+            let naive = task
+                .probabilities_naive(q, &technique, eps)
+                .expect("probabilistic technique");
+            assert_eq!(
+                bits(&fast),
+                bits(&naive),
+                "engine probabilities diverged from naive at q={q}, ε scale {scale}"
+            );
+            interior += fast.iter().filter(|&&(_, p)| p > 0.0 && p < 1.0).count();
+        }
+        println!(
+            "ε scale {scale}: probabilities bit-identical over {} queries ({interior} strictly inside (0, 1))",
+            queries.len()
+        );
+    }
     println!("ok");
 }
