@@ -1,4 +1,4 @@
-//! Ablation — DUST's lookup tables (DESIGN.md §2.3).
+//! Ablation — DUST's lookup tables (paper §2.3).
 //!
 //! Measures (a) the steady-state speedup of table interpolation over
 //! exact kernel evaluation, per error-family pair (analytic kernels for

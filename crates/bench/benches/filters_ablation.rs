@@ -1,4 +1,4 @@
-//! Ablation — UMA/UEMA weighting variants (DESIGN.md §2.4).
+//! Ablation — UMA/UEMA weighting variants (paper §5, Eq. 17–18).
 //!
 //! Compares the literal paper formulas (Eq. 17–18 denominators) against
 //! the fully-normalised weighting, across window sizes, plus the plain

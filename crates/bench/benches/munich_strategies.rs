@@ -1,4 +1,4 @@
-//! Ablation — MUNICH's estimator ladder (DESIGN.md §2.1).
+//! Ablation — MUNICH's estimation strategies (paper §2.1).
 //!
 //! Compares the strategies on the paper's Figure 4 geometry (length 6,
 //! 5 samples per timestamp): exact DP, histogram convolution at two

@@ -1,8 +1,8 @@
 //! Shared fixtures for the criterion benchmarks.
 //!
 //! The benches mirror the paper's timing figures (11 and 12) and add
-//! ablations for the design choices called out in DESIGN.md §4: MUNICH
-//! estimator strategies, DUST table resolution, and UMA/UEMA weighting.
+//! ablations for three design choices: MUNICH estimation strategies,
+//! DUST table resolution, and UMA/UEMA weighting.
 
 #![warn(missing_docs)]
 

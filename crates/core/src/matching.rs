@@ -24,7 +24,7 @@
 //!
 //! The query itself is excluded from both ground truth and answers (it
 //! always matches itself; including it would inflate every score by the
-//! same constant — documented deviation, DESIGN.md §2.5).
+//! same constant — a deliberate deviation from the paper's setup).
 
 use uts_tseries::distance::euclidean;
 use uts_tseries::TimeSeries;

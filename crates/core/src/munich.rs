@@ -14,7 +14,7 @@
 //! pair decomposes into independent per-timestamp choices: the squared
 //! distance is `Σᵢ Cᵢ` with `Cᵢ` uniform over the `s_x · s_y` squared
 //! sample differences at timestamp `i`. This module exploits that product
-//! form with a ladder of strategies (selected via [`MunichStrategy`]):
+//! form with a choice of strategies (selected via [`MunichStrategy`]):
 //!
 //! * **Exact** — dynamic programming over the exact support of the partial
 //!   sums; exponential in the worst case, bounded by
@@ -36,10 +36,10 @@
 //! the *decision* `Pr(dist ≤ ε) ≥ τ`. Every decision entry point —
 //! [`Munich::decide_within`] on a pair of series,
 //! [`Munich::matches_enveloped`] on the engine's precomputed MBI
-//! envelopes — runs one four-stage pipeline that differs only in where
-//! the MBI bounds are read from, and is guaranteed to return exactly
-//! what [`Munich::matches`] would have returned, usually at a fraction
-//! of the cost:
+//! envelopes — runs one pipeline that differs only in where the MBI
+//! bounds are read from, and is guaranteed to return exactly what
+//! [`Munich::matches`] would have returned, usually at a fraction of the
+//! cost:
 //!
 //! 1. **MBI filter** — the paper's interval bounds decide certain 0/1
 //!    answers without touching sample rows;
@@ -47,17 +47,25 @@
 //!    moments of the squared distance decide clearly-in and clearly-out
 //!    pairs in `O(n·s_x·s_y)`, before any convolution (see below;
 //!    deterministic strategies only);
-//! 3. **count-bound early abandonment** — every refinement strategy keeps
-//!    running lower/upper bounds on the fraction of materialisations
-//!    within ε as per-timestamp contributions fold in, and stops the
-//!    moment the bound interval can no longer cross τ;
-//! 4. **exact/convolution refinement** — only candidates whose bound
-//!    interval straddles τ to the very end pay the full computation,
-//!    which is then *bit-identical* to the naive path.
+//! 3. **count-bound early abandonment** — the strategy's one refinement
+//!    run (the exact DP, one full-resolution convolution fold, or the
+//!    Monte-Carlo draws) keeps running lower/upper bounds on the fraction
+//!    of materialisations within ε as per-timestamp contributions fold
+//!    in, and stops the moment the bound interval can no longer cross τ;
+//! 4. **exact completion** — only candidates whose bound interval
+//!    straddles τ to the very end complete the run, which is then the
+//!    estimate's own computation, so the decision is *bit-identical* to
+//!    the reference.
+//!
+//! On GunPoint-shaped collections (length 150, 3 samples a side,
+//! τ = 0.5) the MBI filter decides almost no pair, the moment rung about
+//! four in five, and the fold's count bounds about three in five of the
+//! rest; the remaining ~7% of pairs complete.
 //!
 //! Probability estimates ([`Munich::probability_bounds`],
-//! [`Munich::probability_within_enveloped`]) share stage 1 and then run
-//! the full refinement, since the value itself is the answer.
+//! [`Munich::probability_within_enveloped`]) share stage 1 and then
+//! complete the same refinement run, since the value itself is the
+//! answer.
 //!
 //! ### Why the moment rung never changes an answer
 //!
@@ -98,23 +106,23 @@
 //! the rung.
 //!
 //! The per-timestamp squared-difference distributions feeding stages 3–4
-//! are computed once per pair (`PairContribs` internally) instead of
-//! once per strategy attempt, and the exact DP folds them tightest-first
-//! (largest guaranteed contribution first) so the running bounds converge
-//! as fast as possible.
+//! are computed once per pair (`PairContribs` internally), and the exact
+//! DP and the convolution fold them tightest-first (largest guaranteed
+//! contribution first) so the running bounds converge as fast as
+//! possible.
 //!
 //! ### The convolution fold
 //!
-//! Every convolution — the estimate and each rung of the decision
-//! ladder — runs one fold kernel (`LiveHist::step` internally). It folds
-//! the floor- and the ceil-rounded histogram one timestamp at a time over
-//! the window `[0, ε²-bin]`, since binned shifts are non-negative and
-//! mass that leaves the window never returns. Within the window it
-//! computes only the *live* bins: every bin below the sum of the folded
-//! minimum shifts is an exact zero, and no bin at or past the window's
-//! end minus the remaining minimum shifts can return. When the minimum
-//! shifts alone overshoot the window, the histogram is an exact zero and
-//! no bin is computed. Each live bin sums its shift groups in a register
+//! Every convolution — estimate or decision — runs one fold kernel
+//! (`LiveHist::step` internally). It folds the floor- and the
+//! ceil-rounded histogram one timestamp at a time over the window
+//! `[0, ε²-bin]`, since binned shifts are non-negative and mass that
+//! leaves the window never returns. Within the window it computes only
+//! the *live* bins: every bin below the sum of the folded minimum shifts
+//! is an exact zero, and no bin at or past the window's end minus the
+//! remaining minimum shifts can return. When the minimum shifts alone
+//! overshoot the window, the histogram is an exact zero and no bin is
+//! computed. Each live bin sums its shift groups in a register
 //! block, in ascending-shift order, reading a source buffer padded with
 //! zeros so no group needs a bounds branch. These are the additions, in
 //! the order, of the historical fold (one shifted saxpy per group into a
@@ -344,34 +352,33 @@ impl Munich {
         self.estimate_bounds(x, y, epsilon, || interval_distance_sq_bounds(x, y))
     }
 
-    /// The sample-level refinement step of [`Munich::probability_bounds`]
-    /// — everything after the MBI filter has failed to decide the pair.
-    fn refine_bounds(
+    /// The sample-level refinement: everything after the MBI filter
+    /// (and, for a decision, the moment rung) has failed to settle the
+    /// pair. Each strategy runs one loop for both uses: `decide = None`
+    /// completes it and returns the estimate's bounds; `decide = Some(τ)`
+    /// may abandon it early with the decision the completed run would
+    /// give (see the module docs).
+    fn refine(
         &self,
         x: &MultiObsSeries,
         y: &MultiObsSeries,
         eps_sq: f64,
-    ) -> ProbabilityBounds {
-        match self.config.strategy {
-            MunichStrategy::Exact | MunichStrategy::Auto => {
-                let c = PairContribs::build(x, y);
-                if c.distinct_product <= self.config.exact_support_limit {
-                    match exact_dp(&c, eps_sq, None) {
-                        DpRun::Completed(p) => ProbabilityBounds::exact(p),
-                        DpRun::Decided(_) => unreachable!("no decision threshold given"),
-                    }
-                } else {
-                    let bins = self.config.auto_bins;
-                    ProbabilityBounds::from(convolve_probability_from(&c, eps_sq, bins))
-                }
-            }
-            MunichStrategy::Convolution { bins } => {
-                let c = PairContribs::build(x, y);
-                ProbabilityBounds::from(convolve_probability_from(&c, eps_sq, bins))
-            }
+        decide: Option<f64>,
+    ) -> Refined<ProbabilityBounds> {
+        let (bins, try_exact) = match self.config.strategy {
             MunichStrategy::MonteCarlo { samples } => {
-                ProbabilityBounds::exact(self.monte_carlo_euclid(x, y, eps_sq, samples))
+                return self
+                    .monte_carlo_euclid(x, y, eps_sq, samples, decide)
+                    .map(ProbabilityBounds::exact);
             }
+            MunichStrategy::Convolution { bins } => (bins, false),
+            MunichStrategy::Exact | MunichStrategy::Auto => (self.config.auto_bins, true),
+        };
+        let c = PairContribs::build(x, y);
+        if try_exact && c.distinct_product <= self.config.exact_support_limit {
+            exact_dp(&c, eps_sq, decide).map(ProbabilityBounds::exact)
+        } else {
+            convolve(&c, eps_sq, bins, decide).map(ProbabilityBounds::from)
         }
     }
 
@@ -481,7 +488,7 @@ impl Munich {
         let eps_sq = epsilon * epsilon;
         Ok(match self.mbi_filter(eps_sq, bounds) {
             Some(within) => ProbabilityBounds::exact(if within { 1.0 } else { 0.0 }),
-            None => self.refine_bounds(x, y, eps_sq),
+            None => self.refine(x, y, eps_sq, None).completed(),
         })
     }
 
@@ -509,7 +516,10 @@ impl Munich {
         Ok(self
             .mbi_filter(eps_sq, bounds)
             .or_else(|| self.moment_rung(x, y, eps_sq, tau))
-            .unwrap_or_else(|| self.decide_refine(x, y, eps_sq, tau)))
+            .unwrap_or_else(|| match self.refine(x, y, eps_sq, Some(tau)) {
+                Refined::Completed(b) => b.estimate() >= tau,
+                Refined::Decided(hit) => hit,
+            }))
     }
 
     /// The moment rung (see the module docs): decides the pair from the
@@ -555,34 +565,13 @@ impl Munich {
         bounds_decide(lb_sq, ub_sq, eps_sq)
     }
 
-    /// Strategy dispatch for the decision pipeline's refinement stage.
-    /// Every arm decides exactly as `refine_bounds(..).estimate() >= tau`
-    /// would, abandoning early only when the running count bounds clear τ
-    /// beyond [`DECISION_MARGIN`].
-    fn decide_refine(&self, x: &MultiObsSeries, y: &MultiObsSeries, eps_sq: f64, tau: f64) -> bool {
-        match self.config.strategy {
-            MunichStrategy::Exact | MunichStrategy::Auto => {
-                let c = PairContribs::build(x, y);
-                if c.distinct_product <= self.config.exact_support_limit {
-                    match exact_dp(&c, eps_sq, Some(tau)) {
-                        DpRun::Completed(p) => p >= tau,
-                        DpRun::Decided(hit) => hit,
-                    }
-                } else {
-                    convolve_decide(&c, eps_sq, tau, self.config.auto_bins)
-                }
-            }
-            MunichStrategy::Convolution { bins } => {
-                let c = PairContribs::build(x, y);
-                convolve_decide(&c, eps_sq, tau, bins)
-            }
-            MunichStrategy::MonteCarlo { samples } => self.mc_decide(x, y, eps_sq, tau, samples),
-        }
-    }
-
     /// `Pr(DTW(X, Y) ≤ ε)` estimated by Monte-Carlo over materialisation
     /// pairs, with the interval-DTW bounds short-circuiting certain
     /// answers (see [`dtw_interval_bounds`]).
+    ///
+    /// # Panics
+    /// If `ε` is negative or NaN, like every other MUNICH threshold, or
+    /// `samples` is zero.
     pub fn dtw_probability_within(
         &self,
         x: &MultiObsSeries,
@@ -591,6 +580,7 @@ impl Munich {
         opts: DtwOptions,
         samples: usize,
     ) -> f64 {
+        Self::validate_epsilon(epsilon).unwrap_or_else(|e| panic!("{e}"));
         assert!(samples > 0, "need at least one Monte-Carlo sample");
         let eps_sq = epsilon * epsilon;
         let (lb_sq, ub_sq) = dtw_interval_bounds(x, y, opts);
@@ -620,20 +610,28 @@ impl Munich {
         hits as f64 / samples as f64
     }
 
+    /// Monte-Carlo estimate of `Pr(distance ≤ ε)` over `samples` seeded
+    /// materialisation pairs — or, with `decide = Some(τ)`, the decision
+    /// under integer count bounds: after `t` of `N` draws with `h` hits,
+    /// the final hit count lies in `[h, h + (N − t)]`. Division by a
+    /// positive constant is monotone under IEEE rounding, so `h/N ≥ τ`
+    /// already proves the completed estimate would match and
+    /// `(h + N − t)/N < τ` that it would not: both early exits are exact,
+    /// and the draws before them are the estimate's own.
     fn monte_carlo_euclid(
         &self,
         x: &MultiObsSeries,
         y: &MultiObsSeries,
         eps_sq: f64,
         samples: usize,
-    ) -> f64 {
-        assert!(samples > 0, "need at least one Monte-Carlo sample");
+        decide: Option<f64>,
+    ) -> Refined<f64> {
         let mut rng = Seed::new(self.config.mc_seed).derive("euclid").rng();
-        let n = x.len();
+        let total = samples as f64;
         let mut hits = 0usize;
-        for _ in 0..samples {
+        for done in 1..=samples {
             let mut acc = 0.0;
-            for i in 0..n {
+            for i in 0..x.len() {
                 let xv = x.row(i)[rng.gen_range(0..x.samples_per_point())];
                 let yv = y.row(i)[rng.gen_range(0..y.samples_per_point())];
                 let d = xv - yv;
@@ -645,54 +643,16 @@ impl Munich {
             if acc <= eps_sq {
                 hits += 1;
             }
-        }
-        hits as f64 / samples as f64
-    }
-
-    /// Monte-Carlo decision with integer count bounds: after `t` of `N`
-    /// draws with `h` hits, the final hit count lies in
-    /// `[h, h + (N − t)]`. Division by a positive constant is monotone
-    /// under IEEE rounding, so `h/N ≥ τ` already proves the full
-    /// estimate would match and `(h + N − t)/N < τ` proves it would not —
-    /// both early exits are bit-exact against the completed run (the
-    /// first `t` draws replay [`Munich::monte_carlo_euclid`]'s sampling
-    /// loop verbatim, including its inner early abandon, so the RNG
-    /// stream is consumed identically up to the exit).
-    fn mc_decide(
-        &self,
-        x: &MultiObsSeries,
-        y: &MultiObsSeries,
-        eps_sq: f64,
-        tau: f64,
-        samples: usize,
-    ) -> bool {
-        assert!(samples > 0, "need at least one Monte-Carlo sample");
-        let mut rng = Seed::new(self.config.mc_seed).derive("euclid").rng();
-        let n = x.len();
-        let total = samples as f64;
-        let mut hits = 0usize;
-        for done in 1..=samples {
-            let mut acc = 0.0;
-            for i in 0..n {
-                let xv = x.row(i)[rng.gen_range(0..x.samples_per_point())];
-                let yv = y.row(i)[rng.gen_range(0..y.samples_per_point())];
-                let d = xv - yv;
-                acc += d * d;
-                if acc > eps_sq {
-                    break;
+            if let Some(tau) = decide {
+                if hits as f64 / total >= tau {
+                    return Refined::Decided(true);
+                }
+                if (hits + (samples - done)) as f64 / total < tau {
+                    return Refined::Decided(false);
                 }
             }
-            if acc <= eps_sq {
-                hits += 1;
-            }
-            if hits as f64 / total >= tau {
-                return true;
-            }
-            if (hits + (samples - done)) as f64 / total < tau {
-                return false;
-            }
         }
-        hits as f64 / total >= tau
+        Refined::Completed(hits as f64 / total)
     }
 }
 
@@ -703,10 +663,8 @@ impl From<(f64, f64)> for ProbabilityBounds {
 }
 
 /// Per-pair refinement state: the per-timestamp squared-difference sample
-/// distributions, computed once and shared by the exact DP, the
-/// convolution, and the decision pipeline's running bounds (previously
-/// every strategy attempt re-enumerated the sample cross-product — up to
-/// three times per undecided pair).
+/// distributions, computed once per pair and read by the exact DP or the
+/// convolution, and by their running decision bounds.
 struct PairContribs {
     /// Number of timestamps.
     n: usize,
@@ -735,9 +693,9 @@ struct PairContribs {
     /// `∏ᵢ distinct_countᵢ`, saturating — an upper bound on the exact
     /// DP's final support size, decided before any DP work.
     distinct_product: usize,
-    /// Cached tightest-first fold order (see [`Self::fold_order`]) — one
-    /// decision may fold up to four times (ladder rungs + final), so the
-    /// sort runs once at build time.
+    /// Tightest-first fold order (see [`Self::fold_order`]), sorted once
+    /// at build time: the convolution reads it for its suffix bounds and
+    /// for each of its two sides.
     fold_order: Vec<usize>,
 }
 
@@ -836,13 +794,31 @@ impl PairContribs {
     }
 }
 
-/// Outcome of one exact-DP run.
-enum DpRun {
-    /// The DP folded every timestamp; the exact probability.
-    Completed(f64),
+/// Outcome of one refinement run: the exact DP, the convolution fold or
+/// the Monte-Carlo draws.
+enum Refined<T> {
+    /// The run completed: the reference estimate itself.
+    Completed(T),
     /// Count-bound early abandonment fired: the PRQ decision is already
-    /// certain (and equal to what `Completed(p) → p ≥ τ` would yield).
+    /// certain, and equal to what the completed run would yield.
     Decided(bool),
+}
+
+impl<T> Refined<T> {
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Refined<U> {
+        match self {
+            Self::Completed(v) => Refined::Completed(f(v)),
+            Self::Decided(hit) => Refined::Decided(hit),
+        }
+    }
+
+    /// The completed value of a run given no decision threshold.
+    fn completed(self) -> T {
+        match self {
+            Self::Completed(v) => v,
+            Self::Decided(_) => unreachable!("no decision threshold given"),
+        }
+    }
 }
 
 /// Exact probability via DP over the support of partial sums, folding the
@@ -859,7 +835,7 @@ enum DpRun {
 /// bound arithmetic, so an abandoned decision always equals the completed
 /// one; near-τ candidates simply complete, bit-identical to
 /// `decide = None`.
-fn exact_dp(c: &PairContribs, eps_sq: f64, decide: Option<f64>) -> DpRun {
+fn exact_dp(c: &PairContribs, eps_sq: f64, decide: Option<f64>) -> Refined<f64> {
     let n = c.n;
     let order = c.fold_order();
     // Min/max total contribution of the not-yet-folded suffix, in fold
@@ -903,12 +879,12 @@ fn exact_dp(c: &PairContribs, eps_sq: f64, decide: Option<f64>) -> DpRun {
                 let certain = support.partition_point(|&(v, _)| v + rem_hi <= eps_sq - slack);
                 let lb: f64 = support[..certain].iter().map(|&(_, p)| p).sum();
                 if lb - DECISION_MARGIN >= tau {
-                    return DpRun::Decided(true);
+                    return Refined::Decided(true);
                 }
                 let possible = support.partition_point(|&(v, _)| v + rem_lo <= eps_sq + slack);
                 let ub: f64 = support[..possible].iter().map(|&(_, p)| p).sum();
                 if ub + DECISION_MARGIN < tau {
-                    return DpRun::Decided(false);
+                    return Refined::Decided(false);
                 }
             }
         }
@@ -918,7 +894,7 @@ fn exact_dp(c: &PairContribs, eps_sq: f64, decide: Option<f64>) -> DpRun {
         .take_while(|&&(v, _)| v <= eps_sq)
         .map(|&(_, p)| p)
         .sum();
-    DpRun::Completed(p.clamp(0.0, 1.0))
+    Refined::Completed(p.clamp(0.0, 1.0))
 }
 
 /// Exact probability of `Pr(Σ Cᵢ ≤ ε²)`, or `None` when the product of
@@ -936,26 +912,19 @@ fn exact_probability(
     if c.distinct_product > limit {
         return None;
     }
-    match exact_dp(&c, eps_sq, None) {
-        DpRun::Completed(p) => Some(p),
-        DpRun::Decided(_) => unreachable!("no decision threshold given"),
-    }
+    Some(exact_dp(&c, eps_sq, None).completed())
 }
 
-/// Fine-resolution binned shifts of every distinct squared difference
-/// (aligned with [`PairContribs::dvals`]), floor- and ceil-rounded.
-///
-/// Computed once per fold pipeline: every coarser power-of-two rung's
-/// shifts follow by pure integer arithmetic — `floor >> div_log` and
-/// `(ceil + R - 1) >> div_log` — exactly (the nesting property), so the
-/// per-element `d / width` divisions happen once, not once per rung and
-/// rounding mode.
-struct FineShifts {
+/// Binned shifts of every distinct squared difference (aligned with
+/// [`PairContribs::dvals`]), floor- and ceil-rounded at one bin width —
+/// computed once per fold, so each `d / width` division happens once for
+/// both rounding sides.
+struct BinShifts {
     floor: Vec<u32>,
     ceil: Vec<u32>,
 }
 
-impl FineShifts {
+impl BinShifts {
     fn build(c: &PairContribs, width: f64) -> Self {
         let mut floor = Vec::with_capacity(c.dvals.len());
         let mut ceil = Vec::with_capacity(c.dvals.len());
@@ -979,38 +948,23 @@ impl FineShifts {
     }
 }
 
-/// Suffix sums of the per-timestamp binned shift extremes in fold order,
-/// at the rung `div_log` levels coarser than the fine shifts:
+/// Suffix sums of the per-timestamp binned shift extremes in fold order:
 /// `suffix[t]` is `[floor_min, floor_max, ceil_min, ceil_max]` summed
 /// over fold steps `t..n`, each saturated at `cap` (a shift past the
 /// window is simply "gone"). The per-step extremes are the first and
-/// last fine shifts — `dvals` is sorted per timestamp.
-fn shift_suffix(
-    c: &PairContribs,
-    shifts: &FineShifts,
-    div_log: u32,
-    cap: usize,
-) -> Vec<[usize; 4]> {
-    // Ceil rounding at this rung is `(fine_ceil + R - 1) >> div_log`
-    // (exact by the nesting property); floor is a plain shift.
-    let add = (1u32 << div_log) - 1;
-    let order = c.fold_order();
+/// last shifts — `dvals` is sorted per timestamp.
+fn shift_suffix(c: &PairContribs, shifts: &BinShifts, cap: usize) -> Vec<[usize; 4]> {
     let mut suffix = vec![[0usize; 4]; c.n + 1];
-    for t in (0..c.n).rev() {
-        let i = order[t];
+    for (t, &i) in c.fold_order().iter().enumerate().rev() {
         let (first, last) = (c.dstart[i], c.dstart[i + 1] - 1);
         let step = [
-            (shifts.floor[first] >> div_log) as usize,
-            (shifts.floor[last] >> div_log) as usize,
-            ((shifts.ceil[first] + add) >> div_log) as usize,
-            ((shifts.ceil[last] + add) >> div_log) as usize,
+            shifts.floor[first],
+            shifts.floor[last],
+            shifts.ceil[first],
+            shifts.ceil[last],
         ];
-        let prev = suffix[t + 1];
-        let mut cur = [0usize; 4];
-        for (slot, (p, s)) in cur.iter_mut().zip(prev.iter().zip(step.iter())) {
-            *slot = (p + s).min(cap);
-        }
-        suffix[t] = cur;
+        let rest = suffix[t + 1];
+        suffix[t] = std::array::from_fn(|k| (rest[k] + step[k] as usize).min(cap));
     }
     suffix
 }
@@ -1021,15 +975,16 @@ fn shift_suffix(
 /// also the zero padding on each side of a histogram buffer.
 const LANES: usize = 32;
 
-/// One floor- or ceil-rounded histogram window, folded one timestamp at
-/// a time by [`LiveHist::step`] — the one fold kernel behind the
-/// probability estimate and every rung of the decision ladder.
+/// One floor- or ceil-rounded histogram window of `cap` bins, folded one
+/// timestamp at a time by [`LiveHist::step`] — the one fold kernel behind
+/// every convolution, estimate or decision.
 ///
 /// Two ping-pong buffers hold bins `[0, cap)` at offset [`LANES`], with
 /// `LANES` bins of padding on both sides. Every bin outside a buffer's
 /// live window, padding included, is exactly `+0.0`: the kernel reads
 /// whole register blocks without a bounds branch and relies on it.
 struct LiveHist {
+    cap: usize,
     cur: Vec<f64>,
     next: Vec<f64>,
     /// `cur`'s live window `[lo, hi)` in bins; `(0, 0)` when empty.
@@ -1045,12 +1000,12 @@ struct LiveHist {
 }
 
 impl LiveHist {
-    /// A histogram of unit mass at bin 0, with room for windows of up to
-    /// `cap` bins.
+    /// A histogram of unit mass at bin 0, in a window of `cap` bins.
     fn new(cap: usize) -> Self {
         let mut cur = vec![0.0f64; cap + 2 * LANES];
         cur[LANES] = 1.0;
         Self {
+            cap,
             cur,
             next: vec![0.0f64; cap + 2 * LANES],
             live: (0, 1),
@@ -1079,14 +1034,12 @@ impl LiveHist {
         (lo, &self.cur[LANES + lo..LANES + hi])
     }
 
-    /// Folds one timestamp into a window of `cap` bins — the fold
-    /// kernel. The step's distribution arrives as fine-resolution integer
-    /// shifts (see [`FineShifts`]) with the weights of
-    /// [`PairContribs::step_distinct`]; this rung's shift is the integer
-    /// map `(s + add) >> div_log`, exact by the power-of-two nesting
-    /// property. Distinct values that land in the same bin merge into one
-    /// group, their weights summed in ascending-value order. `rem_min` is
-    /// the sum of the minimum shifts of the steps still to fold.
+    /// Folds one timestamp into the window — the fold kernel. The step's
+    /// distribution arrives as integer bin shifts (see [`BinShifts`])
+    /// with the weights of [`PairContribs::step_distinct`]. Distinct
+    /// values that land in the same bin merge into one group, their
+    /// weights summed in ascending-value order. `rem_min` is the sum of
+    /// the minimum shifts of the steps still to fold.
     ///
     /// Each output bin `j` is `0.0 + Σ_g src[j − shift_g]·w_g`, summed in
     /// a register block over the groups in ascending-shift order — the
@@ -1104,16 +1057,8 @@ impl LiveHist {
     /// source's live window, bins read from the zero padding — are all
     /// `+0.0·w = +0.0`. Every mass is non-negative, so no partial sum is
     /// ever `-0.0` and adding `+0.0` leaves every bit unchanged.
-    fn step(
-        &mut self,
-        shifts: &[u32],
-        dwts: &[f64],
-        add: u32,
-        div_log: u32,
-        cap: usize,
-        rem_min: usize,
-    ) {
-        let eff = |s: u32| ((s + add) >> div_log) as usize;
+    fn step(&mut self, shifts: &[u32], dwts: &[f64], rem_min: usize) {
+        let cap = self.cap;
         let Self {
             cur,
             next,
@@ -1121,6 +1066,7 @@ impl LiveHist {
             stale,
             sup,
             groups,
+            ..
         } = self;
         let (src_lo, src_hi) = *live;
         // The untrimmed support: the largest in-window shift plus however
@@ -1128,10 +1074,10 @@ impl LiveHist {
         *sup = shifts
             .iter()
             .rev()
-            .map(|&s| eff(s))
+            .map(|&s| s as usize)
             .find(|&s| s < cap)
             .map_or(0, |s| s + (cap - s).min(*sup));
-        let lo = src_lo + eff(shifts[0]);
+        let lo = src_lo + shifts[0] as usize;
         let hi = (*sup).min(cap.saturating_sub(rem_min));
         let (lo, hi) = if src_lo < src_hi && lo < hi {
             (lo, hi)
@@ -1141,13 +1087,13 @@ impl LiveHist {
         groups.clear();
         let mut idx = 0usize;
         while idx < shifts.len() {
-            let shift = eff(shifts[idx]);
+            let shift = shifts[idx] as usize;
             if shift >= hi {
                 break; // this and every later group lands past the window
             }
             let mut weight = dwts[idx];
             idx += 1;
-            while idx < shifts.len() && eff(shifts[idx]) == shift {
+            while idx < shifts.len() && shifts[idx] as usize == shift {
                 weight += dwts[idx];
                 idx += 1;
             }
@@ -1216,67 +1162,152 @@ impl LiveHist {
     }
 }
 
-/// Per-decision fold state shared by every ladder rung: the fine shifts
-/// plus one histogram whose buffers are sized once to the finest cap, so
-/// coarser rungs reuse them instead of allocating.
-struct FoldCtx {
-    shifts: FineShifts,
-    hist: LiveHist,
-}
-
-/// Histogram-convolution bounds on `Pr(Σ Cᵢ ≤ ε²)`.
+/// Histogram-convolution bounds `(lo, hi)` on `Pr(Σ Cᵢ ≤ ε²)` — or, with
+/// `decide = Some(τ)`, the decision `½(lo + hi) ≥ τ`, abandoning the fold
+/// as soon as running bounds settle it.
 ///
-/// Maintains two histograms over `[0, total_max]`: one where every shift
-/// is rounded *down* a bin (stochastically dominated by the true sum ⇒
-/// upper bound on the CDF) and one rounded *up* (lower bound). The final
-/// CDF at `ε²` is read off both.
-fn convolve_probability_from(c: &PairContribs, eps_sq: f64, bins: usize) -> (f64, f64) {
+/// Two histograms cover `[0, total_max]`: one where every shift is
+/// rounded *down* a bin (stochastically dominated by the true sum ⇒ upper
+/// bound `hi` on the CDF) and one rounded *up* (lower bound `lo`). Both
+/// CDFs are read at the largest integer bin `k` with `k·width ≤ ε²`.
+///
+/// Binned shifts are non-negative integers, so mass only ever moves right
+/// and mass past `eps_bin` never returns: folding just the `[0, eps_bin]`
+/// window — within it only the live bins ([`LiveHist::step`]) —
+/// reproduces the full histograms' prefix bins bit-identically. The
+/// timestamps fold tightest-first ([`PairContribs::fold_order`]), pushing
+/// mass out of the window as fast as possible.
+///
+/// When deciding, integer suffix sums of the remaining shifts bracket
+/// where the window's mass can still end up, so every step can bound
+/// each side's final prefix mass; the fold abandons once the bounds clear
+/// τ by more than [`DECISION_MARGIN`] (which dominates the ≲1e-12 mass
+/// drift of the remaining steps). The two sides fold one after the other:
+/// the ceil prefix never exceeds the floor prefix, so a reject needs only
+/// the floor side (`est ≤ hi`) and an accept only the ceil side
+/// (`est ≥ lo`), and the second side's bounds combine with the first
+/// side's completed sum. A decision that never clears τ completes the
+/// estimate's own fold, so it is the reference decision bit for bit.
+fn convolve(
+    c: &PairContribs,
+    eps_sq: f64,
+    bins: usize,
+    decide: Option<f64>,
+) -> Refined<(f64, f64)> {
+    debug_assert!(
+        decide.is_none_or(|tau| tau > 0.0),
+        "τ ≤ 0 is decided before refinement"
+    );
     let total_max = c.total_max;
     if total_max == 0.0 {
         // All samples identical: distance is exactly zero.
-        return if 0.0 <= eps_sq {
-            (1.0, 1.0)
-        } else {
-            (0.0, 0.0)
-        };
+        let p = if 0.0 <= eps_sq { 1.0 } else { 0.0 };
+        return Refined::Completed((p, p));
     }
     let width = total_max / bins as f64;
     let eps_bin = ((eps_sq / width).floor() as usize).min(bins);
+    // The shortcuts below stand in for an estimate of 1 that drifts from
+    // it only by `p_each` round-off (≪ margin); a τ within the margin of 1
+    // needs the full computation instead.
+    let below_one = decide.is_some_and(|tau| tau <= 1.0 - DECISION_MARGIN);
     if eps_bin >= bins {
-        // The saturated top bin is inside the prefix, so mass parked
-        // there by the `.min(bins)` cap counts — fold the full
-        // histograms.
-        return convolve_saturated(c, eps_bin, width, bins);
-    }
-    // Only the prefix bins `[0, eps_bin]` are ever read, and binned
-    // shifts are non-negative integers — mass that leaves the prefix can
-    // never return. Folding just that window (and within it only the
-    // live bins, see `LiveHist::step`) reproduces the full histograms'
-    // prefix bins *bit-identically* (same additions, same order).
-    let cap = eps_bin + 1;
-    let shifts = FineShifts::build(c, width);
-    let suffix = shift_suffix(c, &shifts, 0, cap);
-    let mut hist = LiveHist::new(cap);
-    // Floored sums never exceed the true sums, so their CDF dominates the
-    // true CDF (upper bound); ceiled sums never fall below the true sums,
-    // so their CDF is dominated (lower bound). Both CDFs are read at the
-    // largest integer bin k with k·width ≤ ε².
-    let [upper, lower] = [false, true].map(|ceil| {
-        hist.reset();
-        // This side's minimum-shift slot of `suffix`.
-        let k_min = if ceil { 2 } else { 0 };
-        // Tightest-first order — the same order the decision pipeline
-        // folds in, so an abandoned decision that completes instead
-        // reproduces this fold's floating-point trajectory exactly. (Any
-        // order yields valid bounds; sharing one keeps decide ≡ estimate
-        // ≥ τ bit-for-bit.)
-        for (t, &i) in c.fold_order().iter().enumerate() {
-            let (_, dw) = c.step_distinct(i);
-            hist.step(shifts.step(c, i, ceil), dw, 0, 0, cap, suffix[t + 1][k_min]);
+        // ε² spans the whole sum range: the saturated top bin is inside
+        // the prefix, so mass parked there by the `.min(bins)` cap counts
+        // — fold the full histograms, or decide straight away.
+        if below_one {
+            return Refined::Decided(true);
         }
-        hist.total()
+        return Refined::Completed(convolve_saturated(c, eps_bin, width, bins));
+    }
+    let cap = eps_bin + 1;
+    let shifts = BinShifts::build(c, width);
+    let suffix = shift_suffix(c, &shifts, cap);
+    if decide.is_some() {
+        // Whole-query shortcuts. All mass starts at bin 0, so the suffix
+        // bounds at step 0 bracket the entire fold.
+        if suffix[0][0] > eps_bin {
+            // Even the floor-rounded shifts push every unit of mass past
+            // ε²: `hi`, and with it the estimate, is exactly zero < τ.
+            return Refined::Decided(false);
+        }
+        if suffix[0][3] <= eps_bin && below_one {
+            // Even the ceil-rounded shifts keep all mass in the window:
+            // `lo`, and with it the estimate, is the total mass.
+            return Refined::Decided(true);
+        }
+    }
+    // Which side folds first when deciding: the floor (reject) side when
+    // a normal approximation from the sum's exact mean and variance puts
+    // the estimate below τ. A pure cost heuristic — either order reaches
+    // the same decision and the same bounds.
+    let floor_first = decide.is_some_and(|tau| {
+        let (mut mean, mut var) = (0.0f64, 0.0f64);
+        for i in 0..c.n {
+            let (vals, wts) = c.step_distinct(i);
+            let (m1, m2) = vals.iter().zip(wts).fold((0.0, 0.0), |(m1, m2), (&v, &w)| {
+                (m1 + v * w, m2 + v * v * w)
+            });
+            mean += m1;
+            var += m2 - m1 * m1;
+        }
+        Normal::phi((eps_sq - mean) / var.max(0.0).sqrt()) < tau
     });
-    (lower.clamp(0.0, 1.0), upper.clamp(0.0, 1.0))
+    let mut hist = LiveHist::new(cap);
+    let (mut lo, mut hi) = (None, None);
+    for ceil in [!floor_first, floor_first] {
+        hist.reset();
+        // This side's [min, max] slots of `suffix`, and the other side's
+        // completed sum, if it has folded.
+        let (k_min, k_max) = if ceil { (2, 3) } else { (0, 1) };
+        let other = if ceil { hi } else { lo };
+        for (t, &i) in c.fold_order().iter().enumerate() {
+            let rem = suffix[t + 1];
+            hist.step(shifts.step(c, i, ceil), c.step_distinct(i).1, rem[k_min]);
+            // Bounding the final prefix costs a window scan; every 4th
+            // step keeps that overhead at a quarter while delaying an
+            // abandonment by at most three steps. The checks only
+            // accelerate: completion is exact whichever steps test.
+            let Some(tau) = decide.filter(|_| t % 4 == 3) else {
+                continue;
+            };
+            // Mass needing more shift than the window affords is certainly
+            // gone; mass that even the maximum remaining shift cannot push
+            // out certainly stays.
+            let (ub, lb) = bound_masses(hist.live(), eps_bin, rem[k_min], rem[k_max]);
+            if let Some(hit) = settle(lb.min(1.0), ub.min(1.0), other, ceil, tau) {
+                return Refined::Decided(hit);
+            }
+        }
+        let total = hist.total().clamp(0.0, 1.0);
+        if let Some(hit) = decide.and_then(|tau| settle(total, total, other, ceil, tau)) {
+            return Refined::Decided(hit);
+        }
+        *(if ceil { &mut lo } else { &mut hi }) = Some(total);
+    }
+    Refined::Completed((
+        lo.expect("both sides folded"),
+        hi.expect("both sides folded"),
+    ))
+}
+
+/// What bounds `[lb, ub]` on one side's final prefix mass say about the
+/// estimate `½(lo + hi) ≥ τ`, given the other side's completed sum if it
+/// has one. The ceil side's `lo` never exceeds the floor side's `hi`, so
+/// alone the ceil side bounds the estimate only from below (`est ≥ lo`)
+/// and the floor side only from above (`est ≤ hi`).
+fn settle(lb: f64, ub: f64, other: Option<f64>, ceil: bool, tau: f64) -> Option<bool> {
+    let (est_lo, est_hi) = match (other, ceil) {
+        (Some(sum), _) => (0.5 * (lb + sum), 0.5 * (ub + sum)),
+        (None, true) => (lb, 1.0),
+        (None, false) => (0.0, ub),
+    };
+    if est_lo - DECISION_MARGIN >= tau {
+        Some(true)
+    } else if est_hi + DECISION_MARGIN < tau {
+        Some(false)
+    } else {
+        None
+    }
 }
 
 /// Full-histogram convolution with shift saturation into the top bin —
@@ -1315,18 +1346,6 @@ fn convolve_saturated(c: &PairContribs, eps_bin: usize, width: f64, bins: usize)
     (lower.clamp(0.0, 1.0), upper.clamp(0.0, 1.0))
 }
 
-/// Compatibility shim for the historical per-pair entry point (unit tests
-/// and ablation benches exercise it directly).
-#[cfg(test)]
-fn convolve_probability(
-    x: &MultiObsSeries,
-    y: &MultiObsSeries,
-    eps_sq: f64,
-    bins: usize,
-) -> (f64, f64) {
-    convolve_probability_from(&PairContribs::build(x, y), eps_sq, bins)
-}
-
 /// One left-to-right pass over a live window (its first bin and its
 /// bins, as [`LiveHist::live`] returns them), bounding its final prefix
 /// mass: returns `(upper, lower)` — the mass that can still end at or
@@ -1352,302 +1371,6 @@ fn bound_masses(
     let tail: f64 = live[cut..scan].iter().sum();
     let lb = if lb_end > 0 { head } else { 0.0 };
     (head + tail, lb)
-}
-
-/// How a windowed decision fold's masses relate to the naive estimate.
-#[derive(Clone, Copy)]
-enum FoldMode {
-    /// Naive resolution: the window holds the naive histograms' prefix
-    /// bins bit-for-bit, so completing the fold yields the naive
-    /// estimate exactly.
-    Exact,
-    /// Coarser-than-naive resolution (`bins` a power-of-two multiple of
-    /// this rung's bin count): the floor/ceil prefix masses *contain*
-    /// the naive bracket — see [`convolve_decide`] — so they bound the
-    /// naive estimate but cannot reproduce it.
-    Bracket,
-}
-
-/// Outcome of one windowed decision fold.
-enum FoldRun {
-    /// The running (or completed) bounds cleared τ by more than
-    /// [`DECISION_MARGIN`]; the naive decision is this value.
-    Decided(bool),
-    /// The fold completed without clearing τ. In [`FoldMode::Exact`] the
-    /// payload is the naive `(lower, upper)` prefix mass pair; in
-    /// [`FoldMode::Bracket`] it only brackets them (caller escalates).
-    Undecided(f64, f64),
-}
-
-/// One windowed floor/ceil convolution fold with per-timestamp
-/// early-abandonment, at an arbitrary bin width.
-///
-/// Two exact structural facts make the abandonment rigorous:
-///
-/// * **Binned shifts are non-negative integers**, so mass only ever
-///   moves right and mass beyond `eps_bin` can never return: folding
-///   just the `[0, eps_bin]` window — and within it only the live bins
-///   ([`LiveHist::step`]) — reproduces the full histograms' prefix bins
-///   bit-identically.
-/// * **Integer suffix bounds on the remaining shifts** bracket where the
-///   window mass can end up, so running lower/upper bounds on the final
-///   prefix masses are available after every timestamp; the fold
-///   abandons once they clear τ by more than [`DECISION_MARGIN`] (which
-///   dominates the ≲1e-12 mass drift of the remaining folds).
-///
-/// Timestamps fold tightest-first ([`PairContribs::fold_order`] — the
-/// same order [`convolve_probability_from`] uses), pushing mass out of
-/// the window as fast as possible so hopeless candidates abandon early.
-///
-/// The two histograms fold *sequentially*, not interleaved: the ceil
-/// prefix never exceeds the floor prefix (ceil shifts dominate floor
-/// shifts pointwise), so a reject only ever needs the floor histogram
-/// (`est ≤ hi_F`) and an accept only the ceil one (`est ≥ lo_F`). The
-/// `hint_reject` side folds first; when its single-sided test fires the
-/// other histogram is never touched — half the fold cost on every
-/// clearly-in / clearly-out pair. If the first fold completes
-/// undecided, the second folds with *combined* tests that reuse the
-/// first's exact sum.
-fn windowed_fold(
-    c: &PairContribs,
-    ctx: &mut FoldCtx,
-    div_log: u32,
-    eps_bin: usize,
-    tau: f64,
-    mode: FoldMode,
-    hint_reject: bool,
-) -> FoldRun {
-    let cap = eps_bin + 1;
-    let order = c.fold_order();
-    // Ceil rounding at this rung is `(fine_ceil + R - 1) >> div_log`
-    // (exact by the nesting property); floor is a plain shift.
-    let add = (1u32 << div_log) - 1;
-    let suffix = shift_suffix(c, &ctx.shifts, div_log, cap);
-    // Whole-query shortcuts before any allocation. All mass starts at
-    // bin 0, so the suffix bounds at step 0 bracket the entire fold.
-    if suffix[0][0] > eps_bin {
-        // Even the floor-rounded histogram (the smaller shifts) pushes
-        // every unit of mass past ε²: this rung's floor prefix is exactly
-        // zero, and the naive upper bound never exceeds it.
-        return FoldRun::Decided(false);
-    }
-    if suffix[0][3] <= eps_bin && tau <= 1.0 - DECISION_MARGIN {
-        // Even ceil-rounding keeps all mass inside the window: the ceil
-        // prefix equals the total mass, which drifts from 1 only by
-        // p_each round-off (≪ margin), and the naive lower bound
-        // dominates it. τ = 1 edge cases escalate to the exact fold.
-        return FoldRun::Decided(true);
-    }
-    let FoldCtx { shifts, hist } = ctx;
-    // Completed single-histogram sums (floor = naive upper bound hi_F,
-    // ceil = naive lower bound lo_F), filled in as each fold finishes.
-    let mut floor_sum: Option<f64> = None;
-    let mut ceil_sum: Option<f64> = None;
-    let sides = if hint_reject {
-        [false, true]
-    } else {
-        [true, false]
-    };
-    for do_ceil in sides {
-        hist.reset();
-        let side_add = if do_ceil { add } else { 0 };
-        // This side's [min, max] slots of `suffix`.
-        let (k_min, k_max) = if do_ceil { (2, 3) } else { (0, 1) };
-        for (t, &i) in order.iter().enumerate() {
-            let (_, dw) = c.step_distinct(i);
-            let rem = suffix[t + 1];
-            hist.step(
-                shifts.step(c, i, do_ceil),
-                dw,
-                side_add,
-                div_log,
-                cap,
-                rem[k_min],
-            );
-            // Bounding the final prefix costs a window scan; every 4th
-            // step keeps that overhead at a quarter while delaying an
-            // abandonment by at most three fold steps. The checks are
-            // optional accelerators — completion is exact regardless of
-            // which steps test.
-            if t % 4 != 3 {
-                continue;
-            }
-            // Bracket this histogram's final prefix mass: mass needing
-            // more shift than the window affords is certainly gone; mass
-            // that cannot be pushed out even by the maximum remaining
-            // shift certainly stays.
-            let (ub, lb) = bound_masses(hist.live(), eps_bin, rem[k_min], rem[k_max]);
-            if do_ceil {
-                // Accept side: est ≥ lo_F ≥ lb (Exact) and
-                // est ≥ lo_F ≥ lo_C ≥ lb (Bracket rung). With the floor
-                // sum already known exactly, the Exact bound tightens to
-                // the naive midpoint.
-                let est_lo = match (mode, floor_sum) {
-                    (FoldMode::Exact, Some(hi)) => 0.5 * (lb.min(1.0) + hi),
-                    _ => lb.min(1.0),
-                };
-                if est_lo - DECISION_MARGIN >= tau {
-                    return FoldRun::Decided(true);
-                }
-                if let (FoldMode::Exact, Some(hi)) = (mode, floor_sum) {
-                    let est_hi = 0.5 * (ub.min(1.0) + hi);
-                    if est_hi + DECISION_MARGIN < tau {
-                        return FoldRun::Decided(false);
-                    }
-                }
-            } else {
-                // Reject side: est ≤ hi_F ≤ ub (Exact) and
-                // est ≤ hi_C ≤ ub (Bracket rung — lo_C says nothing
-                // about hi_F, so only this side can reject).
-                let est_hi = match (mode, ceil_sum) {
-                    (FoldMode::Exact, Some(lo)) => 0.5 * (ub.min(1.0) + lo),
-                    _ => ub.min(1.0),
-                };
-                if est_hi + DECISION_MARGIN < tau {
-                    return FoldRun::Decided(false);
-                }
-                if let (FoldMode::Exact, Some(lo)) = (mode, ceil_sum) {
-                    let est_lo = 0.5 * (lb.min(1.0) + lo);
-                    if est_lo - DECISION_MARGIN >= tau {
-                        return FoldRun::Decided(true);
-                    }
-                }
-            }
-        }
-        let total = hist.total().clamp(0.0, 1.0);
-        if do_ceil {
-            // est ≥ lo_F: a completed ceil fold that clears τ decides
-            // without ever folding the floor histogram.
-            if total - DECISION_MARGIN >= tau {
-                return FoldRun::Decided(true);
-            }
-            ceil_sum = Some(total);
-        } else {
-            // est ≤ hi_F: symmetric single-sided reject.
-            if total + DECISION_MARGIN < tau {
-                return FoldRun::Decided(false);
-            }
-            floor_sum = Some(total);
-        }
-    }
-    // Neither side decided: return the exact (lo_F, hi_F) pair at this
-    // width. Exact callers compare the naive midpoint estimate; Bracket
-    // callers escalate to a finer rung.
-    FoldRun::Undecided(
-        ceil_sum.expect("both sides resolved"),
-        floor_sum.expect("both sides resolved"),
-    )
-}
-
-/// Convolution-strategy PRQ decision:
-/// `convolve_probability_from(c, ε², bins) → 0.5·(lo + hi) ≥ τ` without
-/// (usually) folding at full resolution.
-///
-/// A coarse-to-fine ladder runs [`windowed_fold`] at `bins/16` and
-/// `bins/4` bins before paying for the naive resolution. The coarse
-/// brackets are rigorous because coarse and fine rounding *nest* when the
-/// bin counts are powers of two: the widths then satisfy `w_C = R·w_F`
-/// exactly (divisions by powers of two only shift the exponent), so each
-/// per-sample ratio obeys `d/w_C = (d/w_F)/R` bit-exactly, and
-/// `⌊q/R⌋`-arithmetic gives, per materialisation with fine floor/ceil
-/// sums `F`/`Fc` and coarse sums `G`/`Gc`:
-///
-/// * `G ≤ F/R`, so `F ≤ E_F ⇒ G ≤ ⌊E_F/R⌋ = E_C` — the coarse floor
-///   prefix **dominates** the naive upper bound `hi_F`;
-/// * `Gc ≥ Fc/R`, so `Gc ≤ E_C ⇒ Fc ≤ R·E_C ≤ E_F` — the coarse ceil
-///   prefix is **dominated by** the naive lower bound `lo_F`.
-///
-/// Hence `lo_C ≤ lo_F ≤ estimate ≤ hi_F ≤ hi_C`: a coarse rung whose
-/// bracket clears τ decides exactly as the naive estimate would, at
-/// `1/R` of the fold cost. Pairs whose coarse bracket straddles τ
-/// escalate; the final rung folds at naive resolution in the naive fold
-/// order, so completing it *is* the naive decision bit-for-bit.
-fn convolve_decide(c: &PairContribs, eps_sq: f64, tau: f64, bins: usize) -> bool {
-    debug_assert!(tau > 0.0, "τ ≤ 0 is decided before refinement");
-    let total_max = c.total_max;
-    if total_max == 0.0 {
-        // Naive bounds are (1, 1): estimate 1 ≥ τ for every valid τ.
-        return true;
-    }
-    let width = total_max / bins as f64;
-    let eps_bin = ((eps_sq / width).floor() as usize).min(bins);
-    if eps_bin >= bins {
-        // ε² spans the whole sum range: the naive prefix covers both
-        // entire (saturated) histograms, so the estimate is 1 up to
-        // ≪ margin fold drift. Only a τ within the margin of 1 needs the
-        // full saturated computation.
-        if tau <= 1.0 - DECISION_MARGIN {
-            return true;
-        }
-        let (lo, hi) = convolve_probability_from(c, eps_sq, bins);
-        return 0.5 * (lo + hi) >= tau;
-    }
-    // Shared fold state for the whole ladder: fine shifts computed once
-    // (coarser rungs derive theirs by integer arithmetic) and one
-    // histogram sized to the finest cap.
-    let mut ctx = FoldCtx {
-        shifts: FineShifts::build(c, width),
-        hist: LiveHist::new(eps_bin + 1),
-    };
-    // Which histogram to fold first at each stage: until a completed
-    // bracket locates the estimate, guess from where ε² sits between the
-    // summed per-step shift extremes (below the midpoint → the sum
-    // likely exceeds ε² → reject side first). Pure cost heuristic —
-    // both orders reach the same decision.
-    let mut hint_reject = {
-        let (mut smin, mut smax) = (0u64, 0u64);
-        for i in 0..c.n {
-            smin += u64::from(ctx.shifts.floor[c.dstart[i]]);
-            smax += u64::from(ctx.shifts.ceil[c.dstart[i + 1] - 1]);
-        }
-        (eps_bin as u64) * 2 < smin + smax
-    };
-    if bins.is_power_of_two() {
-        // The nesting argument needs exact power-of-two width ratios.
-        let mut bracket: Option<(usize, f64, f64)> = None;
-        for div_log in [3u32, 2, 1] {
-            let coarse = bins >> div_log;
-            // A rung needs enough resolution to say anything: the
-            // floor/ceil bracket is n bins wide at any resolution, so a
-            // rung with fewer bins than ~2n is vacuous for every pair.
-            if coarse < 64 || coarse < 2 * c.n {
-                continue;
-            }
-            if let Some((b0, lo, hi)) = bracket {
-                // The bracket narrows ~linearly with bin count. If τ sits
-                // deeper inside the completed coarser bracket than half
-                // this rung's projected width, the rung will straddle τ
-                // too — skip straight to a finer one. (Pure cost
-                // heuristic: rungs only ever decide conservatively.)
-                let projected = (hi - lo) * b0 as f64 / coarse as f64;
-                if (0.5 * (lo + hi) - tau).abs() < 0.4 * projected {
-                    continue;
-                }
-            }
-            let rung = windowed_fold(
-                c,
-                &mut ctx,
-                div_log,
-                eps_bin >> div_log,
-                tau,
-                FoldMode::Bracket,
-                hint_reject,
-            );
-            match rung {
-                FoldRun::Decided(hit) => return hit,
-                FoldRun::Undecided(lo, hi) => {
-                    hint_reject = 0.5 * (lo + hi) < tau;
-                    bracket = Some((coarse, lo, hi));
-                }
-            }
-        }
-    }
-    match windowed_fold(c, &mut ctx, 0, eps_bin, tau, FoldMode::Exact, hint_reject) {
-        FoldRun::Decided(hit) => hit,
-        // Completed: the windows held the naive histograms' prefix bins
-        // bit-for-bit, so this is the naive decision exactly.
-        FoldRun::Undecided(lower, upper) => 0.5 * (lower + upper) >= tau,
-    }
 }
 
 /// Upper bound on the Berry–Esseen constant for sums of independent,
@@ -1958,9 +1681,10 @@ mod unit {
     #[test]
     fn convolution_brackets_exact() {
         let (x, y) = small_pair(2, 5, 4);
+        let c = PairContribs::build(&x, &y);
         for eps in [0.3, 0.8, 1.5, 3.0] {
             let truth = exact_probability(&x, &y, eps * eps, 10_000_000).unwrap();
-            let (lo, hi) = convolve_probability(&x, &y, eps * eps, 4096);
+            let (lo, hi) = convolve(&c, eps * eps, 4096, None).completed();
             assert!(
                 lo <= truth + 1e-9 && truth <= hi + 1e-9,
                 "ε={eps}: bounds [{lo}, {hi}] miss truth {truth}"
@@ -2105,6 +1829,14 @@ mod unit {
         let p_large = munich.dtw_probability_within(&x, &y, 100.0, DtwOptions::default(), 2000);
         assert!(p_small <= p_large);
         assert_eq!(p_large, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "distance threshold must be non-negative")]
+    fn dtw_probability_rejects_negative_epsilon() {
+        let (x, y) = small_pair(9, 4, 3);
+        let _ =
+            Munich::default().dtw_probability_within(&x, &y, -100.0, DtwOptions::default(), 2000);
     }
 
     #[test]
@@ -2329,7 +2061,7 @@ mod unit {
                                 rejected += 1;
                             }
                             let p = *estimate.get_or_insert_with(|| {
-                                munich.refine_bounds(x, y, eps_sq).estimate()
+                                munich.refine(x, y, eps_sq, None).completed().estimate()
                             });
                             assert_eq!(hit, p >= tau, "{strategy:?} ε²={eps_sq} τ={tau} p={p}");
                         }
@@ -2372,7 +2104,7 @@ mod unit {
     // ---------------------------------------------------------------
 
     /// The historical input-stationary convolution, kept unchanged as the
-    /// bit-identity oracle for [`convolve_probability_from`].
+    /// bit-identity oracle for [`convolve`].
     ///
     /// Histogram-convolution bounds on `Pr(Σ Cᵢ ≤ ε²)`.
     ///
@@ -2415,12 +2147,12 @@ mod unit {
         // in, so an abandoned decision that completes instead reproduces this
         // fold's floating-point trajectory exactly. (Any order yields valid
         // bounds; sharing one keeps decide ≡ estimate ≥ τ bit-for-bit.)
-        let shifts = FineShifts::build(c, width);
+        let shifts = BinShifts::build(c, width);
         for &i in c.fold_order() {
             let (_, dw) = c.step_distinct(i);
-            sup_f = reference_fold_step(&wf, &mut sf, shifts.step(c, i, false), dw, 0, 0, sup_f);
+            sup_f = reference_fold_step(&wf, &mut sf, shifts.step(c, i, false), dw, sup_f);
             std::mem::swap(&mut wf, &mut sf);
-            sup_c = reference_fold_step(&wc, &mut sc, shifts.step(c, i, true), dw, 0, 0, sup_c);
+            sup_c = reference_fold_step(&wc, &mut sc, shifts.step(c, i, true), dw, sup_c);
             std::mem::swap(&mut wc, &mut sc);
         }
         // Floored sums never exceed the true sums, so their CDF dominates the
@@ -2439,16 +2171,12 @@ mod unit {
     /// window (shifts are non-negative, so it can never return). Callers
     /// ping-pong two buffers through successive steps instead of copying.
     ///
-    /// The step's distribution arrives as precomputed *fine-resolution*
-    /// integer shifts (see [`FineShifts`]) with the aggregated weights of
-    /// [`PairContribs::step_distinct`]; this rung's shift is the pure
-    /// integer map `(s + add) >> div_log` — exact by the power-of-two
-    /// nesting property, so no per-element float division remains. Distinct
-    /// values that land in the same bin at this resolution merge into a
-    /// single weighted saxpy (their weights summing in ascending-value
-    /// order), so coarse rungs fold far fewer passes than there are raw
-    /// samples. Sortedness also makes the binned shifts monotone: the fold
-    /// stops at the first shift past the window.
+    /// The step's distribution arrives as precomputed integer shifts (see
+    /// [`BinShifts`]) with the aggregated weights of
+    /// [`PairContribs::step_distinct`]. Distinct values that land in the
+    /// same bin merge into a single weighted saxpy (their weights summing
+    /// in ascending-value order). Sortedness also makes the binned shifts
+    /// monotone: the fold stops at the first shift past the window.
     ///
     /// `src_support` bounds the occupied prefix of `src` (`src[src_support..]`
     /// is exactly zero); the return value is the same bound for `dst`.
@@ -2460,18 +2188,15 @@ mod unit {
         dst: &mut [f64],
         shifts: &[u32],
         dwts: &[f64],
-        add: u32,
-        div_log: u32,
         src_support: usize,
     ) -> usize {
         let cap = src.len();
-        let eff = |s: u32| ((s + add) >> div_log) as usize;
         // Occupied-prefix bound for `dst`: the largest in-window shift plus
         // however much of `src`'s support it carries. Shifts are monotone
         // over the sorted values, so scan from the top.
         let mut dst_support = 0usize;
         for &s in shifts.iter().rev() {
-            let shift = eff(s);
+            let shift = s as usize;
             if shift < cap {
                 dst_support = shift + (cap - shift).min(src_support);
                 break;
@@ -2487,13 +2212,13 @@ mod unit {
         dst[..zero_to].iter_mut().for_each(|v| *v = 0.0);
         let mut idx = 0usize;
         while idx < shifts.len() {
-            let shift = eff(shifts[idx]);
+            let shift = shifts[idx] as usize;
             if shift >= cap {
                 break; // this and every later destination is past the window
             }
             let mut weight = dwts[idx];
             idx += 1;
-            while idx < shifts.len() && eff(shifts[idx]) == shift {
+            while idx < shifts.len() && shifts[idx] as usize == shift {
                 weight += dwts[idx];
                 idx += 1;
             }
@@ -2539,7 +2264,7 @@ mod unit {
     /// Both bounds of the live-window fold equal the historical fold's,
     /// bit for bit (`to_bits`, so the sign of a zero counts too).
     fn assert_fold_bits(c: &PairContribs, eps_sq: f64, bins: usize) {
-        let (lo, hi) = convolve_probability_from(c, eps_sq, bins);
+        let (lo, hi) = convolve(c, eps_sq, bins, None).completed();
         let (ref_lo, ref_hi) = reference_convolve(c, eps_sq, bins);
         assert_eq!(
             (lo.to_bits(), hi.to_bits()),
@@ -2550,8 +2275,8 @@ mod unit {
     }
 
     /// The fold bins at which both the exact and the empty-window cases
-    /// are checked: powers of two (the ladder's), one that is not, and a
-    /// single bin.
+    /// are checked: the production default, two coarser powers of two,
+    /// one that is not a power of two, and a single bin.
     const FOLD_BINS: [usize; 5] = [8192, 1024, 64, 1000, 1];
 
     proptest::proptest! {

@@ -1,14 +1,15 @@
-//! Strategy-ladder coherence for MUNICH, property-tested over random
+//! Strategy coherence for MUNICH, property-tested over random
 //! multi-observation pairs.
 //!
-//! The ladder's contract (module docs of `uts_core::munich`): Exact is
+//! The strategies' contract (module docs of `uts_core::munich`): Exact is
 //! ground truth; Convolution's `[lo, hi]` must bracket it; MonteCarlo
 //! lands within a seeded tolerance; Auto never disagrees with Exact while
 //! the support limit permits exact DP; and the pruned decision pipeline
 //! (`decide_within`) equals the reference decision (`matches`) for every
 //! strategy, ε, and τ — including τ sitting exactly on the computed
 //! probability. The long-series property drives the pipeline's moment
-//! rung at production length, where it decides most pairs.
+//! rung at production length, where it decides most pairs, and the
+//! convolution fold's shortcuts and count bounds on short series.
 
 use proptest::prelude::*;
 use uts_core::munich::{MbiEnvelope, Munich, MunichConfig, MunichStrategy};
@@ -35,14 +36,16 @@ fn pair() -> impl Strategy<Value = (MultiObsSeries, MultiObsSeries)> {
         .prop_map(|(n, sx, sy, pool)| (carve(&pool, n, sx), carve(&pool[15..], n, sy)))
 }
 
-/// A production-length pair: `n` timestamps, 2–4 samples per side, on a
+/// A pair of 8 to 160 timestamps — from series short enough that the
+/// moment rung's brackets are wide and most pairs reach the convolution
+/// fold, to production length — with 2–4 samples per side, on a
 /// common offset up to ±1e4 (so a moment computed from raw values would
 /// lose ~7 digits to cancellation) with per-sample noise down to σ = 1e-3.
 /// `y` is `x`'s curve scaled and phase-shifted, so pairs range from
 /// near-identical to far apart.
 fn long_pair() -> impl Strategy<Value = (MultiObsSeries, MultiObsSeries)> {
     (
-        (40usize..161, 2usize..5, 2usize..5),
+        (8usize..161, 2usize..5, 2usize..5),
         (-1e4..1e4f64, -3.0..0.0f64),
         (0.0..1.5f64, 0.5..1.5f64),
         prop::collection::vec(-1.0..1.0f64, 2 * 160 * 4),
@@ -199,16 +202,16 @@ proptest! {
         }
     }
 
-    /// At production length the decision pipeline — moment rung
-    /// included — still returns exactly the reference decision, pairwise
-    /// and enveloped, with τ on, just below and just above the estimate.
-    /// `Convolution { bins: 64 }` is coarse enough that its estimate sits
-    /// far from the true probability, which a rung bracketing only the
-    /// true probability would get wrong. The second ε sits just above
-    /// `Σ min Cᵢ`, where a coarse rung's ceil window is empty; at
-    /// τ = 1e-12, below the decision margin, neither the moment rung nor
-    /// the MBI filter can settle the pair, so the ladder's Bracket rungs
-    /// fold it.
+    /// From short series to production length the decision pipeline —
+    /// moment rung included — still returns exactly the reference
+    /// decision, pairwise and enveloped, with τ on, just below and just
+    /// above the estimate. `Convolution { bins: 64 }` is coarse enough that
+    /// its estimate sits far from the true probability, which a rung
+    /// bracketing only the true probability would get wrong. The second ε
+    /// sits just above `Σ min Cᵢ`, where the ceil window is empty from the
+    /// start; at τ = 1e-12, below the decision margin, neither the moment
+    /// rung nor the MBI filter can settle the pair, so the convolution
+    /// fold decides it.
     #[test]
     fn long_series_decisions_equal_reference(
         (x, y) in long_pair(),

@@ -8,8 +8,7 @@
 //! of length 290 per dataset" after joining train and test splits.
 //!
 //! The UCR archive is not redistributable here, so this crate generates
-//! *structure-matched synthetic analogues* (see DESIGN.md §3 for the full
-//! substitution argument). Every analogue reproduces:
+//! *structure-matched synthetic analogues*. Every analogue reproduces:
 //!
 //! * the catalogue metadata the paper's setup relies on — series count,
 //!   length and class count per dataset ([`DatasetId::meta`]); the

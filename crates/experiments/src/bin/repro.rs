@@ -41,7 +41,7 @@ experiments:
   fig17        F1 per dataset: Euclid/DUST/UMA/UEMA, mixed exponential
   all          everything above, in order
 
-extensions (not in the paper's evaluation; see DESIGN.md):
+extensions (not in the paper's evaluation):
   ext-dtw      aligned vs DTW measures on a warped workload
   ext-moments  PROUD normal-theory vs exact-moment variance
   ext-synopsis PROUD Haar-synopsis pruning (rate / agreement / time)

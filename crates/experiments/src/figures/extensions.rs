@@ -1,6 +1,5 @@
 //! Extension experiments — capabilities the paper mentions but does not
-//! evaluate, exercised end-to-end (DESIGN.md §4, "ablation benches and
-//! extensions").
+//! evaluate, exercised end-to-end.
 //!
 //! * [`run_dtw`] — §3.2 notes that MUNICH and DUST extend to Dynamic Time
 //!   Warping. This experiment builds a warped workload (each series gets

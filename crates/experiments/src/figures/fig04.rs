@@ -39,7 +39,7 @@ pub fn run(config: &ExpConfig) -> Vec<Table> {
     // variation (high jitter + smooth per-series noise). The calibration
     // target is the experiment's signal-to-noise geometry: clean 10th-NN
     // distances comfortably above the σ = 0.2 noise floor and far below
-    // the σ = 2.0 one, as in the paper (see EXPERIMENTS.md, Figure 4).
+    // the σ = 2.0 one, as in the paper (paper Figure 4).
     let (series, labels) = generate_template_dataset(
         n_series,
         SERIES_LEN,

@@ -1,8 +1,8 @@
 //! Per-figure experiment drivers.
 //!
 //! One module per figure (grouped where the paper groups them); each
-//! exposes `run(&ExpConfig) -> Vec<Table>`. The mapping to the paper is
-//! catalogued in DESIGN.md §4.
+//! exposes `run(&ExpConfig) -> Vec<Table>`. The `repro` binary's usage
+//! text maps each subcommand to its paper figure.
 
 pub mod chisq;
 pub mod dataset_stats;

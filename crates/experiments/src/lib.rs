@@ -10,8 +10,8 @@
 //! * [`runner`] — the workload builder (dataset → perturbed task) and the
 //!   parallel query-evaluation loop (`parallel_map` on uts-core's worker
 //!   pool).
-//! * [`figures`] — the per-figure experiment drivers; see DESIGN.md §4
-//!   for the figure-by-figure index.
+//! * [`figures`] — the per-figure experiment drivers; `repro --help`
+//!   lists them figure by figure.
 //!
 //! The `repro` binary exposes each experiment as a subcommand
 //! (`repro fig4 … repro fig17`, `repro chisq`, `repro all`).

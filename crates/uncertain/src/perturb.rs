@@ -9,7 +9,7 @@
 //!
 //! Perturbed series are *not* re-normalised: the techniques receive the
 //! observed values together with the nominal error σ, and re-normalising
-//! would silently shrink the injected σ (see DESIGN.md §3).
+//! would silently shrink the injected σ.
 
 use uts_stats::rng::Seed;
 use uts_tseries::TimeSeries;

@@ -33,8 +33,9 @@
 //! assert!(eucl >= 0.0 && d >= 0.0);
 //! ```
 //!
-//! See `examples/` for end-to-end scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the experiment inventory.
+//! See `examples/` for end-to-end scenarios, `repro --help` (crate
+//! `uts-experiments`) for the experiment inventory, and
+//! `docs/ARCHITECTURE.md` for the crate map and data flow.
 
 #![warn(missing_docs)]
 
