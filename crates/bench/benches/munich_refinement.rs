@@ -90,7 +90,13 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(munich.probability_within(black_box(&x), black_box(&y), eps)))
         });
         group.bench_function(format!("decide/{name}"), |b| {
-            b.iter(|| black_box(munich.decide_within(black_box(&x), black_box(&y), eps, 0.4)))
+            b.iter(|| {
+                black_box(
+                    munich
+                        .try_decide_within(black_box(&x), black_box(&y), eps, 0.4)
+                        .unwrap(),
+                )
+            })
         });
     }
     group.finish();

@@ -21,38 +21,33 @@ use std::time::{Duration, Instant};
 /// How many scan iterations run between two deadline polls on the
 /// per-candidate checkpoints (`Instant::now` is a vDSO call, cheap but
 /// not free next to a short early-abandoned kernel).
-pub const CHECK_INTERVAL: usize = 64;
+pub(crate) const CHECK_INTERVAL: usize = 64;
 
 /// An optional evaluation cutoff, polled cooperatively.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Deadline {
+pub(crate) struct Deadline {
     at: Option<Instant>,
 }
 
 impl Deadline {
     /// The unarmed deadline: never expires, checkpoints cost one branch.
-    pub const NONE: Deadline = Deadline { at: None };
+    pub(crate) const NONE: Deadline = Deadline { at: None };
 
     /// A deadline `budget` from now.
-    pub fn within(budget: Duration) -> Self {
+    pub(crate) fn within(budget: Duration) -> Self {
         Deadline {
             at: Instant::now().checked_add(budget),
         }
     }
 
-    /// A deadline at an absolute instant.
-    pub fn at(instant: Instant) -> Self {
-        Deadline { at: Some(instant) }
-    }
-
     /// Whether this deadline can ever expire.
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.at.is_some()
     }
 
     /// Whether the cutoff has passed. The unarmed deadline never
     /// expires.
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         match self.at {
             Some(at) => Instant::now() >= at,
             None => false,
@@ -60,7 +55,7 @@ impl Deadline {
     }
 
     /// Time left before expiry: `None` when unarmed, zero once expired.
-    pub fn remaining(&self) -> Option<Duration> {
+    pub(crate) fn remaining(&self) -> Option<Duration> {
         self.at
             .map(|at| at.saturating_duration_since(Instant::now()))
     }
@@ -69,7 +64,7 @@ impl Deadline {
     /// [`CHECK_INTERVAL`]-th iteration (and only when armed), returning
     /// the typed expiry so scan loops can `?` their way out.
     #[inline]
-    pub fn checkpoint(&self, iteration: usize) -> Result<(), DeadlineExpired> {
+    pub(crate) fn checkpoint(&self, iteration: usize) -> Result<(), DeadlineExpired> {
         if self.at.is_some() && iteration.is_multiple_of(CHECK_INTERVAL) && self.expired() {
             Err(DeadlineExpired)
         } else {
@@ -79,7 +74,7 @@ impl Deadline {
 
     /// Uncounted checkpoint for coarse-grained loops (one poll per call).
     #[inline]
-    pub fn check(&self) -> Result<(), DeadlineExpired> {
+    pub(crate) fn check(&self) -> Result<(), DeadlineExpired> {
         if self.expired() {
             Err(DeadlineExpired)
         } else {
@@ -91,15 +86,7 @@ impl Deadline {
 /// Typed abandonment of an evaluation whose [`Deadline`] passed. The
 /// evaluation produced no answer (never a partial or altered one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeadlineExpired;
-
-impl std::fmt::Display for DeadlineExpired {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("evaluation abandoned: query deadline expired")
-    }
-}
-
-impl std::error::Error for DeadlineExpired {}
+pub(crate) struct DeadlineExpired;
 
 #[cfg(test)]
 mod unit {

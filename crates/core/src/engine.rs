@@ -62,31 +62,11 @@ use uts_uncertain::{MultiObsSeries, PointError, UncertainSeries};
 
 use crate::cancel::{Deadline, DeadlineExpired};
 use crate::dust::DustBoundTable;
+use crate::error::InputError;
 use crate::index::{admits, CandidateIndex, IndexConfig, IndexCounters, IndexStats};
-use crate::matching::{GroundTruth, MatchingTask, QualityScores, Technique, UpdateError};
+use crate::matching::{GroundTruth, MatchingTask, QualityScores, Technique};
 use crate::munich::MbiEnvelope;
 use crate::parallel::parallel_map;
-
-/// Typed rejection of a collection the technique cannot be prepared for,
-/// returned by [`QueryEngine::try_prepare`]. [`QueryEngine::prepare`]
-/// panics with the same message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrepareError {
-    /// MUNICH needs repeated observations, but the task carries none.
-    MissingMultiObs,
-}
-
-impl std::fmt::Display for PrepareError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::MissingMultiObs => {
-                write!(f, "MUNICH requires multi-observation data in the task")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PrepareError {}
 
 /// Per-collection state prepared once for a `(collection, technique)`
 /// pair (see the module docs for what each technique precomputes).
@@ -201,21 +181,16 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// precomputation (the `O(collection)` work every query would
     /// otherwise repeat).
     ///
-    /// # Panics
-    /// For [`Technique::Munich`] when the task holds no multi-observation
-    /// data ([`QueryEngine::try_prepare`] reports this as a typed
-    /// [`PrepareError`] instead).
-    pub fn prepare(task: T, technique: &Technique) -> Self {
-        Self::try_prepare(task, technique).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`QueryEngine::prepare`].
-    ///
     /// Uses the default [`IndexConfig`]: collections of at least
     /// [`crate::index::DEFAULT_MIN_COLLECTION`] members get a candidate
     /// index for the value-based techniques.
-    pub fn try_prepare(task: T, technique: &Technique) -> Result<Self, PrepareError> {
-        Self::try_prepare_with(task, technique, IndexConfig::default())
+    ///
+    /// # Panics
+    /// For [`Technique::Munich`] when the task holds no multi-observation
+    /// data ([`QueryEngine::try_prepare_with`] reports this as a typed
+    /// [`InputError`] instead).
+    pub fn prepare(task: T, technique: &Technique) -> Self {
+        Self::prepare_with(task, technique, IndexConfig::default())
     }
 
     /// [`QueryEngine::prepare`] with an explicit [`IndexConfig`] —
@@ -233,7 +208,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         task: T,
         technique: &Technique,
         index: IndexConfig,
-    ) -> Result<Self, PrepareError> {
+    ) -> Result<Self, InputError> {
         let state = Self::build_state(task.borrow(), technique)?;
         let index = Self::build_index(task.borrow(), technique, &state, &index);
         Ok(Self {
@@ -278,9 +253,9 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     }
 
     /// The per-collection precomputation behind
-    /// [`QueryEngine::try_prepare`] (see the module docs for what each
+    /// [`QueryEngine::try_prepare_with`] (see the module docs for what each
     /// technique hoists out of the query loop).
-    fn build_state(task: &MatchingTask, technique: &Technique) -> Result<Prepared, PrepareError> {
+    fn build_state(task: &MatchingTask, technique: &Technique) -> Result<Prepared, InputError> {
         let state = match technique {
             Technique::Euclidean | Technique::Proud { .. } => Prepared::Plain,
             Technique::Dust(d) => {
@@ -315,7 +290,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 Prepared::Filtered(parallel_map(task.uncertain(), |s| technique.filtered(s)))
             }
             Technique::Munich { .. } => {
-                let multi = task.multi().ok_or(PrepareError::MissingMultiObs)?;
+                let multi = task.multi().ok_or(InputError::MissingMultiObs)?;
                 Prepared::Munich(multi.iter().map(MbiEnvelope::build).collect())
             }
         };
@@ -941,7 +916,7 @@ impl QueryEngine<Arc<MatchingTask>> {
     ///
     /// # Errors
     /// A replacement whose shape the task cannot absorb is a typed
-    /// [`UpdateError`] and leaves the engine untouched.
+    /// [`InputError`] and leaves the engine untouched.
     pub(crate) fn try_replace_member(
         &mut self,
         i: usize,
@@ -949,7 +924,7 @@ impl QueryEngine<Arc<MatchingTask>> {
         uncertain: UncertainSeries,
         multi: Option<MultiObsSeries>,
         cfg: &IndexConfig,
-    ) -> Result<(), UpdateError> {
+    ) -> Result<(), InputError> {
         // A shard engine holds the only handle, so this never clones.
         let old = Arc::make_mut(&mut self.task).try_replace(i, clean, uncertain, multi)?;
         self.keogh = RwLock::default();
@@ -1423,7 +1398,7 @@ mod unit {
             let name = technique.kind();
             for cfg in [IndexConfig::disabled(), IndexConfig::always()] {
                 let engine = QueryEngine::prepare_with(&task, &technique, cfg);
-                let indexed = cfg.enabled && !technique.is_probabilistic();
+                let indexed = cfg != IndexConfig::disabled() && !technique.is_probabilistic();
                 assert_eq!(engine.is_indexed(), indexed, "{name}");
                 for eps in [-1.0, -10.0, f64::NAN] {
                     assert!(engine.answer_set(0, eps).is_empty(), "{name} eps={eps}");

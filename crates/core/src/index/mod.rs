@@ -138,10 +138,9 @@ pub struct IndexConfig {
     pub alphabet: u8,
     /// Maximum members per leaf.
     pub leaf_capacity: usize,
-    /// Collections smaller than this are not indexed (scan wins there).
+    /// Collections smaller than this are not indexed (scan wins there;
+    /// `usize::MAX` forces the pure scan path).
     pub min_collection: usize,
-    /// Master switch: `false` forces the pure scan path.
-    pub enabled: bool,
 }
 
 impl Default for IndexConfig {
@@ -151,7 +150,6 @@ impl Default for IndexConfig {
             alphabet: DEFAULT_ALPHABET,
             leaf_capacity: DEFAULT_LEAF_CAPACITY,
             min_collection: DEFAULT_MIN_COLLECTION,
-            enabled: true,
         }
     }
 }
@@ -168,12 +166,12 @@ impl IndexConfig {
         }
     }
 
-    /// Never index: every query takes the exact scan path (the pre-PR-8
-    /// behaviour, and the reference side of the equivalence suites).
+    /// Never index: every query takes the exact scan path (the reference
+    /// side of the equivalence suites).
     #[must_use]
     pub fn disabled() -> Self {
         Self {
-            enabled: false,
+            min_collection: usize::MAX,
             ..Self::default()
         }
     }
@@ -219,7 +217,7 @@ pub struct CandidateIndex {
 
 impl CandidateIndex {
     /// Builds the index over one value view per member, or `None` when
-    /// the config rules it out (disabled, below `min_collection`) or the
+    /// the collection is smaller than `min_collection` or the
     /// collection shape cannot be indexed (empty series, ragged
     /// lengths — the exact scan handles whatever semantics those have).
     ///
@@ -239,7 +237,7 @@ impl CandidateIndex {
     }
 
     fn build_impl(views: &[&[f64]], cfg: &IndexConfig, parallel: bool) -> Option<Self> {
-        if !cfg.enabled || views.len() < cfg.min_collection.max(1) {
+        if views.len() < cfg.min_collection.max(1) {
             return None;
         }
         let series_len = views[0].len();

@@ -51,10 +51,11 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod cancel;
+mod cancel;
 pub mod classify;
 pub mod dust;
 pub mod engine;
+mod error;
 pub mod euclidean;
 pub mod index;
 pub mod matching;
@@ -66,21 +67,21 @@ pub mod query;
 pub mod serving;
 pub mod uma;
 
-pub use cancel::{Deadline, DeadlineExpired};
 pub use classify::{knn_loocv, one_nn_loocv, ClassificationOutcome};
 pub use dust::{Dust, DustConfig};
-pub use engine::{PrepareError, QueryEngine, QueryRef};
+pub use engine::{QueryEngine, QueryRef};
+pub use error::InputError;
 pub use euclidean::euclidean_distance;
 pub use index::{CandidateIndex, IndexConfig, IndexStats};
-pub use matching::{MatchingTask, QualityScores, TechniqueKind, UpdateError};
-pub use munich::{MbiEnvelope, Munich, MunichConfig, MunichError, MunichStrategy};
+pub use matching::{MatchingTask, QualityScores, TechniqueKind};
+pub use munich::{MbiEnvelope, Munich, MunichConfig, MunichStrategy};
 pub use parallel::{parallel_map, try_parallel_map, WorkerPanic};
 pub use proud::{MomentModel, Proud, ProudConfig};
 pub use proud_stream::ProudStream;
 pub use query::{SubsequenceScan, TopKMotifs};
 pub use serving::{
     AdmissionConfig, CacheStats, Coverage, FaultKind, FaultPlan, GateStats, QueryOptions,
-    ResultCache, ScoredAnswer, ServeError, ServingResponse, ShardAssignment, ShardError,
-    ShardFault, ShardPlan, ShardedEngine, Strictness,
+    ResultCache, ScoredAnswer, ServeError, ServingResponse, ShardAssignment, ShardFault, ShardPlan,
+    ShardedEngine, Strictness,
 };
 pub use uma::{Uema, Uma, WeightNormalization};

@@ -32,6 +32,7 @@ use uts_uncertain::{MultiObsSeries, UncertainSeries};
 
 use crate::dust::Dust;
 use crate::engine::QueryEngine;
+use crate::error::InputError;
 use crate::munich::Munich;
 use crate::proud::Proud;
 use crate::uma::{Uema, Uma};
@@ -143,85 +144,6 @@ impl Technique {
         }
     }
 }
-
-/// Typed rejection of a member replacement whose shape does not fit the
-/// task — the serving layer's fallible update surface
-/// ([`crate::serving::ShardedEngine::try_update_series`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateError {
-    /// The replaced index is not a member of the collection.
-    IndexOutOfRange {
-        /// The offending index.
-        index: usize,
-        /// The collection size it had to be below.
-        len: usize,
-    },
-    /// The replacement series' length differs from the member it
-    /// replaces (the collection is prepared for one fixed length).
-    LengthMismatch {
-        /// Length of the member being replaced.
-        expected: usize,
-        /// Length the replacement brought.
-        got: usize,
-    },
-    /// The replacement's clean and uncertain sides disagree in length.
-    CleanUncertainMismatch {
-        /// Length of the replacement's clean series.
-        clean: usize,
-        /// Length of the replacement's uncertain series.
-        uncertain: usize,
-    },
-    /// Multi-observation data must be supplied iff the task carries it.
-    MultiPresenceMismatch {
-        /// Whether the task holds multi-observation data.
-        task_has_multi: bool,
-    },
-    /// The replacement's multi-observation series length differs from
-    /// the member it replaces.
-    MultiLengthMismatch {
-        /// Length of the member's multi-observation series.
-        expected: usize,
-        /// Length the replacement brought.
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for UpdateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::IndexOutOfRange { index, len } => {
-                write!(f, "replacement index {index} out of range (len {len})")
-            }
-            Self::LengthMismatch { expected, got } => write!(
-                f,
-                "replacement series length mismatch: expected {expected}, got {got}"
-            ),
-            Self::CleanUncertainMismatch { clean, uncertain } => write!(
-                f,
-                "clean/uncertain series length mismatch: clean {clean}, uncertain {uncertain}"
-            ),
-            Self::MultiPresenceMismatch { task_has_multi } => {
-                if *task_has_multi {
-                    write!(
-                        f,
-                        "task carries multi-observation data but replacement has none"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "replacement carries multi-observation data but task has none"
-                    )
-                }
-            }
-            Self::MultiLengthMismatch { expected, got } => write!(
-                f,
-                "multi-obs series length mismatch: expected {expected}, got {got}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for UpdateError {}
 
 /// Precision / recall / F1 of one query's answer set (paper Eq. 14).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -365,28 +287,28 @@ impl MatchingTask {
     /// the replacement against the task's shape first: lengths must match
     /// the member it replaces, and the multi-observation side must be
     /// supplied iff the task carries one. A shape the task cannot absorb
-    /// is a typed [`UpdateError`] and leaves the task untouched.
+    /// is a typed [`InputError`] and leaves the task untouched.
     pub(crate) fn try_replace(
         &mut self,
         i: usize,
         clean: TimeSeries,
         uncertain: UncertainSeries,
         multi: Option<MultiObsSeries>,
-    ) -> Result<UncertainSeries, UpdateError> {
+    ) -> Result<UncertainSeries, InputError> {
         if i >= self.len() {
-            return Err(UpdateError::IndexOutOfRange {
+            return Err(InputError::IndexOutOfRange {
                 index: i,
                 len: self.len(),
             });
         }
         if clean.len() != self.clean[i].len() {
-            return Err(UpdateError::LengthMismatch {
+            return Err(InputError::LengthMismatch {
                 expected: self.clean[i].len(),
                 got: clean.len(),
             });
         }
         if uncertain.len() != clean.len() {
-            return Err(UpdateError::CleanUncertainMismatch {
+            return Err(InputError::CleanUncertainMismatch {
                 clean: clean.len(),
                 uncertain: uncertain.len(),
             });
@@ -394,7 +316,7 @@ impl MatchingTask {
         match (self.multi.as_mut(), multi) {
             (Some(m), Some(new_m)) => {
                 if new_m.len() != m[i].len() {
-                    return Err(UpdateError::MultiLengthMismatch {
+                    return Err(InputError::MultiLengthMismatch {
                         expected: m[i].len(),
                         got: new_m.len(),
                     });
@@ -403,7 +325,7 @@ impl MatchingTask {
             }
             (None, None) => {}
             (m, _) => {
-                return Err(UpdateError::MultiPresenceMismatch {
+                return Err(InputError::MultiPresenceMismatch {
                     task_has_multi: m.is_some(),
                 })
             }

@@ -16,25 +16,26 @@
 //! sample differences at timestamp `i`. This module exploits that product
 //! form with a choice of strategies (selected via [`MunichStrategy`]):
 //!
-//! * **Exact** — dynamic programming over the exact support of the partial
-//!   sums; exponential in the worst case, bounded by
-//!   [`MunichConfig::exact_support_limit`]. Ground truth for tests.
+//! * **Auto** (default) — dynamic programming over the exact support of
+//!   the partial sums (exponential in the worst case; ground truth for
+//!   tests) while that support stays within
+//!   [`MunichConfig::exact_support_limit`], else convolution.
 //! * **Convolution** — fixed-bin histogram convolution of the `n`
 //!   per-timestamp distributions, tracking rigorous lower/upper
 //!   probability bounds (mass is shifted by floor/ceil bin rounding).
 //! * **MonteCarlo** — unbiased sampling of materialisation pairs; the only
 //!   general strategy for DTW, where the product form does not hold.
-//! * **Auto** (default) — exact when cheap, else convolution, with the
-//!   minimal-bounding-interval (MBI) filter step of the original paper
-//!   short-circuiting certain 0/1 answers first ("upper and lower bounding
-//!   the distances, summarizing the repeated samples using minimal
-//!   bounding intervals"): no false dismissals.
+//!
+//! Every strategy runs after the minimal-bounding-interval (MBI) filter
+//! step of the original paper, which short-circuits certain 0/1 answers
+//! ("upper and lower bounding the distances, summarizing the repeated
+//! samples using minimal bounding intervals"): no false dismissals.
 //!
 //! ## The refinement pipeline for PRQ decisions
 //!
 //! A probabilistic range query does not need the probability — it needs
 //! the *decision* `Pr(dist ≤ ε) ≥ τ`. Every decision entry point —
-//! [`Munich::decide_within`] on a pair of series,
+//! [`Munich::try_decide_within`] on a pair of series,
 //! [`Munich::matches_enveloped`] on the engine's precomputed MBI
 //! envelopes — runs one pipeline that differs only in where the MBI
 //! bounds are read from, and is guaranteed to return exactly what
@@ -62,7 +63,7 @@
 //! four in five, and the fold's count bounds about three in five of the
 //! rest; the remaining ~7% of pairs complete.
 //!
-//! Probability estimates ([`Munich::probability_bounds`],
+//! Probability estimates ([`Munich::try_probability_bounds`],
 //! [`Munich::probability_within_enveloped`]) share stage 1 and then
 //! complete the same refinement run, since the value itself is the
 //! answer.
@@ -131,21 +132,17 @@
 //! bit-identical to that fold — a test-only copy of it checks `to_bits`,
 //! including the sign of an all-zero total.
 
-use std::fmt;
-
 use rand::Rng;
 use uts_stats::rng::Seed;
 use uts_stats::Normal;
 use uts_tseries::dtw::{dtw_with_cost, DtwOptions};
 use uts_uncertain::MultiObsSeries;
 
+use crate::error::InputError;
+
 /// Strategy for computing the materialisation-distance distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MunichStrategy {
-    /// Exact DP over partial-sum supports (guarded by
-    /// [`MunichConfig::exact_support_limit`]; falls back to convolution
-    /// beyond it).
-    Exact,
     /// Histogram convolution with the given bin count.
     Convolution {
         /// Number of histogram bins for the squared-distance axis.
@@ -157,7 +154,8 @@ pub enum MunichStrategy {
         /// Sample count.
         samples: usize,
     },
-    /// Exact when the support stays small, otherwise convolution.
+    /// Exact DP over partial-sum supports when the support stays within
+    /// [`MunichConfig::exact_support_limit`], otherwise convolution.
     Auto,
 }
 
@@ -168,8 +166,8 @@ pub struct MunichConfig {
     pub strategy: MunichStrategy,
     /// Exact DP runs only when the product of per-timestamp *distinct*
     /// squared-difference counts stays within this limit (the DP support
-    /// can never exceed it); beyond it the Auto/Exact strategies fall
-    /// back to convolution.
+    /// can never exceed it); beyond it the Auto strategy falls back to
+    /// convolution.
     pub exact_support_limit: usize,
     /// Bin count used when `Auto` falls back to convolution.
     pub auto_bins: usize,
@@ -191,42 +189,6 @@ impl Default for MunichConfig {
         }
     }
 }
-
-/// Typed rejection of invalid MUNICH inputs, returned by the `try_*`
-/// APIs. The panicking entry points raise the same messages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MunichError {
-    /// The two series have different lengths.
-    LengthMismatch {
-        /// Length of the first series.
-        x: usize,
-        /// Length of the second series.
-        y: usize,
-    },
-    /// One of the series covers no timestamps.
-    EmptySeries,
-    /// The distance threshold is negative or NaN.
-    InvalidEpsilon(f64),
-    /// The probability threshold is outside `[0, 1]` or NaN.
-    InvalidTau(f64),
-}
-
-impl fmt::Display for MunichError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::LengthMismatch { x, y } => {
-                write!(f, "MUNICH requires equal-length series (got {x} vs {y})")
-            }
-            Self::EmptySeries => write!(f, "MUNICH requires non-empty series"),
-            Self::InvalidEpsilon(e) => {
-                write!(f, "distance threshold must be non-negative (got {e})")
-            }
-            Self::InvalidTau(t) => write!(f, "τ must be in [0, 1] (got {t})"),
-        }
-    }
-}
-
-impl std::error::Error for MunichError {}
 
 /// Slop absorbed by every early-abandonment decision: a candidate is only
 /// abandoned when its running probability bounds clear τ by more than
@@ -285,7 +247,7 @@ impl Munich {
             MunichStrategy::MonteCarlo { samples } => {
                 assert!(samples >= 1, "need at least one Monte-Carlo sample");
             }
-            MunichStrategy::Exact | MunichStrategy::Auto => {}
+            MunichStrategy::Auto => {}
         }
         Self { config }
     }
@@ -295,60 +257,47 @@ impl Munich {
         &self.config
     }
 
-    fn validate_pair(x: &MultiObsSeries, y: &MultiObsSeries) -> Result<(), MunichError> {
+    fn validate_pair(x: &MultiObsSeries, y: &MultiObsSeries) -> Result<(), InputError> {
         if x.len() != y.len() {
-            return Err(MunichError::LengthMismatch {
-                x: x.len(),
-                y: y.len(),
+            return Err(InputError::LengthMismatch {
+                expected: x.len(),
+                got: y.len(),
             });
         }
         if x.is_empty() {
-            return Err(MunichError::EmptySeries);
+            return Err(InputError::EmptySeries);
         }
         Ok(())
     }
 
-    fn validate_epsilon(epsilon: f64) -> Result<(), MunichError> {
+    fn validate_epsilon(epsilon: f64) -> Result<(), InputError> {
         if epsilon >= 0.0 {
             Ok(())
         } else {
-            Err(MunichError::InvalidEpsilon(epsilon))
+            Err(InputError::InvalidEpsilon(epsilon))
         }
     }
 
-    fn validate_tau(tau: f64) -> Result<(), MunichError> {
+    fn validate_tau(tau: f64) -> Result<(), InputError> {
         if (0.0..=1.0).contains(&tau) {
             Ok(())
         } else {
-            Err(MunichError::InvalidTau(tau))
+            Err(InputError::InvalidTau(tau))
         }
     }
 
     /// `Pr(distance(X, Y) ≤ ε)` over all materialisation pairs
     /// (paper Eq. 4), as rigorous bounds.
     ///
-    /// # Panics
-    /// If the series lengths differ, either is empty, or `ε` is negative
-    /// or NaN ([`Munich::try_probability_bounds`] reports the same
-    /// conditions as typed errors instead).
-    pub fn probability_bounds(
-        &self,
-        x: &MultiObsSeries,
-        y: &MultiObsSeries,
-        epsilon: f64,
-    ) -> ProbabilityBounds {
-        self.try_probability_bounds(x, y, epsilon)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Munich::probability_bounds`]: invalid inputs
-    /// come back as a [`MunichError`] instead of a panic.
+    /// # Errors
+    /// [`InputError`] if the series lengths differ, either is empty, or
+    /// `ε` is negative or NaN.
     pub fn try_probability_bounds(
         &self,
         x: &MultiObsSeries,
         y: &MultiObsSeries,
         epsilon: f64,
-    ) -> Result<ProbabilityBounds, MunichError> {
+    ) -> Result<ProbabilityBounds, InputError> {
         self.estimate_bounds(x, y, epsilon, || interval_distance_sq_bounds(x, y))
     }
 
@@ -372,7 +321,7 @@ impl Munich {
                     .map(ProbabilityBounds::exact);
             }
             MunichStrategy::Convolution { bins } => (bins, false),
-            MunichStrategy::Exact | MunichStrategy::Auto => (self.config.auto_bins, true),
+            MunichStrategy::Auto => (self.config.auto_bins, true),
         };
         let c = PairContribs::build(x, y);
         if try_exact && c.distinct_product <= self.config.exact_support_limit {
@@ -383,8 +332,14 @@ impl Munich {
     }
 
     /// Point estimate of `Pr(distance(X, Y) ≤ ε)`.
+    ///
+    /// # Panics
+    /// On the inputs [`Munich::try_probability_bounds`] rejects, with
+    /// the same message.
     pub fn probability_within(&self, x: &MultiObsSeries, y: &MultiObsSeries, epsilon: f64) -> f64 {
-        self.probability_bounds(x, y, epsilon).estimate()
+        self.try_probability_bounds(x, y, epsilon)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .estimate()
     }
 
     /// [`Munich::probability_within`] with precomputed MBI envelopes for
@@ -409,8 +364,8 @@ impl Munich {
 
     /// PRQ membership: `Pr(distance ≤ ε) ≥ τ` (paper Eq. 2), decided on
     /// the point estimate. This is the reference decision path; prefer
-    /// [`Munich::decide_within`], which returns the same answer without
-    /// always paying for the full probability.
+    /// [`Munich::try_decide_within`], which returns the same answer
+    /// without always paying for the full probability.
     pub fn matches(&self, x: &MultiObsSeries, y: &MultiObsSeries, epsilon: f64, tau: f64) -> bool {
         assert!((0.0..=1.0).contains(&tau), "τ must be in [0, 1]");
         self.probability_within(x, y, epsilon) >= tau
@@ -427,32 +382,20 @@ impl Munich {
     /// scans; there is no strict variant because PRQ membership is
     /// inclusive).
     ///
-    /// # Panics
-    /// On invalid inputs, like [`Munich::matches`]
-    /// ([`Munich::try_decide_within`] reports them as typed errors).
-    pub fn decide_within(
-        &self,
-        x: &MultiObsSeries,
-        y: &MultiObsSeries,
-        epsilon: f64,
-        tau: f64,
-    ) -> bool {
-        self.try_decide_within(x, y, epsilon, tau)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Munich::decide_within`].
+    /// # Errors
+    /// [`InputError`] on the inputs [`Munich::try_probability_bounds`]
+    /// rejects, or when `τ` is outside `[0, 1]` or NaN.
     pub fn try_decide_within(
         &self,
         x: &MultiObsSeries,
         y: &MultiObsSeries,
         epsilon: f64,
         tau: f64,
-    ) -> Result<bool, MunichError> {
+    ) -> Result<bool, InputError> {
         self.decide(x, y, epsilon, tau, || interval_distance_sq_bounds(x, y))
     }
 
-    /// [`Munich::decide_within`] with precomputed MBI envelopes — the
+    /// [`Munich::try_decide_within`] with precomputed MBI envelopes — the
     /// batched engine's per-candidate decision. Bit-identical to the
     /// pairwise decision (and therefore to [`Munich::matches`]) for the
     /// series the envelopes were built from, and panics on the same
@@ -482,7 +425,7 @@ impl Munich {
         y: &MultiObsSeries,
         epsilon: f64,
         bounds: impl FnOnce() -> (f64, f64),
-    ) -> Result<ProbabilityBounds, MunichError> {
+    ) -> Result<ProbabilityBounds, InputError> {
         Self::validate_pair(x, y)?;
         Self::validate_epsilon(epsilon)?;
         let eps_sq = epsilon * epsilon;
@@ -503,7 +446,7 @@ impl Munich {
         epsilon: f64,
         tau: f64,
         bounds: impl FnOnce() -> (f64, f64),
-    ) -> Result<bool, MunichError> {
+    ) -> Result<bool, InputError> {
         Self::validate_pair(x, y)?;
         Self::validate_epsilon(epsilon)?;
         Self::validate_tau(tau)?;
@@ -535,7 +478,7 @@ impl Munich {
         tau: f64,
     ) -> Option<bool> {
         let bins = match self.config.strategy {
-            MunichStrategy::Exact | MunichStrategy::Auto => self.config.auto_bins,
+            MunichStrategy::Auto => self.config.auto_bins,
             MunichStrategy::Convolution { bins } => bins,
             MunichStrategy::MonteCarlo { .. } => return None,
         };
@@ -1718,7 +1661,7 @@ mod unit {
         let (x, y) = small_pair(4, 4, 3);
         let munich = Munich::default();
         for eps in [0.5, 1.2, 2.4] {
-            let b = munich.probability_bounds(&x, &y, eps);
+            let b = munich.try_probability_bounds(&x, &y, eps).unwrap();
             let truth = brute_force(&x, &y, eps);
             assert!(
                 b.lo <= truth + 1e-9 && truth <= b.hi + 1e-9,
@@ -1737,7 +1680,7 @@ mod unit {
         let munich = Munich::default();
         let (_, ub_sq) = interval_distance_sq_bounds(&x, &x);
         let eps = ub_sq.sqrt() + 0.1;
-        let b = munich.probability_bounds(&x, &x, eps);
+        let b = munich.try_probability_bounds(&x, &x, eps).unwrap();
         assert_eq!((b.lo, b.hi), (1.0, 1.0));
         // And ε below the min distance of two far-apart series → 0.
         let shifted = MultiObsSeries::from_rows(
@@ -1745,7 +1688,7 @@ mod unit {
                 .map(|i| x.row(i).iter().map(|v| v + 100.0).collect())
                 .collect(),
         );
-        let b = munich.probability_bounds(&x, &shifted, 1.0);
+        let b = munich.try_probability_bounds(&x, &shifted, 1.0).unwrap();
         assert_eq!((b.lo, b.hi), (0.0, 0.0));
     }
 
@@ -1847,15 +1790,15 @@ mod unit {
     }
 
     #[test]
-    #[should_panic(expected = "equal-length")]
+    #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         let a = MultiObsSeries::from_rows(vec![vec![0.0]]);
         let b = MultiObsSeries::from_rows(vec![vec![0.0], vec![1.0]]);
-        let _ = Munich::default().probability_bounds(&a, &b, 1.0);
+        let _ = Munich::default().probability_within(&a, &b, 1.0);
     }
 
     // ---------------------------------------------------------------
-    // Decision pipeline: decide_within must equal matches, always
+    // Decision pipeline: try_decide_within must equal matches, always
     // ---------------------------------------------------------------
 
     fn decision_taus(p: f64) -> Vec<f64> {
@@ -1889,7 +1832,7 @@ mod unit {
             for tau in decision_taus(p) {
                 let want = munich.matches(x, y, eps, tau);
                 let ctx = format!("{:?} ε={eps} τ={tau} p={p}", munich.config());
-                assert_eq!(munich.decide_within(x, y, eps, tau), want, "{ctx}");
+                assert_eq!(munich.try_decide_within(x, y, eps, tau), Ok(want), "{ctx}");
                 let enveloped = munich.matches_enveloped(x, y, eps, tau, &ex, &ey);
                 assert_eq!(enveloped, want, "{ctx}");
             }
@@ -1899,7 +1842,6 @@ mod unit {
     #[test]
     fn decide_within_equals_matches_for_every_strategy() {
         let strategies = [
-            MunichStrategy::Exact,
             MunichStrategy::Convolution { bins: 1024 },
             MunichStrategy::MonteCarlo { samples: 4000 },
             MunichStrategy::Auto,
@@ -2086,12 +2028,17 @@ mod unit {
         let b = MultiObsSeries::from_rows(vec![vec![0.0], vec![1.0]]);
         let munich = Munich::default();
         let err = munich.try_probability_bounds(&a, &b, 1.0).unwrap_err();
-        assert_eq!(err, MunichError::LengthMismatch { x: 1, y: 2 });
-        assert!(err.to_string().contains("equal-length"));
+        assert_eq!(
+            err,
+            InputError::LengthMismatch {
+                expected: 1,
+                got: 2
+            }
+        );
         let err = munich.try_decide_within(&a, &a, -1.0, 0.5).unwrap_err();
-        assert_eq!(err, MunichError::InvalidEpsilon(-1.0));
+        assert_eq!(err, InputError::InvalidEpsilon(-1.0));
         let err = munich.try_decide_within(&a, &a, 1.0, 1.5).unwrap_err();
-        assert_eq!(err, MunichError::InvalidTau(1.5));
+        assert_eq!(err, InputError::InvalidTau(1.5));
         // NaN thresholds are invalid, not silently accepted.
         assert!(munich.try_decide_within(&a, &a, f64::NAN, 0.5).is_err());
         assert!(munich.try_decide_within(&a, &a, 1.0, f64::NAN).is_err());

@@ -4,8 +4,7 @@
 //! where every core is busy, queued queries only grow tail latency. The
 //! [`AdmissionGate`] caps in-flight queries at a configured number of
 //! permits; a query that cannot get a permit within the bounded wait is
-//! rejected with the typed
-//! [`crate::serving::ServeError::Overloaded`] instead of queueing
+//! rejected with the typed [`ServeError::Overloaded`] instead of queueing
 //! unboundedly. Counters ([`GateStats`]) surface next to the cache and
 //! index statistics in the serving bench.
 //!
@@ -16,6 +15,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+use super::ServeError;
 
 /// Configuration of an [`AdmissionGate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,10 +62,6 @@ pub struct AdmissionGate {
     rejected: AtomicU64,
 }
 
-/// The gate was at capacity for the entire bounded wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Overloaded;
-
 impl AdmissionGate {
     /// Builds a gate from its configuration.
     ///
@@ -85,7 +82,11 @@ impl AdmissionGate {
 
     /// Acquires a permit, waiting at most the configured bound; the
     /// permit is released when the returned guard drops.
-    pub fn admit(&self) -> Result<Permit<'_>, Overloaded> {
+    ///
+    /// # Errors
+    /// [`ServeError::Overloaded`] when the gate stays at capacity for the
+    /// whole bounded wait.
+    pub fn admit(&self) -> Result<Permit<'_>, ServeError> {
         let start = Instant::now();
         let mut in_flight = self.in_flight.lock().expect("admission gate lock");
         while *in_flight >= self.permits {
@@ -93,7 +94,7 @@ impl AdmissionGate {
             if waited >= self.max_wait {
                 drop(in_flight);
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(Overloaded);
+                return Err(ServeError::Overloaded);
             }
             let (guard, timeout) = self
                 .freed
@@ -103,7 +104,7 @@ impl AdmissionGate {
             if timeout.timed_out() && *in_flight >= self.permits {
                 drop(in_flight);
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(Overloaded);
+                return Err(ServeError::Overloaded);
             }
         }
         *in_flight += 1;
@@ -147,7 +148,7 @@ mod unit {
         let gate = AdmissionGate::new(AdmissionConfig::reject_when_full(2));
         let a = gate.admit().expect("first");
         let b = gate.admit().expect("second");
-        assert_eq!(gate.admit().unwrap_err(), Overloaded);
+        assert_eq!(gate.admit().unwrap_err(), ServeError::Overloaded);
         let stats = gate.stats();
         assert_eq!((stats.admitted, stats.rejected, stats.in_flight), (2, 1, 2));
         drop(a);

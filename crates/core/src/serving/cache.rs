@@ -3,7 +3,7 @@
 //! Heavy-traffic workloads are skewed: a small set of popular queries
 //! accounts for most of the volume (the `serving_throughput` bench
 //! replays exactly such a Zipf mix). The cache memoises complete merged
-//! answers keyed by `(technique, query id, ε or k)`, so a repeated
+//! answers keyed by `(query id, ε or k)`, so a repeated
 //! query costs one `HashMap` probe instead of a full sharded fan-out.
 //!
 //! Correctness contract: a hit returns the *same* `Arc` that the miss
@@ -16,8 +16,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-use crate::matching::TechniqueKind;
 
 /// The query-shape part of a cache key. Thresholds are keyed by their
 /// IEEE bit pattern, with `-0.0` folded into `+0.0` (every technique
@@ -78,11 +76,10 @@ impl CacheOp {
     }
 }
 
-/// Full cache key: which technique, which query member, which question.
+/// Full cache key: which query member, which question. A cache serves
+/// one engine, so one technique: the key does not name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Technique that produced the answer.
-    pub technique: TechniqueKind,
     /// Global index of the query series.
     pub query: usize,
     /// The question asked (range / top-k / probabilities, with its
@@ -197,7 +194,6 @@ mod unit {
 
     fn key(q: usize, eps: f64) -> CacheKey {
         CacheKey {
-            technique: TechniqueKind::Euclidean,
             query: q,
             op: CacheOp::range(eps),
         }

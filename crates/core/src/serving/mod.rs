@@ -12,8 +12,8 @@
 //!   shards lets one query occupy every core, with each shard running
 //!   the same early-abandon kernels over its slice.
 //! * **Skew** — real query streams are Zipf-shaped; the same few
-//!   queries repeat. A result cache keyed by `(technique, query, ε/k)`
-//!   turns repeats into a map probe.
+//!   queries repeat. A result cache keyed by `(query, ε/k)` turns
+//!   repeats into a map probe.
 //!
 //! # The equivalence contract
 //!
@@ -52,10 +52,10 @@
 //! * a **panicking shard** is isolated per attempt
 //!   ([`crate::parallel::try_parallel_map`] plus a per-attempt catch),
 //!   retried with backoff up to [`QueryOptions::retries`], and finally
-//!   reported as a typed [`ShardError`] — never a process abort;
+//!   reported as a typed [`ServeError::Shard`] — never a process abort;
 //! * a **deadline** ([`QueryOptions::deadline`]) is polled cooperatively
-//!   inside every shard's scan ([`crate::cancel::Deadline`]); expiry
-//!   yields the typed [`ServeError::Timeout`];
+//!   inside every shard's scan; expiry yields the typed
+//!   [`ServeError::Timeout`];
 //! * under [`Strictness::Degraded`] a failed or expired shard is dropped
 //!   from the merge and the [`ServingResponse`]'s [`Coverage`] bitmap
 //!   records exactly which shards the answer saw;
@@ -69,6 +69,13 @@
 //! With [`QueryOptions::default`] (no deadline, no retries, strict) and
 //! no injected faults, every answer is complete and bit-identical to the
 //! unsharded engine's.
+//!
+//! Every query failure is one [`ServeError`]. Rejected input — a
+//! collection the technique cannot be prepared on
+//! ([`ShardedEngine::try_prepare_with`]) or a replacement of the wrong
+//! shape ([`ShardedEngine::try_update_series`]) — is one
+//! [`crate::InputError`], the type the unsharded engine and the MUNICH
+//! pair methods return too.
 
 pub mod admission;
 pub mod cache;
@@ -81,9 +88,7 @@ pub use admission::{AdmissionConfig, AdmissionGate, GateStats, Permit};
 pub use cache::{CacheKey, CacheOp, CacheStats, CachedAnswer, ResultCache};
 pub use fault::{FaultKind, FaultPlan};
 pub use merge::{merge_answer_sets, merge_scored_by_index, merge_top_k};
-pub use options::{
-    Coverage, QueryOptions, ServeError, ServingResponse, ShardError, ShardFault, Strictness,
-};
+pub use options::{Coverage, QueryOptions, ServeError, ServingResponse, ShardFault, Strictness};
 pub use shard::{ShardAssignment, ShardPlan};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,9 +100,10 @@ use uts_tseries::TimeSeries;
 use uts_uncertain::{MultiObsSeries, UncertainSeries};
 
 use crate::cancel::{Deadline, DeadlineExpired};
-use crate::engine::{PrepareError, QueryEngine, QueryRef};
+use crate::engine::{QueryEngine, QueryRef};
+use crate::error::InputError;
 use crate::index::{IndexConfig, IndexStats};
-use crate::matching::{MatchingTask, Technique, UpdateError};
+use crate::matching::{MatchingTask, Technique};
 use crate::parallel::{panic_message, try_parallel_map};
 
 /// Default bound on resident cache entries (see [`ResultCache`]).
@@ -222,31 +228,21 @@ impl ShardedEngine {
     /// Partitions `task` across `shards` shards and prepares one engine
     /// per shard.
     ///
+    /// Uses the default [`IndexConfig`] — shards of at least
+    /// [`crate::index::DEFAULT_MIN_COLLECTION`] members get their own
+    /// candidate index.
+    ///
     /// # Panics
     /// If `shards == 0`, or for [`Technique::Munich`] when the task
-    /// holds no multi-observation data ([`ShardedEngine::try_prepare`]
-    /// reports the latter as a typed [`PrepareError`] instead).
+    /// holds no multi-observation data ([`ShardedEngine::try_prepare_with`]
+    /// reports the latter as a typed [`InputError`] instead).
     pub fn prepare(
         task: &MatchingTask,
         technique: &Technique,
         shards: usize,
         assignment: ShardAssignment,
     ) -> Self {
-        Self::try_prepare(task, technique, shards, assignment).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`ShardedEngine::prepare`].
-    ///
-    /// Uses the default [`IndexConfig`] — shards of at least
-    /// [`crate::index::DEFAULT_MIN_COLLECTION`] members get their own
-    /// candidate index.
-    pub fn try_prepare(
-        task: &MatchingTask,
-        technique: &Technique,
-        shards: usize,
-        assignment: ShardAssignment,
-    ) -> Result<Self, PrepareError> {
-        Self::try_prepare_with(task, technique, shards, assignment, IndexConfig::default())
+        Self::prepare_with(task, technique, shards, assignment, IndexConfig::default())
     }
 
     /// [`ShardedEngine::prepare`] with an explicit [`IndexConfig`],
@@ -273,7 +269,7 @@ impl ShardedEngine {
         shards: usize,
         assignment: ShardAssignment,
         index: IndexConfig,
-    ) -> Result<Self, PrepareError> {
+    ) -> Result<Self, InputError> {
         let plan = ShardPlan::new(task.len(), shards, assignment);
         let shards = (0..plan.shard_count())
             .map(|s| {
@@ -463,7 +459,7 @@ impl ShardedEngine {
         });
         let mut coverage = Coverage::none(self.shards.len());
         let mut parts: Vec<Vec<X>> = Vec::with_capacity(self.shards.len());
-        let mut first_fault: Option<ShardError> = None;
+        let mut first_fault: Option<ServeError> = None;
         let mut expired = false;
         for (s, outcome) in outcomes.into_iter().enumerate() {
             // The WorkerPanic arm is a second safety net — `run_shard`
@@ -480,7 +476,7 @@ impl ShardedEngine {
                 Err(ShardFault::Expired) => expired = true,
                 Err(cause) => {
                     if first_fault.is_none() {
-                        first_fault = Some(ShardError { shard: s, cause });
+                        first_fault = Some(ServeError::Shard { shard: s, cause });
                     }
                 }
             }
@@ -489,7 +485,7 @@ impl ShardedEngine {
         match opts.strictness {
             Strictness::Strict => {
                 if let Some(e) = first_fault {
-                    return Err(ServeError::Shard(e));
+                    return Err(e);
                 }
                 if expired {
                     return Err(ServeError::Timeout);
@@ -499,7 +495,7 @@ impl ShardedEngine {
             Strictness::Degraded => {
                 if coverage.covered_count() == 0 {
                     return Err(match first_fault {
-                        Some(e) if !expired => ServeError::Shard(e),
+                        Some(e) if !expired => e,
                         _ => ServeError::Timeout,
                     });
                 }
@@ -510,13 +506,7 @@ impl ShardedEngine {
 
     /// Acquires the admission permit, when a gate is configured.
     fn admit(&self) -> Result<Option<Permit<'_>>, ServeError> {
-        match &self.gate {
-            Some(g) => g
-                .admit()
-                .map(Some)
-                .map_err(|admission::Overloaded| ServeError::Overloaded),
-            None => Ok(None),
-        }
+        self.gate.as_ref().map(AdmissionGate::admit).transpose()
     }
 
     /// The one query pipeline behind every `_opts` entry point: cache
@@ -543,11 +533,7 @@ impl ShardedEngine {
             + Sync,
         merge: impl FnOnce(&[Vec<X>]) -> Vec<X>,
     ) -> Result<ServingResponse<Arc<Vec<X>>>, ServeError> {
-        let key = CacheKey {
-            technique: self.technique.kind(),
-            query: q,
-            op,
-        };
+        let key = CacheKey { query: q, op };
         if let Some(hit) = self.cache.get(&key).and_then(X::from_cached) {
             return Ok(ServingResponse {
                 value: hit,
@@ -702,7 +688,7 @@ impl ShardedEngine {
     /// # Errors
     /// A replacement whose shape the task cannot absorb (index out of
     /// range, length mismatch, multi-observation presence disagreeing
-    /// with the task) is a typed [`UpdateError`] and leaves the engine
+    /// with the task) is a typed [`InputError`] and leaves the engine
     /// (shards, indexes, cache) untouched.
     ///
     /// # Example: mutation invalidates the cache
@@ -748,9 +734,9 @@ impl ShardedEngine {
         clean: TimeSeries,
         uncertain: UncertainSeries,
         multi: Option<MultiObsSeries>,
-    ) -> Result<(), UpdateError> {
+    ) -> Result<(), InputError> {
         if i >= self.plan.len() {
-            return Err(UpdateError::IndexOutOfRange {
+            return Err(InputError::IndexOutOfRange {
                 index: i,
                 len: self.plan.len(),
             });

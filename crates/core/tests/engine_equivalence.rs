@@ -341,7 +341,6 @@ fn munich_boundary_task(seed: u64) -> MatchingTask {
 fn munich_boundary_strategies() -> Vec<uts_core::munich::MunichStrategy> {
     use uts_core::munich::MunichStrategy;
     vec![
-        MunichStrategy::Exact,
         MunichStrategy::Convolution { bins: 1024 },
         MunichStrategy::MonteCarlo { samples: 3000 },
         MunichStrategy::Auto,

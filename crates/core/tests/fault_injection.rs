@@ -14,16 +14,18 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use uts_core::dust::Dust;
-use uts_core::engine::{PrepareError, QueryEngine};
-use uts_core::matching::{MatchingTask, Technique, UpdateError};
+use uts_core::engine::QueryEngine;
+use uts_core::index::IndexConfig;
+use uts_core::matching::{MatchingTask, Technique};
 use uts_core::munich::Munich;
 use uts_core::parallel::try_parallel_map;
 use uts_core::proud::{Proud, ProudConfig};
 use uts_core::serving::{
-    AdmissionConfig, FaultKind, FaultPlan, QueryOptions, ServeError, ShardAssignment, ShardError,
-    ShardFault, ShardedEngine,
+    AdmissionConfig, FaultKind, FaultPlan, QueryOptions, ServeError, ShardAssignment, ShardFault,
+    ShardedEngine,
 };
 use uts_core::uma::{Uema, Uma};
+use uts_core::InputError;
 use uts_stats::rng::Seed;
 use uts_tseries::TimeSeries;
 use uts_uncertain::{
@@ -97,7 +99,7 @@ fn all_techniques() -> Vec<Technique> {
 // ---------------------------------------------------------------------------
 
 /// A crashing shard fails the query with a typed, attributed
-/// [`ShardError`] in strict mode — the process (and the engine) survive,
+/// [`ServeError::Shard`] in strict mode — the process (and the engine) survive,
 /// and once the one-shot fault is spent the same engine answers the same
 /// query bit-identically to an unsharded reference.
 #[test]
@@ -114,10 +116,10 @@ fn injected_panic_is_typed_shard_error_then_recovers() {
         .answer_set_opts(0, eps, &QueryOptions::default())
         .expect_err("strict mode must fail on a crashed shard");
     match err {
-        ServeError::Shard(ShardError {
+        ServeError::Shard {
             shard,
             cause: ShardFault::Panic(msg),
-        }) => {
+        } => {
             assert_eq!(shard, 2, "the error names the crashed shard");
             assert!(
                 msg.contains("injected fault"),
@@ -157,7 +159,10 @@ fn pool_stays_healthy_after_injected_shard_panics() {
             let eps = task.calibrated_threshold(q, &technique);
             sharded.inject_faults(crash_every_shard());
             let err = sharded.answer_set_opts(q, eps, &QueryOptions::default());
-            assert!(matches!(err, Err(ServeError::Shard(_))), "{name}: {err:?}");
+            assert!(
+                matches!(err, Err(ServeError::Shard { .. })),
+                "{name}: {err:?}"
+            );
             assert_eq!(sharded.armed_faults(), 0, "{name}: every shard crashed");
             let ok = sharded
                 .answer_set_opts(q, eps, &QueryOptions::default())
@@ -171,7 +176,7 @@ fn pool_stays_healthy_after_injected_shard_panics() {
                 Technique::Proud { .. } | Technique::Munich { .. }
             ) {
                 let err = sharded.probabilities_opts(q, eps, &QueryOptions::default());
-                assert!(matches!(err, Err(ServeError::Shard(_))), "{name}");
+                assert!(matches!(err, Err(ServeError::Shard { .. })), "{name}");
                 let ok = sharded
                     .probabilities_opts(q, eps, &QueryOptions::default())
                     .expect("faults spent")
@@ -184,7 +189,7 @@ fn pool_stays_healthy_after_injected_shard_panics() {
                 }
             } else {
                 let err = sharded.top_k_opts(q, 4, &QueryOptions::default());
-                assert!(matches!(err, Err(ServeError::Shard(_))), "{name}");
+                assert!(matches!(err, Err(ServeError::Shard { .. })), "{name}");
                 let ok = sharded
                     .top_k_opts(q, 4, &QueryOptions::default())
                     .expect("faults spent");
@@ -276,7 +281,7 @@ fn top_k_and_probabilities_share_the_fault_boundary() {
     let mut sharded = ShardedEngine::prepare(&task, &technique, 4, ShardAssignment::RoundRobin);
     sharded.inject_faults(FaultPlan::new().one_shot(3, FaultKind::Panic));
     match sharded.top_k_opts(1, 4, &QueryOptions::default()) {
-        Err(ServeError::Shard(ShardError { shard: 3, .. })) => {}
+        Err(ServeError::Shard { shard: 3, .. }) => {}
         other => panic!("expected shard 3 panic, got {other:?}"),
     }
     let top = sharded
@@ -295,7 +300,7 @@ fn top_k_and_probabilities_share_the_fault_boundary() {
     sharded.inject_faults(FaultPlan::new().one_shot(0, FaultKind::Panic));
     let eps = task.calibrated_threshold(0, &technique);
     match sharded.probabilities_opts(0, eps, &QueryOptions::default()) {
-        Err(ServeError::Shard(ShardError { shard: 0, .. })) => {}
+        Err(ServeError::Shard { shard: 0, .. }) => {}
         other => panic!("expected shard 0 panic, got {other:?}"),
     }
     let probs = sharded
@@ -538,10 +543,10 @@ fn nan_input_fault_is_typed_for_every_technique() {
             .expect_err("corrupted shard input must be rejected");
         assert_eq!(
             err,
-            ServeError::Shard(ShardError {
+            ServeError::Shard {
                 shard: 1,
                 cause: ShardFault::DegenerateInput
-            }),
+            },
             "{}",
             technique.kind()
         );
@@ -580,7 +585,7 @@ fn degenerate_series_inputs_are_typed_at_construction() {
 }
 
 /// Ill-posed questions stay typed per technique: MUNICH without
-/// multi-observation data is a [`PrepareError`] from the sharded
+/// multi-observation data is an [`InputError`] from the sharded
 /// prepare, and distance rankings on the probabilistic techniques are
 /// [`ServeError::NotDistanceRanked`] through the serving layer.
 #[test]
@@ -589,12 +594,17 @@ fn ill_posed_questions_are_typed_for_every_technique() {
     let no_multi = MatchingTask::new(base.clean().to_vec(), base.uncertain().to_vec(), None, 3);
     for technique in all_techniques() {
         let is_munich = matches!(technique, Technique::Munich { .. });
-        let prepared =
-            ShardedEngine::try_prepare(&no_multi, &technique, 2, ShardAssignment::RoundRobin);
+        let prepared = ShardedEngine::try_prepare_with(
+            &no_multi,
+            &technique,
+            2,
+            ShardAssignment::RoundRobin,
+            IndexConfig::default(),
+        );
         if is_munich {
             assert_eq!(
                 prepared.err(),
-                Some(PrepareError::MissingMultiObs),
+                Some(InputError::MissingMultiObs),
                 "{}",
                 technique.kind()
             );
@@ -616,7 +626,7 @@ fn ill_posed_questions_are_typed_for_every_technique() {
     }
 }
 
-/// Shape-mismatched replacements are typed [`UpdateError`]s and leave
+/// Shape-mismatched replacements are typed [`InputError`]s and leave
 /// the engine fully intact (same answers, same cache generation).
 #[test]
 fn try_update_series_rejects_mismatched_shapes_without_damage() {
@@ -637,7 +647,7 @@ fn try_update_series_rejects_mismatched_shapes_without_damage() {
     let short_u = UncertainSeries::new(short.values().to_vec(), vec![e; 5]);
     assert_eq!(
         sharded.try_update_series(1, short.clone(), short_u.clone(), None),
-        Err(UpdateError::LengthMismatch {
+        Err(InputError::LengthMismatch {
             expected: 20,
             got: 5
         })
@@ -647,19 +657,19 @@ fn try_update_series_rejects_mismatched_shapes_without_damage() {
     let good_u = UncertainSeries::new(good.values().to_vec(), vec![e; 20]);
     assert_eq!(
         sharded.try_update_series(99, good.clone(), good_u.clone(), None),
-        Err(UpdateError::IndexOutOfRange { index: 99, len: 12 })
+        Err(InputError::IndexOutOfRange { index: 99, len: 12 })
     );
     // The task carries multi-observation data: omitting it is typed.
     assert_eq!(
         sharded.try_update_series(1, good.clone(), good_u.clone(), None),
-        Err(UpdateError::MultiPresenceMismatch {
+        Err(InputError::MultiPresenceMismatch {
             task_has_multi: true
         })
     );
     let bad_u = UncertainSeries::new(vec![0.0; 10], vec![e; 10]);
     assert_eq!(
         sharded.try_update_series(1, good.clone(), bad_u, None),
-        Err(UpdateError::CleanUncertainMismatch {
+        Err(InputError::CleanUncertainMismatch {
             clean: 20,
             uncertain: 10
         })
@@ -672,7 +682,7 @@ fn try_update_series_rejects_mismatched_shapes_without_damage() {
     let short_multi = perturb_multi(&short, &spec, 3, Seed::new(0xFA0C));
     let far = TimeSeries::from_values((0..20).map(|t| 50.0 + t as f64));
     let far_u = perturb(&far, &spec, Seed::new(0xFA0D));
-    let multi_mismatch = Err(UpdateError::MultiLengthMismatch {
+    let multi_mismatch = Err(InputError::MultiLengthMismatch {
         expected: 20,
         got: 5,
     });

@@ -1,11 +1,11 @@
 //! Strategy coherence for MUNICH, property-tested over random
 //! multi-observation pairs.
 //!
-//! The strategies' contract (module docs of `uts_core::munich`): Exact is
-//! ground truth; Convolution's `[lo, hi]` must bracket it; MonteCarlo
-//! lands within a seeded tolerance; Auto never disagrees with Exact while
-//! the support limit permits exact DP; and the pruned decision pipeline
-//! (`decide_within`) equals the reference decision (`matches`) for every
+//! The strategies' contract (module docs of `uts_core::munich`): Auto,
+//! with a support limit that keeps every generated pair on the exact DP,
+//! is ground truth; Convolution's `[lo, hi]` must bracket it; MonteCarlo
+//! lands within a seeded tolerance; and the pruned decision pipeline
+//! (`try_decide_within`) equals the reference decision (`matches`) for every
 //! strategy, ε, and τ — including τ sitting exactly on the computed
 //! probability. The long-series property drives the pipeline's moment
 //! rung at production length, where it decides most pairs, and the
@@ -117,10 +117,10 @@ proptest! {
     /// the midpoint estimate stays within the interval width of truth.
     #[test]
     fn convolution_brackets_exact((x, y) in pair(), eps in 0.0..6.0f64) {
-        let exact = munich_with(MunichStrategy::Exact);
+        let exact = munich_with(MunichStrategy::Auto);
         let conv = munich_with(MunichStrategy::Convolution { bins: 2048 });
         let truth = exact.probability_within(&x, &y, eps);
-        let b = conv.probability_bounds(&x, &y, eps);
+        let b = conv.try_probability_bounds(&x, &y, eps).unwrap();
         prop_assert!(b.lo <= b.hi + 1e-12);
         prop_assert!(
             b.lo <= truth + 1e-9 && truth <= b.hi + 1e-9,
@@ -133,7 +133,7 @@ proptest! {
     /// the exact probability (10k samples → σ ≤ 0.005; 0.05 gives 10σ).
     #[test]
     fn monte_carlo_within_seeded_tolerance((x, y) in pair(), eps in 0.0..6.0f64) {
-        let exact = munich_with(MunichStrategy::Exact);
+        let exact = munich_with(MunichStrategy::Auto);
         let mc = munich_with(MunichStrategy::MonteCarlo { samples: 10_000 });
         let truth = exact.probability_within(&x, &y, eps);
         let est = mc.probability_within(&x, &y, eps);
@@ -143,17 +143,6 @@ proptest! {
         );
     }
 
-    /// While the support limit permits exact DP, Auto IS Exact — to the
-    /// bit.
-    #[test]
-    fn auto_never_disagrees_with_feasible_exact((x, y) in pair(), eps in 0.0..6.0f64) {
-        let exact = munich_with(MunichStrategy::Exact);
-        let auto = munich_with(MunichStrategy::Auto);
-        let a = auto.probability_within(&x, &y, eps);
-        let e = exact.probability_within(&x, &y, eps);
-        prop_assert_eq!(a.to_bits(), e.to_bits(), "auto {} vs exact {}", a, e);
-    }
-
     /// The pruned decision pipeline returns exactly what the reference
     /// decision returns, for every strategy — with τ probed on, just
     /// below, and just above the computed probability, plus both ends of
@@ -161,7 +150,6 @@ proptest! {
     #[test]
     fn decision_pipeline_equals_reference((x, y) in pair(), eps in 0.0..6.0f64, tau in 0.0..=1.0f64) {
         for strategy in [
-            MunichStrategy::Exact,
             MunichStrategy::Convolution { bins: 512 },
             MunichStrategy::Convolution { bins: 64 },
             MunichStrategy::Convolution { bins: 1024 },
@@ -179,8 +167,8 @@ proptest! {
                 (p + 1e-12).clamp(0.0, 1.0),
             ] {
                 prop_assert_eq!(
-                    m.decide_within(&x, &y, eps, t),
-                    m.matches(&x, &y, eps, t),
+                    m.try_decide_within(&x, &y, eps, t),
+                    Ok(m.matches(&x, &y, eps, t)),
                     "{:?} ε={} τ={} p={}", strategy, eps, t, p
                 );
             }
@@ -191,7 +179,7 @@ proptest! {
     /// strategies (the CDF of a fixed distribution).
     #[test]
     fn estimates_monotone_in_epsilon((x, y) in pair()) {
-        for strategy in [MunichStrategy::Exact, MunichStrategy::Convolution { bins: 1024 }] {
+        for strategy in [MunichStrategy::Auto, MunichStrategy::Convolution { bins: 1024 }] {
             let m = munich_with(strategy);
             let mut prev = -1.0f64;
             for i in 0..12 {
@@ -241,7 +229,7 @@ proptest! {
                 ] {
                     let want = m.matches(&x, &y, eps, t);
                     let ctx = format!("{strategy:?} n={} ε={eps} τ={t} p={p}", x.len());
-                    prop_assert_eq!(m.decide_within(&x, &y, eps, t), want, "{}", ctx);
+                    prop_assert_eq!(m.try_decide_within(&x, &y, eps, t), Ok(want), "{}", ctx);
                     prop_assert_eq!(m.matches_enveloped(&x, &y, eps, t, &ex, &ey), want, "{}", ctx);
                 }
             }

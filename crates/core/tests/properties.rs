@@ -117,7 +117,7 @@ proptest! {
         };
         let x = mk(&mut rng);
         let y = mk(&mut rng);
-        let b = Munich::default().probability_bounds(&x, &y, eps);
+        let b = Munich::default().try_probability_bounds(&x, &y, eps).unwrap();
         prop_assert!(b.lo <= b.hi + 1e-12);
         prop_assert!((0.0..=1.0).contains(&b.lo));
         prop_assert!((0.0..=1.0).contains(&b.hi));
@@ -140,7 +140,7 @@ proptest! {
         let x = mk(&mut rng);
         let y = mk(&mut rng);
         let exact = Munich::new(MunichConfig {
-            strategy: MunichStrategy::Exact,
+            strategy: MunichStrategy::Auto,
             use_mbi_filter: false,
             ..MunichConfig::default()
         }).probability_within(&x, &y, eps);
@@ -148,7 +148,7 @@ proptest! {
             strategy: MunichStrategy::Convolution { bins: 8192 },
             use_mbi_filter: false,
             ..MunichConfig::default()
-        }).probability_bounds(&x, &y, eps);
+        }).try_probability_bounds(&x, &y, eps).unwrap();
         prop_assert!(conv.lo <= exact + 1e-9 && exact <= conv.hi + 1e-9,
             "convolution [{}, {}] misses exact {exact}", conv.lo, conv.hi);
         let mc = Munich::new(MunichConfig {

@@ -678,7 +678,8 @@ fn write_sequences_match_rebuild() {
                             Some(w.multi.clone()),
                         )
                         .expect("shape-preserving replacement");
-                    let ctx = format!("{name} shards={shards} enabled={} step={step}", cfg.enabled);
+                    let indexed = cfg != IndexConfig::disabled();
+                    let ctx = format!("{name} shards={shards} indexed={indexed} step={step}");
                     let fresh = ShardedEngine::prepare_with(
                         mutated,
                         &technique,
@@ -854,7 +855,8 @@ fn armed_deadline_answers_match_default_options() {
                 };
                 let (deadlined, default) = (prepare(), prepare());
                 for q in probe_queries(&task) {
-                    let ctx = format!("{name} shards={shards} enabled={} q={q}", cfg.enabled);
+                    let indexed = cfg != IndexConfig::disabled();
+                    let ctx = format!("{name} shards={shards} indexed={indexed} q={q}");
                     let eps = task.calibrated_threshold(q, &technique);
                     let got = deadlined
                         .answer_set_opts(q, eps, &armed)
@@ -874,7 +876,7 @@ fn armed_deadline_answers_match_default_options() {
                     );
                 }
                 let stats = deadlined.index_stats();
-                let indexed = cfg.enabled && !probabilistic;
+                let indexed = cfg != IndexConfig::disabled() && !probabilistic;
                 assert_eq!(stats.indexed_queries > 0, indexed, "{name} shards={shards}");
             }
         }

@@ -4,7 +4,7 @@
 //! in signal processing" (§5). These are the *certain* filters; the
 //! uncertainty-aware UMA/UEMA variants (Eq. 17–18), which additionally
 //! weight by the per-point error standard deviation, live in
-//! `uts-core::uma` and are built on [`weighted_window_filter`].
+//! `uts-core::uma`, which runs its own window loop over values and σs.
 
 /// Moving average with window half-width `w` (full window `2w + 1`,
 /// paper Eq. 15).
@@ -62,36 +62,6 @@ pub fn weighted_window_filter(values: &[f64], w: usize, weight: impl Fn(isize) -
             den += wt;
         }
         assert!(den > 0.0, "window at index {i} has zero total weight");
-        out.push(num / den);
-    }
-    out
-}
-
-/// Unnormalised variant used by the *literal* UMA/UEMA formulas of the
-/// paper (Eq. 17–18 divide by `2w+1` / `Σ e^{−λ|j−i|}` rather than the
-/// sum of the actual applied weights):
-/// `out[i] = Σ_j weight(j−i)·v[j] / Σ_j base(j−i)`.
-///
-/// `base` supplies the denominator contribution per in-window offset.
-pub fn window_filter_with_denominator(
-    values: &[f64],
-    w: usize,
-    weight: impl Fn(isize) -> f64,
-    base: impl Fn(isize) -> f64,
-) -> Vec<f64> {
-    let n = values.len();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let lo = i.saturating_sub(w);
-        let hi = (i + w).min(n.saturating_sub(1));
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (j, &v) in values.iter().enumerate().take(hi + 1).skip(lo) {
-            let off = j as isize - i as isize;
-            num += weight(off) * v;
-            den += base(off);
-        }
-        assert!(den > 0.0, "window at index {i} has zero denominator");
         out.push(num / den);
     }
     out
@@ -165,17 +135,6 @@ mod unit {
         let out = exponential_moving_average(&xs, 2, 0.5);
         let max_abs = out.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(max_abs < 1.0);
-    }
-
-    #[test]
-    fn custom_denominator_filter() {
-        // Literal-MA form: denominator 2w+1 even at the edges.
-        let xs = [1.0, 1.0, 1.0];
-        let out = window_filter_with_denominator(&xs, 1, |_| 1.0, |_| 1.0);
-        // Interior matches MA; edges see truncated numerator AND denominator
-        // because `base` is only summed over in-window offsets.
-        assert!((out[1] - 1.0).abs() < 1e-12);
-        assert!((out[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use uncertts::core::engine::QueryEngine;
 use uncertts::core::matching::{MatchingTask, Technique};
 use uncertts::core::serving::{
-    AdmissionConfig, FaultKind, FaultPlan, QueryOptions, ServeError, ShardAssignment, ShardError,
-    ShardFault, ShardedEngine,
+    AdmissionConfig, FaultKind, FaultPlan, QueryOptions, ServeError, ShardAssignment, ShardFault,
+    ShardedEngine,
 };
 use uncertts::stats::rng::Seed;
 use uncertts::tseries::TimeSeries;
@@ -73,13 +73,13 @@ fn main() {
     //    process survives and the engine stays usable.
     engine.inject_faults(FaultPlan::new().one_shot(1, FaultKind::Panic));
     match engine.answer_set_opts(q, eps, &QueryOptions::default()) {
-        Err(ServeError::Shard(ShardError {
+        Err(ServeError::Shard {
             shard: 1,
             cause: ShardFault::Panic(_),
-        })) => {}
+        }) => {}
         other => panic!("strict panic: expected shard 1 error, got {other:?}"),
     }
-    println!("chaos: strict shard panic -> typed ShardError, process alive");
+    println!("chaos: strict shard panic -> typed shard error, process alive");
 
     // 2. Injected panic, degraded: partial answer, accurate coverage.
     engine.inject_faults(FaultPlan::new().one_shot(2, FaultKind::Panic));

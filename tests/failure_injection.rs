@@ -162,7 +162,7 @@ fn munich_identical_samples_per_timestamp() {
 
 #[test]
 fn munich_degenerate_inputs_yield_typed_errors() {
-    use uncertts::core::munich::MunichError;
+    use uncertts::core::InputError;
     use uncertts::uncertain::MultiObsError;
 
     // Ingestion boundary: malformed rows come back as values naming the
@@ -197,26 +197,32 @@ fn munich_degenerate_inputs_yield_typed_errors() {
     ])));
 
     // Query boundary: a length-mismatched query is a typed error through
-    // the `try_*` APIs (and still a documented panic through the classic
-    // ones, covered by the in-module unit tests).
+    // the `try_*` APIs (and still a documented panic through
+    // `probability_within`, covered by the in-module unit tests).
     let a = MultiObsSeries::from_rows(vec![vec![0.0]]);
     let b = MultiObsSeries::from_rows(vec![vec![0.0], vec![1.0]]);
     let munich = Munich::default();
     assert_eq!(
         munich.try_probability_bounds(&a, &b, 1.0).unwrap_err(),
-        MunichError::LengthMismatch { x: 1, y: 2 }
+        InputError::LengthMismatch {
+            expected: 1,
+            got: 2
+        }
     );
     assert_eq!(
         munich.try_decide_within(&a, &b, 1.0, 0.5).unwrap_err(),
-        MunichError::LengthMismatch { x: 1, y: 2 }
+        InputError::LengthMismatch {
+            expected: 1,
+            got: 2
+        }
     );
     assert_eq!(
         munich.try_decide_within(&a, &a, -2.0, 0.5).unwrap_err(),
-        MunichError::InvalidEpsilon(-2.0)
+        InputError::InvalidEpsilon(-2.0)
     );
     assert_eq!(
         munich.try_decide_within(&a, &a, 1.0, 2.0).unwrap_err(),
-        MunichError::InvalidTau(2.0)
+        InputError::InvalidTau(2.0)
     );
     // Valid inputs still answer through the fallible paths.
     assert_eq!(munich.try_decide_within(&a, &a, 1.0, 0.5), Ok(true));
@@ -224,7 +230,9 @@ fn munich_degenerate_inputs_yield_typed_errors() {
 
 #[test]
 fn munich_prepare_without_multi_obs_is_typed() {
-    use uncertts::core::engine::{PrepareError, QueryEngine};
+    use uncertts::core::engine::QueryEngine;
+    use uncertts::core::index::IndexConfig;
+    use uncertts::core::InputError;
     use uncertts::tseries::TimeSeries;
     use uncertts::uncertain::PointError;
 
@@ -241,10 +249,10 @@ fn munich_prepare_without_multi_obs_is_typed() {
         munich: Munich::default(),
         tau: 0.5,
     };
-    // Typed error from try_prepare; documented panic (same message) from
-    // prepare.
-    let err = QueryEngine::try_prepare(&task, &technique).unwrap_err();
-    assert_eq!(err, PrepareError::MissingMultiObs);
+    // Typed error from try_prepare_with; documented panic (same message)
+    // from prepare.
+    let err = QueryEngine::try_prepare_with(&task, &technique, IndexConfig::default()).unwrap_err();
+    assert_eq!(err, InputError::MissingMultiObs);
     assert!(err.to_string().contains("multi-observation"));
     assert!(panics(|| QueryEngine::prepare(&task, &technique)));
 }
@@ -254,7 +262,6 @@ fn munich_strategies_agree_on_degenerate_epsilon() {
     let x = MultiObsSeries::from_rows(vec![vec![0.0, 0.1], vec![1.0, 1.1]]);
     let y = MultiObsSeries::from_rows(vec![vec![5.0, 5.1], vec![6.0, 6.1]]);
     for strategy in [
-        MunichStrategy::Exact,
         MunichStrategy::Convolution { bins: 1024 },
         MunichStrategy::MonteCarlo { samples: 2000 },
         MunichStrategy::Auto,
