@@ -1,123 +1,21 @@
-//! Shared fixtures for the criterion benchmarks.
+//! Seeded fixtures shared with the perfbench benchmark.
 //!
-//! The benches mirror the paper's timing figures (11 and 12) and add
-//! ablations for three design choices: MUNICH estimation strategies,
-//! DUST table resolution, and UMA/UEMA weighting.
+//! perfbench (`perfbench/`, declared in `BENCHMARK.json`) builds its
+//! `search_large` collection from [`bench_task_clustered`]; its answers
+//! and `answer_f1` rest on this fixture, so its output is pinned by a
+//! unit test below.
 
 #![warn(missing_docs)]
 
-use uts_datasets::{Catalogue, Dataset, DatasetId};
 use uts_stats::rng::Seed;
-use uts_uncertain::{
-    perturb, perturb_multi, ErrorFamily, ErrorSpec, MultiObsSeries, UncertainSeries,
-};
+use uts_uncertain::{perturb, ErrorFamily, ErrorSpec, UncertainSeries};
 
-/// Root seed shared by all benches (fixed for comparability across runs).
+/// Root seed shared by all fixtures (fixed for comparability across runs).
 pub const BENCH_SEED: u64 = 0xBE7C;
 
-/// A small clean dataset for timing (30 GunPoint-analogue series).
-pub fn bench_dataset() -> Dataset {
-    Catalogue::new(Seed::new(BENCH_SEED)).generate_scaled(DatasetId::GunPoint, 30)
-}
-
-/// Perturbed pdf-model series for the whole bench dataset.
-pub fn bench_uncertain(sigma: f64, family: ErrorFamily) -> Vec<UncertainSeries> {
-    let d = bench_dataset();
-    let spec = ErrorSpec::constant(family, sigma);
-    d.series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| perturb(s, &spec, Seed::new(BENCH_SEED).derive_u64(i as u64)))
-        .collect()
-}
-
-/// A pair of uncertain series of the given length (values resampled).
-pub fn bench_pair(len: usize, sigma: f64) -> (UncertainSeries, UncertainSeries) {
-    let d = bench_dataset();
-    let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
-    let a = uts_tseries::resample::resample_series(&d.series[0], len);
-    let b = uts_tseries::resample::resample_series(&d.series[1], len);
-    (
-        perturb(&a, &spec, Seed::new(BENCH_SEED).derive("a")),
-        perturb(&b, &spec, Seed::new(BENCH_SEED).derive("b")),
-    )
-}
-
-/// A full seeded matching task over the bench dataset: clean series,
-/// pdf-model perturbation and a multi-observation perturbation, with
-/// ground-truth size `k` — the fixture the `query_throughput` bench runs
-/// range / top-k / DTW scans against.
-pub fn bench_task(sigma: f64, k: usize) -> uts_core::matching::MatchingTask {
-    let d = bench_dataset();
-    let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
-    let uncertain: Vec<UncertainSeries> = d
-        .series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            perturb(
-                s,
-                &spec,
-                Seed::new(BENCH_SEED).derive("task").derive_u64(i as u64),
-            )
-        })
-        .collect();
-    let multi: Vec<MultiObsSeries> = d
-        .series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            perturb_multi(
-                s,
-                &spec,
-                3,
-                Seed::new(BENCH_SEED)
-                    .derive("task-multi")
-                    .derive_u64(i as u64),
-            )
-        })
-        .collect();
-    uts_core::matching::MatchingTask::new(d.series, uncertain, Some(multi), k)
-}
-
-/// A matching task over `n` GunPoint-analogue series — the scalable
-/// fixture the `serving_throughput` bench shards. Same construction as
-/// [`bench_task`], with the collection size a parameter.
-pub fn bench_task_sized(n: usize, sigma: f64, k: usize) -> uts_core::matching::MatchingTask {
-    let d = Catalogue::new(Seed::new(BENCH_SEED)).generate_scaled(DatasetId::GunPoint, n);
-    let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
-    let uncertain: Vec<UncertainSeries> = d
-        .series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            perturb(
-                s,
-                &spec,
-                Seed::new(BENCH_SEED).derive("task").derive_u64(i as u64),
-            )
-        })
-        .collect();
-    let multi: Vec<MultiObsSeries> = d
-        .series
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            perturb_multi(
-                s,
-                &spec,
-                3,
-                Seed::new(BENCH_SEED)
-                    .derive("task-multi")
-                    .derive_u64(i as u64),
-            )
-        })
-        .collect();
-    uts_core::matching::MatchingTask::new(d.series, uncertain, Some(multi), k)
-}
-
 /// A clustered synthetic matching task at arbitrary scale — the
-/// `index_scaling` fixture. [`Catalogue::generate_scaled`] can only
+/// fixture of perfbench's `search_large` workload.
+/// [`uts_datasets::Catalogue::generate_scaled`] can only
 /// *subsample* a catalogue dataset, so collections beyond the
 /// catalogue's size are synthesised directly: sixteen sine-mixture
 /// families with per-member phase and frequency jitter (so SAX packing
@@ -163,14 +61,44 @@ pub fn bench_task_clustered(
     uts_core::matching::MatchingTask::new(clean, uncertain, None, k)
 }
 
-/// A pair of multi-observation series (`n` timestamps × `s` samples).
-pub fn bench_multi_pair(n: usize, s: usize, sigma: f64) -> (MultiObsSeries, MultiObsSeries) {
-    let d = bench_dataset();
-    let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
-    let a = uts_tseries::resample::resample_series(&d.series[0], n);
-    let b = uts_tseries::resample::resample_series(&d.series[1], n);
-    (
-        perturb_multi(&a, &spec, s, Seed::new(BENCH_SEED).derive("ma")),
-        perturb_multi(&b, &spec, s, Seed::new(BENCH_SEED).derive("mb")),
-    )
+#[cfg(test)]
+mod unit {
+    use super::*;
+
+    /// `(value, σ)` bit patterns of a member's first and last point.
+    fn ends(u: &UncertainSeries) -> [(u64, u64); 2] {
+        let sigmas = u.sigmas();
+        let last = u.len() - 1;
+        [
+            (u.values()[0].to_bits(), sigmas[0].to_bits()),
+            (u.values()[last].to_bits(), sigmas[last].to_bits()),
+        ]
+    }
+
+    #[test]
+    fn clustered_fixture_is_pinned() {
+        // perfbench's search_large answers and `answer_f1` are only
+        // comparable across commits while this fixture is unchanged.
+        let task = bench_task_clustered(20, 8, 0.4, 3);
+        assert_eq!(task.len(), 20);
+        let sigma = 0.4f64.to_bits();
+        let u = task.uncertain();
+        assert_eq!(
+            ends(&u[0]),
+            [
+                (0xbffd_b809_13b5_98a7, sigma),
+                (0x3ff0_26fc_2963_d400, sigma)
+            ]
+        );
+        assert_eq!(
+            ends(&u[19]),
+            [
+                (0x3ff8_4914_51ea_6bbe, sigma),
+                (0xbff5_9e3c_5659_0238, sigma)
+            ]
+        );
+        assert!(u
+            .iter()
+            .all(|s| s.errors().iter().all(|e| e.family == ErrorFamily::Normal)));
+    }
 }

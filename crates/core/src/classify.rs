@@ -29,11 +29,6 @@ impl ClassificationOutcome {
             self.correct as f64 / self.total as f64
         }
     }
-
-    /// Error rate `1 − accuracy`.
-    pub fn error_rate(&self) -> f64 {
-        1.0 - self.accuracy()
-    }
 }
 
 /// Leave-one-out 1-NN classification: each series is classified by the
@@ -208,7 +203,6 @@ mod unit {
             total: 4,
         };
         assert!((o.accuracy() - 0.75).abs() < 1e-12);
-        assert!((o.error_rate() - 0.25).abs() < 1e-12);
         let empty = ClassificationOutcome {
             correct: 0,
             total: 0,

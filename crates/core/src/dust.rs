@@ -48,7 +48,7 @@ use uts_tseries::dtw::{DtwOptions, DtwWorkspace};
 use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
 
 /// Largest distinct-error-set size for which [`Dust::warm_tables`] warms
-/// eagerly (and [`Dust::dtw_distance_with`] hoists a full table grid).
+/// eagerly (and [`Dust::dtw_distance`] hoists a full table grid).
 /// The paper's workloads carry at most a handful of (family, σ) levels;
 /// sample-estimated workloads with per-point σ blow past this and stay on
 /// lazy per-pair resolution.
@@ -226,8 +226,8 @@ impl DustBoundTable {
     }
 
     /// Slope of the beyond-grid linear extension.
-    #[must_use]
-    pub fn tail_slope(&self) -> f64 {
+    #[cfg(test)]
+    fn tail_slope(&self) -> f64 {
         self.tail_slope
     }
 
@@ -281,7 +281,8 @@ impl Dust {
     }
 
     /// Number of lookup tables built so far.
-    pub fn cached_tables(&self) -> usize {
+    #[cfg(test)]
+    fn cached_tables(&self) -> usize {
         self.tables.read().expect("dust table lock").len()
     }
 
@@ -400,25 +401,13 @@ impl Dust {
 
     /// DUST as the local cost of Dynamic Time Warping (paper §3.2: DUST
     /// "can be employed to compute the Dynamic Time Warping distance").
-    pub fn dtw_distance(&self, x: &UncertainSeries, y: &UncertainSeries, opts: DtwOptions) -> f64 {
-        self.dtw_distance_with(x, y, opts, &mut DtwWorkspace::new())
-    }
-
-    /// [`Dust::dtw_distance`] with a caller-provided scratch workspace —
-    /// allocation-free in steady state when the same workspace serves a
-    /// whole candidate scan.
     ///
     /// Table resolution is hoisted out of the `O(n·m)` cell loop: the
     /// distinct error pairs of the two series (one or two per series in
     /// the paper's workloads) are resolved once up front, and each cell
     /// indexes the prepared grid instead of hashing into the shared cache.
-    pub fn dtw_distance_with(
-        &self,
-        x: &UncertainSeries,
-        y: &UncertainSeries,
-        opts: DtwOptions,
-        workspace: &mut DtwWorkspace,
-    ) -> f64 {
+    pub fn dtw_distance(&self, x: &UncertainSeries, y: &UncertainSeries, opts: DtwOptions) -> f64 {
+        let mut workspace = DtwWorkspace::new();
         if self.config.exact_evaluation {
             return workspace
                 .accumulated_cost(

@@ -22,15 +22,10 @@
 //!      re-scanning sample rows per pair; range queries then refine the
 //!      surviving candidates through the count-bound early-abandonment
 //!      pipeline ([`Munich::matches_enveloped`](crate::munich::Munich)),
-//!      fanned over all cores;
-//!    * DTW — LB_Keogh envelopes of every member, cached per band width.
+//!      fanned over all cores.
 //! 2. **Query** (per query): squared-distance comparisons with early
 //!    abandonment against the exact ε² decision boundary
-//!    ([`uts_tseries::squared_cutoff`]), LB_Keogh pruning before any
-//!    band-constrained DTW (Kurbalija et al. show the Sakoe–Chiba band is
-//!    what makes DTW practical), and a reusable
-//!    [`uts_tseries::DtwWorkspace`] so the DTW kernel is allocation-free
-//!    in steady state.
+//!    ([`uts_tseries::squared_cutoff`]).
 //!
 //! Every fast path is *bit-identical* to its naive counterpart (asserted
 //! by the `engine_equivalence` suite): the early-abandon kernels replay
@@ -49,14 +44,12 @@
 //! still makes every accept/reject decision).
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use uts_tseries::distance::{
     euclidean_squared_early_abandon, squared_cutoff, squared_cutoff_strict,
 };
-use uts_tseries::dtw::{lb_keogh_enveloped, DtwOptions, DtwWorkspace, KeoghEnvelope};
 use uts_tseries::TimeSeries;
 use uts_uncertain::{MultiObsSeries, PointError, UncertainSeries};
 
@@ -171,9 +164,6 @@ pub struct QueryEngine<T: Borrow<MatchingTask>> {
     index: Option<CandidateIndex>,
     /// Pruning-effectiveness counters across all queries answered.
     counters: IndexCounters,
-    /// LB_Keogh envelopes of every member's value view, lazily built and
-    /// cached per band half-width.
-    keogh: RwLock<HashMap<usize, Arc<Vec<KeoghEnvelope>>>>,
 }
 
 impl<T: Borrow<MatchingTask>> QueryEngine<T> {
@@ -217,7 +207,6 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
             state,
             index,
             counters: IndexCounters::default(),
-            keogh: RwLock::new(HashMap::new()),
         })
     }
 
@@ -643,46 +632,6 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         }
     }
 
-    /// Band-constrained DTW range query over the technique's value view
-    /// (observed values for Euclidean, filtered values for UMA/UEMA,
-    /// DUST-DTW for DUST), with LB_Keogh pruning from per-collection
-    /// envelopes for the value-based techniques. `None` for the
-    /// probabilistic techniques.
-    pub fn dtw_answer_set(&self, q: usize, epsilon: f64, band: usize) -> Option<Vec<usize>> {
-        let task = self.task();
-        let n = task.len();
-        assert!(q < n, "query index out of range");
-        let opts = DtwOptions::with_band(band);
-        if let Technique::Dust(d) = &self.technique {
-            let qu = &task.uncertain()[q];
-            let mut ws = DtwWorkspace::new();
-            return Some(
-                (0..n)
-                    .filter(|&i| i != q)
-                    .filter(|&i| {
-                        d.dtw_distance_with(qu, &task.uncertain()[i], opts, &mut ws) <= epsilon
-                    })
-                    .collect(),
-            );
-        }
-        let qv = self.value_view(q)?;
-        let envelopes = self.keogh_envelopes(band);
-        let mut ws = DtwWorkspace::new();
-        let mut out = Vec::new();
-        for i in (0..n).filter(|&i| i != q) {
-            // LB_Keogh lower-bounds the band-DTW: a violated bound prunes
-            // the candidate without running the dynamic program.
-            if lb_keogh_enveloped(qv, &envelopes[i]) > epsilon {
-                continue;
-            }
-            let iv = self.value_view(i).expect("same technique for all members");
-            if ws.dtw(qv, iv, opts) <= epsilon {
-                out.push(i);
-            }
-        }
-        Some(out)
-    }
-
     /// Full §4.1.2 protocol for one query: ground truth, calibrated
     /// threshold, answer, score — with the answer scan on the prepared
     /// fast path.
@@ -868,37 +817,6 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         self.counters.candidates.fetch_add(cands, Ordering::Relaxed);
         Ok(best.into_iter().map(|(d, i)| (i, d)).collect())
     }
-
-    /// The plain-value view the DTW scan warps over, when the technique
-    /// has one.
-    fn value_view(&self, i: usize) -> Option<&[f64]> {
-        match (&self.technique, &self.state) {
-            (Technique::Euclidean, _) => Some(self.task().uncertain()[i].values()),
-            (_, Prepared::Filtered(filtered)) => Some(filtered[i].values()),
-            _ => None,
-        }
-    }
-
-    /// LB_Keogh envelopes of every member's value view for the given
-    /// band, built on first use and cached.
-    fn keogh_envelopes(&self, band: usize) -> Arc<Vec<KeoghEnvelope>> {
-        if let Some(envs) = self.keogh.read().expect("keogh cache lock").get(&band) {
-            return envs.clone();
-        }
-        let envs: Arc<Vec<KeoghEnvelope>> = Arc::new(
-            (0..self.task().len())
-                .map(|i| {
-                    KeoghEnvelope::build(self.value_view(i).expect("value-based technique"), band)
-                })
-                .collect(),
-        );
-        self.keogh
-            .write()
-            .expect("keogh cache lock")
-            .entry(band)
-            .or_insert_with(|| envs.clone());
-        envs
-    }
 }
 
 impl QueryEngine<Arc<MatchingTask>> {
@@ -927,7 +845,6 @@ impl QueryEngine<Arc<MatchingTask>> {
     ) -> Result<(), InputError> {
         // A shard engine holds the only handle, so this never clones.
         let old = Arc::make_mut(&mut self.task).try_replace(i, clean, uncertain, multi)?;
-        self.keogh = RwLock::default();
         let task: &MatchingTask = &self.task;
         let u = &task.uncertain()[i];
         let view = match (&self.technique, &mut self.state) {
@@ -1283,107 +1200,6 @@ mod unit {
         // Wider ε can only add members.
         let wider = engine.answer_set_ref(&query, 5.0, None);
         assert!(res.iter().all(|i| wider.contains(i)), "{res:?} ⊄ {wider:?}");
-    }
-
-    #[test]
-    fn dtw_range_prunes_without_losing_answers() {
-        let task = toy_task(19, 10, 18, 0.4, 3);
-        for technique in [
-            Technique::Euclidean,
-            Technique::Uma(Uma::default()),
-            Technique::Dust(Dust::default()),
-        ] {
-            let engine = QueryEngine::prepare(&task, &technique);
-            let q = 4;
-            let eps = task.calibrated_threshold(q, &technique);
-            let got = engine
-                .dtw_answer_set(q, eps, 3)
-                .expect("distance technique");
-            // Naive reference: full DTW per candidate on the same view.
-            let opts = DtwOptions::with_band(3);
-            let mut ws = DtwWorkspace::new();
-            let want: Vec<usize> = (0..task.len())
-                .filter(|&i| i != q)
-                .filter(|&i| match &technique {
-                    Technique::Euclidean => {
-                        ws.dtw(
-                            task.uncertain()[q].values(),
-                            task.uncertain()[i].values(),
-                            opts,
-                        ) <= eps
-                    }
-                    Technique::Uma(u) => {
-                        ws.dtw(
-                            u.filter(&task.uncertain()[q]).values(),
-                            u.filter(&task.uncertain()[i]).values(),
-                            opts,
-                        ) <= eps
-                    }
-                    Technique::Dust(d) => {
-                        d.dtw_distance(&task.uncertain()[q], &task.uncertain()[i], opts) <= eps
-                    }
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(got, want, "{}", technique.kind());
-        }
-        // Probabilistic techniques: no DTW ranking.
-        let munich = Technique::Munich {
-            munich: Munich::default(),
-            tau: 0.5,
-        };
-        let engine = QueryEngine::prepare(&task, &munich);
-        assert!(engine.dtw_answer_set(0, 1.0, 2).is_none());
-    }
-
-    #[test]
-    fn keogh_envelope_cache_is_per_band() {
-        let task = toy_task(23, 8, 12, 0.3, 3);
-        let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
-        let _ = engine.dtw_answer_set(0, 1.0, 2);
-        let _ = engine.dtw_answer_set(1, 1.0, 2);
-        let _ = engine.dtw_answer_set(0, 1.0, 4);
-        assert_eq!(engine.keogh.read().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn dtw_after_replace_member_matches_a_fresh_engine() {
-        let task = toy_task(37, 10, 18, 0.3, 3);
-        let (q, victim, donor) = (0, 6, 1);
-        // The victim becomes a copy of the query's near neighbour, so a
-        // stale LB_Keogh envelope (built from its old, distant series)
-        // would prune a true DTW answer.
-        let mut clean = task.clean().to_vec();
-        let mut uncertain = task.uncertain().to_vec();
-        let mut multi = task.multi().unwrap().to_vec();
-        clean[victim] = clean[donor].clone();
-        uncertain[victim] = uncertain[donor].clone();
-        multi[victim] = multi[donor].clone();
-        let mutated = MatchingTask::new(clean, uncertain, Some(multi), 3);
-        for technique in [Technique::Euclidean, Technique::Uma(Uma::default())] {
-            let eps = mutated.calibrated_threshold(q, &technique);
-            let mut engine = QueryEngine::prepare(Arc::new(task.clone()), &technique);
-            let stale = engine.dtw_answer_set(q, eps, 3).unwrap();
-            engine
-                .try_replace_member(
-                    victim,
-                    mutated.clean()[victim].clone(),
-                    mutated.uncertain()[victim].clone(),
-                    Some(mutated.multi().unwrap()[victim].clone()),
-                    &IndexConfig::default(),
-                )
-                .expect("shape-preserving replacement");
-            let want = QueryEngine::prepare(&mutated, &technique)
-                .dtw_answer_set(q, eps, 3)
-                .unwrap();
-            assert!(want.contains(&victim) && !stale.contains(&victim));
-            assert_eq!(
-                engine.dtw_answer_set(q, eps, 3).unwrap(),
-                want,
-                "{}",
-                technique.kind()
-            );
-        }
     }
 
     #[test]

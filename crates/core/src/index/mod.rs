@@ -27,7 +27,8 @@
 //! live in one flat array), and the SAX sort gives the same locality a
 //! tree's prefix splits would — tight MBRs — without the pointer
 //! chasing. At 10⁵ series, leaf-MBR pruning already removes the vast
-//! majority of candidates (see `BENCH_index.json`); a hierarchical index
+//! majority of candidates (see the index history rows in
+//! `docs/BENCHMARKS.md`); a hierarchical index
 //! only starts paying for itself orders of magnitude later.
 //!
 //! # Pruning and admissibility
@@ -87,8 +88,8 @@
 //! MBR construction over all cores via
 //! [`parallel_map`](crate::parallel::parallel_map), which runs them on
 //! the process-wide worker pool; both stages are order-preserving and
-//! per-item pure, so the layout is bit-identical to
-//! [`CandidateIndex::build_serial`] (asserted in the unit suite). On a
+//! per-item pure, so the layout is bit-identical to a single-threaded
+//! build (asserted in the unit suite). On a
 //! single-core host `parallel_map` degrades to the sequential loop.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,8 +223,8 @@ impl CandidateIndex {
     /// lengths — the exact scan handles whatever semantics those have).
     ///
     /// Summarization and leaf construction run over all cores (see the
-    /// module docs); the layout is bit-identical to
-    /// [`Self::build_serial`].
+    /// module docs); the layout is bit-identical to a single-threaded
+    /// build.
     #[must_use]
     pub fn build(views: &[&[f64]], cfg: &IndexConfig) -> Option<Self> {
         Self::build_impl(views, cfg, true)
@@ -231,8 +232,9 @@ impl CandidateIndex {
 
     /// Single-threaded twin of [`Self::build`] — the reference layout the
     /// parallel build is asserted against.
+    #[cfg(test)]
     #[must_use]
-    pub fn build_serial(views: &[&[f64]], cfg: &IndexConfig) -> Option<Self> {
+    fn build_serial(views: &[&[f64]], cfg: &IndexConfig) -> Option<Self> {
         Self::build_impl(views, cfg, false)
     }
 
@@ -605,8 +607,7 @@ impl IndexCounters {
 
 /// Point-in-time pruning statistics (see [`IndexCounters`] for field
 /// meanings), exposed on `QueryEngine::index_stats` and summed across
-/// shards by `ShardedEngine::index_stats`, and mirrored into the
-/// `serving_throughput` bench JSON.
+/// shards by `ShardedEngine::index_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Range/top-k queries answered through the index.

@@ -31,8 +31,8 @@
 //! grid optimisation, and precision/recall/F1 scoring.
 //!
 //! [`engine`] is the batched query layer those protocols run on:
-//! per-collection preparation (filter caches, DUST table warm-up, MBI and
-//! LB_Keogh envelopes) split from per-query evaluation with early
+//! per-collection preparation (filter caches, DUST table warm-up, MBI
+//! envelopes) split from per-query evaluation with early
 //! abandonment and lower-bound pruning, bit-identical to the naive
 //! `*_naive` reference paths.
 //!
@@ -84,4 +84,4 @@ pub use serving::{
     ResultCache, ScoredAnswer, ServeError, ServingResponse, ShardAssignment, ShardFault, ShardPlan,
     ShardedEngine, Strictness,
 };
-pub use uma::{Uema, Uma, WeightNormalization};
+pub use uma::{Uema, Uma};

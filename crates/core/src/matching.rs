@@ -377,7 +377,7 @@ impl MatchingTask {
 
     /// Reference implementation of [`MatchingTask::ground_truth`]: full
     /// distance pass plus a stable sort. Kept as the naive baseline the
-    /// engine is tested against (and benchmarked in `query_throughput`).
+    /// engine is tested against.
     pub fn ground_truth_naive(&self, q: usize) -> GroundTruth {
         assert!(q < self.len(), "query index out of range");
         let qs = self.clean[q].values();

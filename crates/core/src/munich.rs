@@ -23,8 +23,7 @@
 //! * **Convolution** — fixed-bin histogram convolution of the `n`
 //!   per-timestamp distributions, tracking rigorous lower/upper
 //!   probability bounds (mass is shifted by floor/ceil bin rounding).
-//! * **MonteCarlo** — unbiased sampling of materialisation pairs; the only
-//!   general strategy for DTW, where the product form does not hold.
+//! * **MonteCarlo** — unbiased sampling of materialisation pairs.
 //!
 //! Every strategy runs after the minimal-bounding-interval (MBI) filter
 //! step of the original paper, which short-circuits certain 0/1 answers
@@ -135,7 +134,6 @@
 use rand::Rng;
 use uts_stats::rng::Seed;
 use uts_stats::Normal;
-use uts_tseries::dtw::{dtw_with_cost, DtwOptions};
 use uts_uncertain::MultiObsSeries;
 
 use crate::error::InputError;
@@ -506,51 +504,6 @@ impl Munich {
     fn mbi_filter(&self, eps_sq: f64, bounds: impl FnOnce() -> (f64, f64)) -> Option<bool> {
         let (lb_sq, ub_sq) = self.config.use_mbi_filter.then(bounds)?;
         bounds_decide(lb_sq, ub_sq, eps_sq)
-    }
-
-    /// `Pr(DTW(X, Y) ≤ ε)` estimated by Monte-Carlo over materialisation
-    /// pairs, with the interval-DTW bounds short-circuiting certain
-    /// answers (see [`dtw_interval_bounds`]).
-    ///
-    /// # Panics
-    /// If `ε` is negative or NaN, like every other MUNICH threshold, or
-    /// `samples` is zero.
-    pub fn dtw_probability_within(
-        &self,
-        x: &MultiObsSeries,
-        y: &MultiObsSeries,
-        epsilon: f64,
-        opts: DtwOptions,
-        samples: usize,
-    ) -> f64 {
-        Self::validate_epsilon(epsilon).unwrap_or_else(|e| panic!("{e}"));
-        assert!(samples > 0, "need at least one Monte-Carlo sample");
-        let eps_sq = epsilon * epsilon;
-        let (lb_sq, ub_sq) = dtw_interval_bounds(x, y, opts);
-        if let Some(within) = bounds_decide(lb_sq, ub_sq, eps_sq) {
-            return if within { 1.0 } else { 0.0 };
-        }
-        let mut rng = Seed::new(self.config.mc_seed).derive("dtw").rng();
-        let mut hits = 0usize;
-        let mut xs = vec![0.0; x.len()];
-        let mut ys = vec![0.0; y.len()];
-        for _ in 0..samples {
-            materialize_into(x, &mut rng, &mut xs);
-            materialize_into(y, &mut rng, &mut ys);
-            let d = dtw_with_cost(
-                xs.len(),
-                ys.len(),
-                |i, j| {
-                    let d = xs[i] - ys[j];
-                    d * d
-                },
-                opts,
-            );
-            if d <= eps_sq {
-                hits += 1;
-            }
-        }
-        hits as f64 / samples as f64
     }
 
     /// Monte-Carlo estimate of `Pr(distance ≤ ε)` over `samples` seeded
@@ -1518,48 +1471,6 @@ fn interval_pair_sq_range(xl: f64, xh: f64, yl: f64, yh: f64) -> (f64, f64) {
     (gap * gap, far * far)
 }
 
-/// Interval-sequence DTW bounds: any warping path's accumulated
-/// min-interval (max-interval) costs lower- (upper-) bound the DTW of
-/// every materialisation pair.
-///
-/// Proof sketch (upper bound): let `P*` minimise the max-cost path sum.
-/// For any materialisation, its optimal path cost ≤ its cost along `P*`
-/// ≤ `Σ_{P*} maxcost`. The lower bound is symmetric: for any
-/// materialisation and its optimal path `P`,
-/// cost ≥ `Σ_P mincost ≥ min_P Σ mincost`.
-pub fn dtw_interval_bounds(x: &MultiObsSeries, y: &MultiObsSeries, opts: DtwOptions) -> (f64, f64) {
-    let lb = dtw_with_cost(
-        x.len(),
-        y.len(),
-        |i, j| {
-            let (xl, xh) = x.mbi(i);
-            let (yl, yh) = y.mbi(j);
-            interval_pair_sq_range(xl, xh, yl, yh).0
-        },
-        opts,
-    );
-    let ub = dtw_with_cost(
-        x.len(),
-        y.len(),
-        |i, j| {
-            let (xl, xh) = x.mbi(i);
-            let (yl, yh) = y.mbi(j);
-            interval_pair_sq_range(xl, xh, yl, yh).1
-        },
-        opts,
-    );
-    (lb, ub)
-}
-
-/// Draws one materialisation of `m` into `out` (one uniformly random
-/// sample per timestamp).
-fn materialize_into<R: Rng + ?Sized>(m: &MultiObsSeries, rng: &mut R, out: &mut [f64]) {
-    let s = m.samples_per_point();
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = m.row(i)[rng.gen_range(0..s)];
-    }
-}
-
 #[cfg(test)]
 mod unit {
     use super::*;
@@ -1733,53 +1644,6 @@ mod unit {
         let (lo, hi) = interval_pair_sq_range(2.0, 2.0, -1.0, -1.0);
         assert_eq!(lo, 9.0);
         assert_eq!(hi, 9.0);
-    }
-
-    #[test]
-    fn dtw_bounds_bracket_materialisations() {
-        let (x, y) = small_pair(8, 5, 3);
-        let opts = DtwOptions::default();
-        let (lb_sq, ub_sq) = dtw_interval_bounds(&x, &y, opts);
-        assert!(lb_sq <= ub_sq);
-        // Sample materialisations and verify the bracket.
-        let mut rng = Seed::new(77).rng();
-        let mut xs = vec![0.0; x.len()];
-        let mut ys = vec![0.0; y.len()];
-        for _ in 0..200 {
-            materialize_into(&x, &mut rng, &mut xs);
-            materialize_into(&y, &mut rng, &mut ys);
-            let d = dtw_with_cost(
-                xs.len(),
-                ys.len(),
-                |i, j| {
-                    let d = xs[i] - ys[j];
-                    d * d
-                },
-                opts,
-            );
-            assert!(
-                d >= lb_sq - 1e-9 && d <= ub_sq + 1e-9,
-                "materialisation DTW {d} outside [{lb_sq}, {ub_sq}]"
-            );
-        }
-    }
-
-    #[test]
-    fn dtw_probability_sane() {
-        let (x, y) = small_pair(9, 4, 3);
-        let munich = Munich::default();
-        let p_small = munich.dtw_probability_within(&x, &y, 0.01, DtwOptions::default(), 2000);
-        let p_large = munich.dtw_probability_within(&x, &y, 100.0, DtwOptions::default(), 2000);
-        assert!(p_small <= p_large);
-        assert_eq!(p_large, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "distance threshold must be non-negative")]
-    fn dtw_probability_rejects_negative_epsilon() {
-        let (x, y) = small_pair(9, 4, 3);
-        let _ =
-            Munich::default().dtw_probability_within(&x, &y, -100.0, DtwOptions::default(), 2000);
     }
 
     #[test]

@@ -205,12 +205,6 @@ impl Proud {
         let limit = Self::epsilon_limit(tau);
         epsilon >= 0.0 && self.distance_stats(x, y).epsilon_norm(epsilon) >= limit
     }
-
-    /// Expected distance point estimate `sqrt(E[dist²])` — a convenient
-    /// scalar for ranking (not part of the original PROUD interface).
-    pub fn expected_distance(&self, x: &UncertainSeries, y: &UncertainSeries) -> f64 {
-        self.distance_stats(x, y).mean_sq.sqrt()
-    }
 }
 
 /// Third central moment of a declared error distribution.

@@ -6,7 +6,7 @@
 //! permits; a query that cannot get a permit within the bounded wait is
 //! rejected with the typed [`ServeError::Overloaded`] instead of queueing
 //! unboundedly. Counters ([`GateStats`]) surface next to the cache and
-//! index statistics in the serving bench.
+//! index statistics.
 //!
 //! The gate is plain `Mutex` + `Condvar` — no dependencies, and the
 //! uncontended acquire is one lock round-trip, far below the cost of any

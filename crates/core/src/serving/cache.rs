@@ -1,8 +1,8 @@
 //! Cross-query result cache for the serving layer.
 //!
 //! Heavy-traffic workloads are skewed: a small set of popular queries
-//! accounts for most of the volume (the `serving_throughput` bench
-//! replays exactly such a Zipf mix). The cache memoises complete merged
+//! accounts for most of the volume (perfbench's `serve_mixed` workload
+//! replays such a Zipf mix). The cache memoises complete merged
 //! answers keyed by `(query id, ε or k)`, so a repeated
 //! query costs one `HashMap` probe instead of a full sharded fan-out.
 //!

@@ -312,11 +312,6 @@ impl ShardedEngine {
         self.faults = plan;
     }
 
-    /// Removes any injected faults (armed or spent).
-    pub fn clear_faults(&mut self) {
-        self.faults = FaultPlan::new();
-    }
-
     /// How many injected fault rules are still armed.
     pub fn armed_faults(&self) -> usize {
         self.faults.armed_count()

@@ -24,10 +24,7 @@
 //! filtered series is globally shrunk by roughly `E[1/σ]`. Because every
 //! series passes through the same filter and the matching threshold is
 //! calibrated in the *filtered* space (paper §4.1.2), this shrinkage is
-//! harmless for matching. We implement the literal formulas as
-//! [`WeightNormalization::Literal`] (default) and the self-normalising
-//! variant (`Σ weights = 1`) as [`WeightNormalization::Normalized`]; the
-//! `filters_ablation` bench compares them.
+//! harmless for matching, so the filters implement the literal formulas.
 //!
 //! Window truncation at the series boundaries follows the same convention
 //! as `uts-tseries::filters`: only in-range terms are summed, and the
@@ -37,57 +34,31 @@ use uts_tseries::distance::euclidean;
 use uts_tseries::TimeSeries;
 use uts_uncertain::UncertainSeries;
 
-/// Denominator convention for the UMA/UEMA filters (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WeightNormalization {
-    /// The paper's literal Eq. 17–18 denominators (window size / decay
-    /// sum, without the `1/σ` factors).
-    #[default]
-    Literal,
-    /// Fully normalised weights: the denominator is the sum of the exact
-    /// per-term weights, making the filter an unbiased weighted mean.
-    Normalized,
-}
-
 /// The UMA filter + Euclidean distance (paper Eq. 17).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Uma {
     /// Window half-width `w` (full window `2w + 1`). The paper settles on
     /// `w = 2` (§5.2).
     pub w: usize,
-    /// Denominator convention.
-    pub normalization: WeightNormalization,
 }
 
 impl Default for Uma {
-    /// The paper's §5.2 default: `W = 5`, i.e. `w = 2`, literal weights.
+    /// The paper's §5.2 default: `W = 5`, i.e. `w = 2`.
     fn default() -> Self {
-        Self {
-            w: 2,
-            normalization: WeightNormalization::Literal,
-        }
+        Self::new(2)
     }
 }
 
 impl Uma {
     /// Creates a UMA filter with half-width `w`.
     pub fn new(w: usize) -> Self {
-        Self {
-            w,
-            ..Self::default()
-        }
+        Self { w }
     }
 
     /// Applies the filter: `Sp` of the paper, Eq. 17.
     pub fn filter(&self, series: &UncertainSeries) -> TimeSeries {
         let sigmas = series.sigmas();
-        filter_impl(
-            series.values(),
-            &sigmas,
-            self.w,
-            |_| 1.0,
-            self.normalization,
-        )
+        filter_impl(series.values(), &sigmas, self.w, |_| 1.0)
     }
 
     /// Euclidean distance between the UMA-filtered series.
@@ -103,18 +74,12 @@ pub struct Uema {
     pub w: usize,
     /// Exponential decay factor λ ≥ 0; the paper settles on λ = 1 (§5.2).
     pub lambda: f64,
-    /// Denominator convention.
-    pub normalization: WeightNormalization,
 }
 
 impl Default for Uema {
-    /// The paper's §5.2 default: `w = 2`, `λ = 1`, literal weights.
+    /// The paper's §5.2 default: `w = 2`, `λ = 1`.
     fn default() -> Self {
-        Self {
-            w: 2,
-            lambda: 1.0,
-            normalization: WeightNormalization::Literal,
-        }
+        Self::new(2, 1.0)
     }
 }
 
@@ -125,24 +90,16 @@ impl Uema {
             lambda >= 0.0,
             "decay factor must be non-negative, got {lambda}"
         );
-        Self {
-            w,
-            lambda,
-            ..Self::default()
-        }
+        Self { w, lambda }
     }
 
     /// Applies the filter: `Se` of the paper, Eq. 18.
     pub fn filter(&self, series: &UncertainSeries) -> TimeSeries {
         let sigmas = series.sigmas();
         let lambda = self.lambda;
-        filter_impl(
-            series.values(),
-            &sigmas,
-            self.w,
-            |off| (-lambda * off.unsigned_abs() as f64).exp(),
-            self.normalization,
-        )
+        filter_impl(series.values(), &sigmas, self.w, |off| {
+            (-lambda * off.unsigned_abs() as f64).exp()
+        })
     }
 
     /// Euclidean distance between the UEMA-filtered series.
@@ -154,14 +111,12 @@ impl Uema {
 /// Shared filter core.
 ///
 /// Numerator term: `decay(j−i) · vⱼ / σⱼ`.
-/// Denominator (literal): `Σ decay(j−i)` over in-range j.
-/// Denominator (normalised): `Σ decay(j−i)/σⱼ` over in-range j.
+/// Denominator: `Σ decay(j−i)` over in-range j (literal Eq. 17–18).
 fn filter_impl(
     values: &[f64],
     sigmas: &[f64],
     w: usize,
     decay: impl Fn(isize) -> f64,
-    normalization: WeightNormalization,
 ) -> TimeSeries {
     debug_assert_eq!(values.len(), sigmas.len());
     let n = values.len();
@@ -177,10 +132,7 @@ fn filter_impl(
             let sigma = sigmas[j];
             assert!(sigma > 0.0, "UMA/UEMA require positive σ at every point");
             num += d * values[j] / sigma;
-            den += match normalization {
-                WeightNormalization::Literal => d,
-                WeightNormalization::Normalized => d / sigma,
-            };
+            den += d;
         }
         out.push(num / den);
     }
@@ -202,11 +154,7 @@ mod unit {
     fn literal_uma_matches_hand_computation() {
         // Eq. 17 with w = 1, constant σ = 2: pmᵢ = Σ vⱼ/2 / window_count.
         let s = us(vec![2.0, 4.0, 6.0], 2.0);
-        let uma = Uma {
-            w: 1,
-            normalization: WeightNormalization::Literal,
-        };
-        let f = uma.filter(&s);
+        let f = Uma::new(1).filter(&s);
         // i=0: (2/2 + 4/2) / 2 = 1.5 ; i=1: (1+2+3)/3 = 2 ; i=2: (2+3)/2 = 2.5
         assert!((f.at(0) - 1.5).abs() < 1e-12);
         assert!((f.at(1) - 2.0).abs() < 1e-12);
@@ -226,31 +174,10 @@ mod unit {
     }
 
     #[test]
-    fn normalized_uma_is_unbiased_for_constants() {
-        // Constant values with wildly varying σ: a normalised weighted
-        // mean must return the constant exactly.
-        let values = vec![3.0; 6];
-        let errors = vec![
-            PointError::new(ErrorFamily::Normal, 0.1),
-            PointError::new(ErrorFamily::Normal, 2.0),
-            PointError::new(ErrorFamily::Normal, 0.5),
-            PointError::new(ErrorFamily::Normal, 1.5),
-            PointError::new(ErrorFamily::Normal, 0.2),
-            PointError::new(ErrorFamily::Normal, 1.0),
-        ];
-        let s = UncertainSeries::new(values, errors);
-        let uma = Uma {
-            w: 2,
-            normalization: WeightNormalization::Normalized,
-        };
-        assert!(uma.filter(&s).iter().all(|v| (v - 3.0).abs() < 1e-12));
-    }
-
-    #[test]
     fn noisy_points_are_downweighted() {
-        // One very noisy point among precise ones: the normalised filter
-        // output at the noisy index should stay near its precise
-        // neighbours' values, not the outlier's.
+        // One very noisy point among precise ones: the filter output at
+        // the noisy index should stay near its precise neighbours'
+        // values, not the outlier's.
         let values = vec![0.0, 0.0, 10.0, 0.0, 0.0];
         let errors = vec![
             PointError::new(ErrorFamily::Normal, 0.1),
@@ -260,11 +187,7 @@ mod unit {
             PointError::new(ErrorFamily::Normal, 0.1),
         ];
         let s = UncertainSeries::new(values, errors);
-        let uma = Uma {
-            w: 1,
-            normalization: WeightNormalization::Normalized,
-        };
-        let f = uma.filter(&s);
+        let f = Uma::new(1).filter(&s);
         assert!(
             f.at(2).abs() < 1.0,
             "outlier should be suppressed, got {}",
@@ -280,24 +203,10 @@ mod unit {
             &ErrorSpec::paper_mixed(ErrorFamily::Normal),
             Seed::new(5),
         );
-        for norm in [
-            WeightNormalization::Literal,
-            WeightNormalization::Normalized,
-        ] {
-            let uma = Uma {
-                w: 3,
-                normalization: norm,
-            };
-            let uema = Uema {
-                w: 3,
-                lambda: 0.0,
-                normalization: norm,
-            };
-            let a = uma.filter(&s);
-            let b = uema.filter(&s);
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-12);
-            }
+        let a = Uma::new(3).filter(&s);
+        let b = Uema::new(3, 0.0).filter(&s);
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert!((x - y).abs() < 1e-12);
         }
     }
 
@@ -382,12 +291,6 @@ mod unit {
     fn zero_sigma_panics_via_pointerror() {
         // PointError already rejects σ = 0 at construction; build the
         // degenerate case through the filter's own guard instead.
-        let _ = filter_impl(
-            &[1.0, 2.0],
-            &[1.0, 0.0],
-            1,
-            |_| 1.0,
-            WeightNormalization::Literal,
-        );
+        let _ = filter_impl(&[1.0, 2.0], &[1.0, 0.0], 1, |_| 1.0);
     }
 }

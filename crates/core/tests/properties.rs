@@ -8,7 +8,7 @@ use uts_core::munich::{Munich, MunichConfig, MunichStrategy};
 use uts_core::proud::Proud;
 use uts_core::proud_stream::ProudStream;
 use uts_core::query::EuclideanMeasure;
-use uts_core::uma::{Uema, Uma, WeightNormalization};
+use uts_core::uma::{Uema, Uma};
 use uts_stats::rng::Seed;
 use uts_tseries::euclidean;
 use uts_uncertain::{ErrorFamily, MultiObsSeries, PointError, UncertainSeries};
@@ -169,14 +169,12 @@ proptest! {
 
     #[test]
     fn uma_distance_is_pseudometric((x, y, _fam, _sigma) in uncertain_pair(12), w in 0usize..4) {
-        for norm in [WeightNormalization::Literal, WeightNormalization::Normalized] {
-            let uma = Uma { w, normalization: norm };
-            let dxy = uma.distance(&x, &y);
-            let dyx = uma.distance(&y, &x);
-            prop_assert!(dxy >= 0.0);
-            prop_assert!((dxy - dyx).abs() < 1e-9);
-            prop_assert!(uma.distance(&x, &x) < 1e-12);
-        }
+        let uma = Uma::new(w);
+        let dxy = uma.distance(&x, &y);
+        let dyx = uma.distance(&y, &x);
+        prop_assert!(dxy >= 0.0);
+        prop_assert!((dxy - dyx).abs() < 1e-9);
+        prop_assert!(uma.distance(&x, &x) < 1e-12);
     }
 
     #[test]
@@ -185,17 +183,6 @@ proptest! {
         let b = Uema::new(w, 0.0).filter(&x);
         for (u, v) in a.iter().zip(b.iter()) {
             prop_assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn normalized_filter_stays_in_range((x, _y, _fam, _sigma) in uncertain_pair(16), w in 0usize..6) {
-        // A normalised weighted mean can never leave the value range.
-        let f = Uma { w, normalization: WeightNormalization::Normalized }.filter(&x);
-        let lo = x.values().iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = x.values().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for v in f.iter() {
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
         }
     }
 

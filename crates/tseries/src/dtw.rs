@@ -172,118 +172,6 @@ pub fn dtw(x: &[f64], y: &[f64], opts: DtwOptions) -> f64 {
     .sqrt()
 }
 
-/// LB_Keogh lower bound for band-constrained DTW with squared local cost
-/// (compared against [`dtw`], i.e. both under the final square root).
-///
-/// Builds the upper/lower envelope of `y` within the band and sums the
-/// squared violations of `x` against it. Guaranteed `lb_keogh(x, y, r) ≤
-/// dtw(x, y, band = r)` for equal-length series.
-pub fn lb_keogh(x: &[f64], y: &[f64], band: usize) -> f64 {
-    assert_eq!(x.len(), y.len(), "LB_Keogh requires equal lengths");
-    // Streamed per-window min/max — no envelope allocation for the
-    // one-shot form (batched callers build a [`KeoghEnvelope`] once and
-    // use [`lb_keogh_enveloped`]).
-    let n = x.len();
-    let mut acc = 0.0;
-    for (i, &xi) in x.iter().enumerate() {
-        let w_lo = i.saturating_sub(band);
-        let w_hi = (i + band).min(n - 1);
-        let (mut env_lo, mut env_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in &y[w_lo..=w_hi] {
-            env_lo = env_lo.min(v);
-            env_hi = env_hi.max(v);
-        }
-        if xi > env_hi {
-            let d = xi - env_hi;
-            acc += d * d;
-        } else if xi < env_lo {
-            let d = env_lo - xi;
-            acc += d * d;
-        }
-    }
-    acc.sqrt()
-}
-
-/// Precomputed LB_Keogh envelope of a candidate series: per index `i`,
-/// the min/max of `y` over the band window `[i − r, i + r]`.
-///
-/// Building the envelope once per collection member and reusing it across
-/// queries turns the per-pair `O(n·r)` envelope scan of [`lb_keogh`] into
-/// a one-time preparation cost — the batched-query pattern of the
-/// Lernaean Hydra evaluation (Echihabi et al.).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeoghEnvelope {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    band: usize,
-}
-
-impl KeoghEnvelope {
-    /// Builds the envelope of `y` for a Sakoe–Chiba band of half-width
-    /// `band`.
-    ///
-    /// # Panics
-    /// If `y` is empty.
-    pub fn build(y: &[f64], band: usize) -> Self {
-        assert!(
-            !y.is_empty(),
-            "LB_Keogh envelope requires a non-empty series"
-        );
-        let n = y.len();
-        let mut lo = Vec::with_capacity(n);
-        let mut hi = Vec::with_capacity(n);
-        for i in 0..n {
-            let w_lo = i.saturating_sub(band);
-            let w_hi = (i + band).min(n - 1);
-            let (mut env_lo, mut env_hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &v in &y[w_lo..=w_hi] {
-                env_lo = env_lo.min(v);
-                env_hi = env_hi.max(v);
-            }
-            lo.push(env_lo);
-            hi.push(env_hi);
-        }
-        Self { lo, hi, band }
-    }
-
-    /// Series length the envelope was built for.
-    pub fn len(&self) -> usize {
-        self.lo.len()
-    }
-
-    /// Whether the envelope is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.lo.is_empty()
-    }
-
-    /// The band half-width the envelope was built for.
-    pub fn band(&self) -> usize {
-        self.band
-    }
-}
-
-/// LB_Keogh against a precomputed envelope — identical to
-/// [`lb_keogh`]`(x, y, env.band())` for the `y` the envelope was built
-/// from, at `O(n)` instead of `O(n·band)` per pair.
-///
-/// # Panics
-/// If `x` and the envelope disagree in length.
-pub fn lb_keogh_enveloped(x: &[f64], env: &KeoghEnvelope) -> f64 {
-    assert_eq!(x.len(), env.len(), "LB_Keogh requires equal lengths");
-    let mut acc = 0.0;
-    for (i, &xi) in x.iter().enumerate() {
-        let (env_lo, env_hi) = (env.lo[i], env.hi[i]);
-        if xi > env_hi {
-            let d = xi - env_hi;
-            acc += d * d;
-        } else if xi < env_lo {
-            let d = env_lo - xi;
-            acc += d * d;
-        }
-    }
-    acc.sqrt()
-}
-
 #[cfg(test)]
 mod unit {
     use super::*;
@@ -350,23 +238,6 @@ mod unit {
     }
 
     #[test]
-    fn lb_keogh_is_a_lower_bound() {
-        let x = [0.1, 0.9, -0.4, 1.2, 0.0, -0.8, 0.3, 0.5];
-        let y = [0.0, 1.0, -0.2, 0.8, 0.1, -1.0, 0.2, 0.7];
-        for band in [0usize, 1, 2, 4] {
-            let lb = lb_keogh(&x, &y, band);
-            let d = dtw(&x, &y, DtwOptions::with_band(band));
-            assert!(lb <= d + 1e-12, "band={band}: lb={lb} > dtw={d}");
-        }
-    }
-
-    #[test]
-    fn lb_keogh_identical_is_zero() {
-        let x = [1.0, 2.0, 3.0];
-        assert_eq!(lb_keogh(&x, &x, 1), 0.0);
-    }
-
-    #[test]
     fn workspace_reuse_matches_fresh_calls() {
         // A single workspace driven across pairs of varying length and
         // band must reproduce the one-shot results exactly — stale cells
@@ -395,19 +266,6 @@ mod unit {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn enveloped_lb_keogh_matches_direct() {
-        let x = [0.1, 0.9, -0.4, 1.2, 0.0, -0.8, 0.3, 0.5];
-        let y = [0.0, 1.0, -0.2, 0.8, 0.1, -1.0, 0.2, 0.7];
-        for band in [0usize, 1, 3, 7, 20] {
-            let env = KeoghEnvelope::build(&y, band);
-            assert_eq!(env.len(), y.len());
-            assert_eq!(env.band(), band);
-            // Bit-identical to the direct form.
-            assert_eq!(lb_keogh_enveloped(&x, &env), lb_keogh(&x, &y, band));
         }
     }
 

@@ -13,8 +13,7 @@
 //! * [`distance`] — Lp norms and Euclidean distance (paper Eq. 1 context).
 //! * [`dtw()`] — Dynamic Time Warping with an optional Sakoe–Chiba band and
 //!   a pluggable local cost, so DUST and MUNICH variants can reuse it
-//!   (paper §3.2 notes MUNICH and DUST extend to DTW), plus the
-//!   LB_Keogh lower bound.
+//!   (paper §3.2 notes MUNICH and DUST extend to DTW).
 //! * [`haar`] — orthonormal Haar wavelet transform; PROUD can run on top
 //!   of a Haar synopsis (paper §4.3).
 
@@ -34,9 +33,7 @@ pub use distance::{
     chebyshev, euclidean, euclidean_squared, euclidean_squared_early_abandon, lp_distance,
     manhattan, squared_cutoff, squared_cutoff_strict,
 };
-pub use dtw::{
-    dtw, dtw_with_cost, lb_keogh, lb_keogh_enveloped, DtwOptions, DtwWorkspace, KeoghEnvelope,
-};
+pub use dtw::{dtw, dtw_with_cost, DtwOptions, DtwWorkspace};
 pub use filters::{exponential_moving_average, moving_average};
 pub use haar::{haar_forward, haar_inverse, HaarSynopsis};
 pub use paa::{paa, PaaSynopsis};

@@ -3,10 +3,9 @@
 use proptest::prelude::*;
 use uts_tseries::{
     chebyshev, dtw, euclidean, euclidean_squared, euclidean_squared_early_abandon,
-    exponential_moving_average, haar_forward, haar_inverse, lb_keogh, lb_keogh_enveloped,
-    lp_distance, manhattan, moving_average, paa, resample_linear, squared_cutoff,
-    squared_cutoff_strict, DtwOptions, DtwWorkspace, HaarSynopsis, KeoghEnvelope, PaaSynopsis,
-    SaxWord, TimeSeries,
+    exponential_moving_average, haar_forward, haar_inverse, lp_distance, manhattan, moving_average,
+    paa, resample_linear, squared_cutoff, squared_cutoff_strict, DtwOptions, DtwWorkspace,
+    HaarSynopsis, PaaSynopsis, SaxWord, TimeSeries,
 };
 
 fn series_strategy(min_len: usize, max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -212,15 +211,6 @@ proptest! {
     }
 
     #[test]
-    fn lb_keogh_lower_bounds_dtw(x in series_strategy(3, 20), y in series_strategy(3, 20), band in 0usize..5) {
-        let n = x.len().min(y.len());
-        let (x, y) = (&x[..n], &y[..n]);
-        let lb = lb_keogh(x, y, band);
-        let d = dtw(x, y, DtwOptions::with_band(band));
-        prop_assert!(lb <= d + 1e-9, "lb={lb} dtw={d}");
-    }
-
-    #[test]
     fn dtw_workspace_matches_one_shot(
         x in series_strategy(2, 24),
         y in series_strategy(2, 24),
@@ -241,18 +231,6 @@ proptest! {
     }
 
     #[test]
-    fn keogh_envelope_matches_direct_lb(
-        x in series_strategy(2, 24),
-        y in series_strategy(2, 24),
-        band in 0usize..8,
-    ) {
-        let n = x.len().min(y.len());
-        let (x, y) = (&x[..n], &y[..n]);
-        let env = KeoghEnvelope::build(y, band);
-        prop_assert_eq!(lb_keogh_enveloped(x, &env), lb_keogh(x, y, band));
-    }
-
-    #[test]
     fn dtw_symmetric(x in series_strategy(2, 16), y in series_strategy(2, 16)) {
         let d1 = dtw(&x, &y, DtwOptions::default());
         let d2 = dtw(&y, &x, DtwOptions::default());
@@ -265,21 +243,6 @@ proptest! {
         // cost and is always admissible.
         prop_assert!(dtw(&x, &x, DtwOptions::default()) < 1e-12);
         prop_assert!(dtw(&x, &x, DtwOptions::with_band(band)) < 1e-12);
-        prop_assert!(lb_keogh(&x, &x, band) < 1e-12);
-    }
-
-    #[test]
-    fn lb_keogh_full_band_bounds_unconstrained_dtw(
-        x in series_strategy(3, 20),
-        y in series_strategy(3, 20),
-    ) {
-        // With the envelope as wide as the series, LB_Keogh lower-bounds
-        // even unconstrained DTW.
-        let n = x.len().min(y.len());
-        let (x, y) = (&x[..n], &y[..n]);
-        let lb = lb_keogh(x, y, n);
-        let d = dtw(x, y, DtwOptions::default());
-        prop_assert!(lb <= d + 1e-9, "lb={lb} dtw={d}");
     }
 
     // ---- Haar -------------------------------------------------------------

@@ -12,7 +12,7 @@
 //! actually pruned (candidates visited strictly below collection size;
 //! DUST additionally below a 90% floor, since its envelope must do real
 //! work, not just squeak by). The index's two contracts, checked in
-//! seconds without a full criterion capture.
+//! seconds without a full perfbench run.
 
 use std::time::Instant;
 

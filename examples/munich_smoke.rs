@@ -12,7 +12,7 @@
 //! τ, which exercises the moment rung's accept side (low τ) and reject
 //! side (high τ), and (2) a soft speedup floor, so a regression that
 //! quietly disables the pruning fails CI without paying for a full
-//! criterion capture. A probability pass then asserts (3) the engine's
+//! perfbench run. A probability pass then asserts (3) the engine's
 //! per-candidate estimates equal the naive per-pair ones bit for bit at
 //! ε scales 0.3, 1.0 and 2.0 of the calibrated threshold — the fold
 //! kernel at a length the debug test suite cannot afford. A last range
@@ -109,8 +109,8 @@ fn main() {
         engine_time
     );
     // Soft floor: the pruned pipeline must stay clearly ahead of the
-    // full-probability scan even on one core and a small collection (the
-    // criterion capture in BENCH_munich.json records the real margin).
+    // full-probability scan even on one core and a small collection
+    // (perfbench's munich_refine workload times the pipeline itself).
     assert!(
         speedup >= 2.0,
         "pruned refinement regressed: only {speedup:.2}x over naive"

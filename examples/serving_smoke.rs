@@ -8,7 +8,7 @@
 //! that does not divide the collection), replays a mixed range / top-k
 //! / probability workload through both, and asserts bit-identical
 //! answers plus a working result cache — the serving layer's two
-//! contracts, checked in seconds without a full criterion capture.
+//! contracts, checked in seconds without a full perfbench run.
 //!
 //! It then gates the write path on a ratio rather than an absolute time
 //! (1-core timings drift by ±10%): on a 20k-series single-shard DUST
