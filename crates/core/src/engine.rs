@@ -44,6 +44,7 @@
 //! still makes every accept/reject decision).
 
 use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -56,10 +57,19 @@ use uts_uncertain::{MultiObsSeries, PointError, UncertainSeries};
 use crate::cancel::{Deadline, DeadlineExpired};
 use crate::dust::DustBoundTable;
 use crate::error::InputError;
-use crate::index::{admits, CandidateIndex, IndexConfig, IndexCounters, IndexStats};
+use crate::index::{
+    admits, synopsis_exceeds_by, CandidateIndex, IndexConfig, IndexCounters, IndexStats,
+};
 use crate::matching::{GroundTruth, MatchingTask, QualityScores, Technique};
 use crate::munich::MbiEnvelope;
 use crate::parallel::parallel_map;
+
+/// Leaves per chunk of an indexed range query (see
+/// [`QueryEngine::range_select_by`]): enough bound and kernel work per
+/// chunk to outweigh handing it to a pool thread, few enough that a
+/// 50k-member collection (782 leaves of 64) splits into ~25 chunks to
+/// share among the cores.
+const RANGE_CHUNK_LEAVES: usize = 32;
 
 /// Per-collection state prepared once for a `(collection, technique)`
 /// pair (see the module docs for what each technique precomputes).
@@ -697,25 +707,50 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// against the exact ε² cutoff in [`range_decide`], so the answer is
     /// bit-identical to the pure scan — the index only dismisses
     /// candidates whose admissible lower bound proves `d > ε`.
+    ///
+    /// The indexed path splits the leaves into chunks of
+    /// [`RANGE_CHUNK_LEAVES`] and fans them over the worker pool: each
+    /// chunk runs its leaf bounds, its member bounds and then the exact
+    /// kernel on its own survivors, polling `deadline` as it goes. The
+    /// chunks' hits are concatenated and sorted, so the answer is the
+    /// same ascending list, and their effort sums to the same counters.
+    /// A collection of fewer than four chunks runs inline on the calling
+    /// thread (see [`parallel_map`]).
     fn range_select_by(
         &self,
         qv: &[f64],
         epsilon: f64,
         exclude: Option<usize>,
         deadline: &Deadline,
-        cost: Option<impl Fn(f64) -> f64>,
-        dist_sq: impl FnMut(usize, f64) -> Option<f64>,
+        cost: Option<impl Fn(f64) -> f64 + Sync>,
+        dist_sq: impl Fn(usize, f64) -> Option<f64> + Sync,
     ) -> Result<Vec<usize>, DeadlineExpired> {
         let cutoff = range_cutoff(epsilon);
-        if let Some((ix, qp, cost)) = self.index_route(qv, cost) {
-            let cands = ix.range_candidates_by(&qp, epsilon, exclude, &self.counters, cost);
-            self.counters
-                .candidates
-                .fetch_add(cands.len() as u64, Ordering::Relaxed);
-            return range_decide(cands, cutoff, deadline, dist_sq);
+        let Some((ix, qp, cost)) = self.index_route(qv, cost) else {
+            let scan = candidates(self.task().len(), exclude);
+            return range_decide(scan, cutoff, deadline, dist_sq);
+        };
+        let limit = ix.squared_prune_limit(epsilon);
+        let leaves = ix.leaf_count();
+        let chunks: Vec<Range<usize>> = (0..leaves)
+            .step_by(RANGE_CHUNK_LEAVES)
+            .map(|start| start..(start + RANGE_CHUNK_LEAVES).min(leaves))
+            .collect();
+        let parts = parallel_map(&chunks, |chunk| {
+            let (cands, effort) = ix.candidates_in(&qp, limit, exclude, chunk.clone(), &cost);
+            (effort, range_decide(cands, cutoff, deadline, &dist_sq))
+        });
+        let mut effort = IndexStats::default();
+        for (part, _) in &parts {
+            effort.absorb(part);
         }
-        let scan = candidates(self.task().len(), exclude);
-        range_decide(scan, cutoff, deadline, dist_sq)
+        self.counters.record(&effort);
+        let mut hits = Vec::new();
+        for (_, part) in parts {
+            hits.extend(part?);
+        }
+        hits.sort_unstable();
+        Ok(hits)
     }
 
     /// Top-k selection over the value view: best-first leaf visitation
@@ -769,29 +804,26 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         let mut bound = f64::INFINITY; // current k-th best distance
         let mut prune_limit = f64::INFINITY; // squared-space twin of `bound`
         let order = ix.leaves_by_lower_bound_by(qp, &cost);
-        let mut leaves_visited = 0u64;
-        let mut leaves_pruned = 0u64;
-        let mut series_pruned = 0u64;
-        let mut cands = 0u64;
+        let mut effort = IndexStats::default();
         for (pos, &(leaf_lb, leaf)) in order.iter().enumerate() {
             // One poll per leaf: the natural granule of the best-first
             // descent (a leaf is a bounded batch of kernel calls).
             deadline.check()?;
             if best.len() == k && !admits(leaf_lb, bound) {
                 // Bounds ascend with `pos`: everything after is pruned too.
-                leaves_pruned += (order.len() - pos) as u64;
+                effort.leaves_pruned += (order.len() - pos) as u64;
                 break;
             }
-            leaves_visited += 1;
-            for &i in ix.leaf_members(leaf) {
+            effort.leaves_visited += 1;
+            for (i, means) in ix.leaf_rows(leaf) {
                 if Some(i) == exclude {
                     continue;
                 }
-                if best.len() == k && ix.member_bound_exceeds_by(qp, i, prune_limit, &cost) {
-                    series_pruned += 1;
+                if best.len() == k && synopsis_exceeds_by(qp, means, prune_limit, &cost) {
+                    effort.series_pruned += 1;
                     continue;
                 }
-                cands += 1;
+                effort.candidates += 1;
                 let Some(total) = dist_sq(i, limit) else {
                     continue;
                 };
@@ -812,9 +844,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 }
             }
         }
-        self.counters
-            .record_descent(leaves_visited, leaves_pruned, series_pruned);
-        self.counters.candidates.fetch_add(cands, Ordering::Relaxed);
+        self.counters.record(&effort);
         Ok(best.into_iter().map(|(d, i)| (i, d)).collect())
     }
 }
@@ -943,7 +973,7 @@ fn dust_cost<'a>(
     envelope: Option<&'a DustBoundTable>,
     max_abs: f64,
     qu: &UncertainSeries,
-) -> Option<impl Fn(f64) -> f64 + 'a> {
+) -> Option<impl Fn(f64) -> f64 + Sync + 'a> {
     let env = envelope.filter(|e| {
         series_max_abs(qu.values()) + max_abs <= e.valid_delta() && dust_query_covered(errors, qu)
     })?;
@@ -986,7 +1016,7 @@ fn range_decide(
     cands: impl IntoIterator<Item = usize>,
     cutoff: f64,
     deadline: &Deadline,
-    mut dist_sq: impl FnMut(usize, f64) -> Option<f64>,
+    dist_sq: impl Fn(usize, f64) -> Option<f64>,
 ) -> Result<Vec<usize>, DeadlineExpired> {
     let mut out = Vec::new();
     if deadline.is_armed() {

@@ -20,13 +20,24 @@
 //!    leaves, each carrying a minimum bounding rectangle (per-segment
 //!    min/max over its members' PAA means).
 //!
+//! The synopses are stored in *leaf order*: one block with a row of
+//! `segments` means per member, leaf after leaf, ascending by member slot
+//! within each leaf. A leaf's members are one contiguous run of rows, so
+//! the range pass, top-k's member bounds and a write's rectangle
+//! recompute read them sequentially instead of gathering rows scattered
+//! across the whole collection. A per-member row table maps a global
+//! slot to its row for the slot-addressed methods
+//! ([`CandidateIndex::member_lower_bound`],
+//! [`CandidateIndex::member_bound_exceeds_by`]) and for writes; there is
+//! no second, slot-ordered copy.
+//!
 //! The flat layout was chosen over an iSAX split tree deliberately:
 //! construction is one sort (deterministic, `O(n log n)`), the node count
 //! is bounded by `⌈n / leaf_capacity⌉` with no degenerate splits to
-//! balance, leaves are scanned linearly (cache-friendly: all PAA means
-//! live in one flat array), and the SAX sort gives the same locality a
-//! tree's prefix splits would — tight MBRs — without the pointer
-//! chasing. At 10⁵ series, leaf-MBR pruning already removes the vast
+//! balance, leaves are scanned linearly (cache-friendly: a leaf's PAA
+//! means are one contiguous block), and the SAX sort gives the same
+//! locality a tree's prefix splits would — tight MBRs — without the
+//! pointer chasing. At 10⁵ series, leaf-MBR pruning already removes the vast
 //! majority of candidates (see the index history rows in
 //! `docs/BENCHMARKS.md`); a hierarchical index
 //! only starts paying for itself orders of magnitude later.
@@ -82,7 +93,7 @@
 //! when its envelope is unavailable (exact-evaluation mode, error sets
 //! beyond the warm-table cap, or an envelope construction refusal).
 //!
-//! # Parallel construction
+//! # Parallel construction and leaf-chunked range queries
 //!
 //! [`CandidateIndex::build`] fans the PAA summarization and the per-leaf
 //! MBR construction over all cores via
@@ -91,6 +102,14 @@
 //! per-item pure, so the layout is bit-identical to a single-threaded
 //! build (asserted in the unit suite). On a
 //! single-core host `parallel_map` degrades to the sequential loop.
+//!
+//! Range queries use the same pool. The engine splits the leaves into
+//! fixed-size chunks; each chunk generates the candidates of its own
+//! leaves (the crate-internal `candidates_in`, whose disjoint leaf
+//! ranges partition [`CandidateIndex::range_candidates_by`]'s list and
+//! sum to its pruning counts) and runs the exact kernel on them. The
+//! hits are concatenated and sorted, so the answer is unchanged. Top-k
+//! stays sequential: its best-first descent shares one k-th-best bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -108,6 +127,12 @@ pub const DEFAULT_LEAF_CAPACITY: usize = 64;
 /// construction ([`IndexConfig::min_collection`]): a linear scan over a
 /// few hundred members is already cheaper than any pruning bookkeeping.
 pub const DEFAULT_MIN_COLLECTION: usize = 256;
+
+/// Worker-pool items the member summaries of an index build are split
+/// into: enough to share among the cores at any collection size, few
+/// enough that the pool's per-item cost and the allocations stay small
+/// next to the PAA work at 50k members.
+const SUMMARY_ITEMS: usize = 64;
 
 /// Relative slack of the [`admits`] predicate (see the module docs).
 pub const LB_SLACK_REL: f64 = 1e-9;
@@ -178,18 +203,6 @@ impl IndexConfig {
     }
 }
 
-/// One leaf of the grid: an ascending member list plus the bounding
-/// rectangle of their PAA synopses.
-#[derive(Debug, Clone)]
-struct Leaf {
-    /// Global member slots, ascending.
-    members: Vec<usize>,
-    /// Per-segment minimum of the members' PAA means.
-    lo: Vec<f64>,
-    /// Per-segment maximum of the members' PAA means.
-    hi: Vec<f64>,
-}
-
 /// The lower-bound candidate index over one prepared collection (see the
 /// module docs for the design and the admissibility argument).
 ///
@@ -206,14 +219,20 @@ pub struct CandidateIndex {
     segments: usize,
     /// `sqrt(series_len / segments)` — the PAA bound's scale factor.
     scale: f64,
-    /// All members' PAA means, `segments` per member, indexed by global
-    /// slot (not leaf order): `member_paa[i * segments ..][.. segments]`.
-    member_paa: Vec<f64>,
-    /// SAX-packed leaves.
-    leaves: Vec<Leaf>,
-    /// The leaf holding each member, indexed by global slot, so a write
-    /// finds its leaf without searching every leaf's member list.
-    member_leaf: Vec<u32>,
+    /// Members per leaf: leaf `l` owns rows
+    /// `l * leaf_capacity .. min((l + 1) * leaf_capacity, len)`.
+    leaf_capacity: usize,
+    /// Every member's PAA means in leaf order, one row of `segments`
+    /// means per member, so a leaf's synopses are one contiguous run.
+    synopses: Vec<f64>,
+    /// The global slot of each row: ascending within each leaf.
+    row_slot: Vec<usize>,
+    /// The row of each member, indexed by global slot — how the
+    /// slot-addressed methods and a write find a member's synopsis.
+    slot_row: Vec<u32>,
+    /// Each leaf's bounding rectangle: per segment, the `[min, max]` of
+    /// its members' PAA means, `segments` pairs per leaf.
+    boxes: Vec<[f64; 2]>,
 }
 
 impl CandidateIndex {
@@ -252,18 +271,25 @@ impl CandidateIndex {
         let n = views.len();
 
         // Per-member PAA is pure and order-preserving, so fanning it over
-        // cores cannot change a single bit of the flat synopsis array.
-        let member_paa: Vec<f64> = if parallel {
-            crate::parallel::parallel_map(views, |v| paa(v, segments))
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            let mut acc = Vec::with_capacity(n * segments);
-            for v in views {
-                acc.extend_from_slice(&paa(v, segments));
+        // cores cannot change a single bit of any synopsis. Each pool item
+        // summarises one run of members into one flat block.
+        let run_len = n.div_ceil(SUMMARY_ITEMS);
+        let summarize = |run: &&[&[f64]]| {
+            let mut means = Vec::with_capacity(run.len() * segments);
+            for v in *run {
+                means.extend_from_slice(&paa(v, segments));
             }
-            acc
+            means
+        };
+        let runs: Vec<&[&[f64]]> = views.chunks(run_len).collect();
+        let slot_paa: Vec<Vec<f64>> = if parallel {
+            crate::parallel::parallel_map(&runs, summarize)
+        } else {
+            runs.iter().map(summarize).collect()
+        };
+        let means_of = |i: usize| {
+            let at = i % run_len * segments;
+            &slot_paa[i / run_len][at..at + segments]
         };
 
         // SAX words drive the packing order only: members whose coarse
@@ -271,51 +297,57 @@ impl CandidateIndex {
         // keeps the leaf MBRs tight. Quantising the already-computed PAA
         // means replays `SaxWord::encode` without a second PAA pass.
         let breakpoints = sax_breakpoints(alphabet);
-        let sax: Vec<u8> = member_paa
+        let sax: Vec<u8> = slot_paa
             .iter()
+            .flatten()
             .map(|&m| breakpoints.partition_point(|&b| b <= m) as u8)
             .collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
+        let mut row_slot: Vec<usize> = (0..n).collect();
+        row_slot.sort_by(|&a, &b| {
             sax[a * segments..(a + 1) * segments]
                 .cmp(&sax[b * segments..(b + 1) * segments])
                 .then(a.cmp(&b))
         });
-
-        let build_leaf = |chunk: &&[usize]| {
-            let mut members = chunk.to_vec();
-            members.sort_unstable();
-            let (lo, hi) = bounding_box(&member_paa, segments, &members);
-            Leaf { members, lo, hi }
-        };
-        let chunks: Vec<&[usize]> = order.chunks(leaf_capacity).collect();
-        let leaves = if parallel {
-            crate::parallel::parallel_map(&chunks, build_leaf)
-        } else {
-            chunks.iter().map(build_leaf).collect()
-        };
-
-        let mut member_leaf = vec![0; n];
-        for (l, leaf) in leaves.iter().enumerate() {
-            let l = u32::try_from(l).expect("fewer than 2³² leaves");
-            for &i in &leaf.members {
-                member_leaf[i] = l;
-            }
+        // Consecutive runs of the SAX order are the leaves; each leaf
+        // lists its members by ascending slot.
+        for leaf in row_slot.chunks_mut(leaf_capacity) {
+            leaf.sort_unstable();
         }
+        let mut slot_row = vec![0; n];
+        let mut synopses = Vec::with_capacity(n * segments);
+        for (row, &i) in row_slot.iter().enumerate() {
+            slot_row[i] = u32::try_from(row).expect("fewer than 2³² members");
+            synopses.extend_from_slice(means_of(i));
+        }
+
+        let leaves: Vec<&[f64]> = synopses.chunks(leaf_capacity * segments).collect();
+        let boxes = if parallel {
+            crate::parallel::parallel_map(&leaves, |l| bounding_box(l, segments))
+                .into_iter()
+                .flatten()
+                .collect()
+        } else {
+            leaves
+                .iter()
+                .flat_map(|l| bounding_box(l, segments))
+                .collect()
+        };
 
         Some(Self {
             series_len,
             segments,
             scale: (series_len as f64 / segments as f64).sqrt(),
-            member_paa,
-            leaves,
-            member_leaf,
+            leaf_capacity,
+            synopses,
+            row_slot,
+            slot_row,
+            boxes,
         })
     }
 
     /// Re-summarises member `i` after its value view changed to `view`:
     /// rewrites its PAA synopsis and recomputes its leaf's bounding
-    /// rectangle from that leaf's members — `O(leaf_capacity · segments)`
+    /// rectangle from that leaf's rows — `O(leaf_capacity · segments)`
     /// work instead of a rebuild.
     ///
     /// The member stays in its leaf even when its SAX word moved, so the
@@ -329,34 +361,67 @@ impl CandidateIndex {
     pub(crate) fn replace_member(&mut self, i: usize, view: &[f64]) {
         assert_eq!(view.len(), self.series_len, "replacement length mismatch");
         let segments = self.segments;
-        self.member_paa[i * segments..(i + 1) * segments].copy_from_slice(&paa(view, segments));
-        let leaf = &mut self.leaves[self.member_leaf[i] as usize];
-        (leaf.lo, leaf.hi) = bounding_box(&self.member_paa, segments, &leaf.members);
+        let row = self.slot_row[i] as usize;
+        self.synopses[row * segments..(row + 1) * segments].copy_from_slice(&paa(view, segments));
+        let leaf = row / self.leaf_capacity;
+        let rect = bounding_box(self.leaf_block(leaf), segments);
+        self.boxes[leaf * segments..(leaf + 1) * segments].copy_from_slice(&rect);
     }
 
     /// Number of members indexed.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.member_paa.len() / self.segments
+        self.row_slot.len()
     }
 
     /// Whether the index holds no members (never true for a built
     /// index — [`CandidateIndex::build`] refuses empty collections).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.member_paa.is_empty()
+        self.row_slot.is_empty()
     }
 
     /// Number of leaves.
     #[must_use]
     pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
+        self.len().div_ceil(self.leaf_capacity)
     }
 
     /// PAA segment count per synopsis.
     #[must_use]
     pub fn segments(&self) -> usize {
         self.segments
+    }
+
+    /// The rows of leaf `leaf`.
+    fn rows(&self, leaf: usize) -> std::ops::Range<usize> {
+        leaf * self.leaf_capacity..((leaf + 1) * self.leaf_capacity).min(self.len())
+    }
+
+    /// The PAA means of leaf `leaf`'s members, one row after another.
+    fn leaf_block(&self, leaf: usize) -> &[f64] {
+        let rows = self.rows(leaf);
+        &self.synopses[rows.start * self.segments..rows.end * self.segments]
+    }
+
+    /// Member `i`'s PAA means.
+    fn synopsis(&self, i: usize) -> &[f64] {
+        let row = self.slot_row[i] as usize;
+        &self.synopses[row * self.segments..(row + 1) * self.segments]
+    }
+
+    /// Leaf `leaf`'s rectangle, one `[min, max]` pair per segment.
+    fn leaf_box(&self, leaf: usize) -> &[[f64; 2]] {
+        &self.boxes[leaf * self.segments..(leaf + 1) * self.segments]
+    }
+
+    /// Leaf `leaf`'s members in row order — ascending slots, each with
+    /// its PAA means, read sequentially from the leaf's block.
+    pub(crate) fn leaf_rows(&self, leaf: usize) -> impl Iterator<Item = (usize, &[f64])> {
+        self.row_slot[self.rows(leaf)]
+            .iter()
+            .copied()
+            .zip(self.leaf_block(leaf).chunks_exact(self.segments))
     }
 
     /// The query's synopsis under the index's own PAA transform, or
@@ -371,9 +436,8 @@ impl CandidateIndex {
     /// member `i`'s full series.
     #[must_use]
     pub fn member_lower_bound(&self, qp: &[f64], i: usize) -> f64 {
-        let means = &self.member_paa[i * self.segments..(i + 1) * self.segments];
         let mut acc = 0.0;
-        for (&q, &m) in qp.iter().zip(means) {
+        for (&q, &m) in qp.iter().zip(self.synopsis(i)) {
             let d = q - m;
             acc += d * d;
         }
@@ -414,41 +478,14 @@ impl CandidateIndex {
         limit: f64,
         cost: impl Fn(f64) -> f64,
     ) -> bool {
-        let means = &self.member_paa[i * self.segments..(i + 1) * self.segments];
-        let mut acc = 0.0;
-        for (&q, &m) in qp.iter().zip(means) {
-            acc += cost(q - m);
-            if acc > limit {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Early-abandoning form of [`Self::leaf_lower_bound_by`] against a
-    /// squared-space (cost-space) limit.
-    fn leaf_bound_exceeds_by(
-        &self,
-        qp: &[f64],
-        leaf: &Leaf,
-        limit: f64,
-        cost: &impl Fn(f64) -> f64,
-    ) -> bool {
-        let mut acc = 0.0;
-        for gap in leaf_gaps(qp, leaf) {
-            acc += cost(gap);
-            if acc > limit {
-                return true;
-            }
-        }
-        false
+        synopsis_exceeds_by(qp, self.synopsis(i), limit, cost)
     }
 
     /// The admissible MBR lower bound between the query and *every*
     /// member of leaf `leaf`: `scale · sqrt(Σ_s cost(gap_s))`.
-    fn leaf_lower_bound_by(&self, qp: &[f64], leaf: &Leaf, cost: &impl Fn(f64) -> f64) -> f64 {
+    fn leaf_lower_bound_by(&self, qp: &[f64], leaf: usize, cost: &impl Fn(f64) -> f64) -> f64 {
         self.scale
-            * leaf_gaps(qp, leaf)
+            * leaf_gaps(qp, self.leaf_box(leaf))
                 .fold(0.0, |acc, gap| acc + cost(gap))
                 .sqrt()
     }
@@ -459,7 +496,8 @@ impl CandidateIndex {
     /// over exactly this list; admissibility guarantees it is a superset
     /// of the true answer set.
     ///
-    /// Pruning effort is recorded in `counters`.
+    /// Pruning effort, the emitted candidates included, is recorded in
+    /// `counters`.
     #[must_use]
     pub fn range_candidates_by(
         &self,
@@ -469,31 +507,49 @@ impl CandidateIndex {
         counters: &IndexCounters,
         cost: impl Fn(f64) -> f64,
     ) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut leaves_visited = 0u64;
-        let mut leaves_pruned = 0u64;
-        let mut series_pruned = 0u64;
         let limit = self.squared_prune_limit(epsilon);
-        for leaf in &self.leaves {
-            if self.leaf_bound_exceeds_by(qp, leaf, limit, &cost) {
-                leaves_pruned += 1;
+        let (mut out, effort) = self.candidates_in(qp, limit, exclude, 0..self.leaf_count(), &cost);
+        counters.record(&effort);
+        out.sort_unstable();
+        out
+    }
+
+    /// The range candidates of the leaves `leaves` against the
+    /// cost-space `limit`, in row order (ascending within each leaf),
+    /// `exclude` skipped, with the pruning effort spent on them (its
+    /// `candidates` field counts the list). Disjoint leaf ranges
+    /// partition [`Self::range_candidates_by`]'s list and sum to its
+    /// effort, which is what lets the engine split one range query into
+    /// leaf chunks.
+    pub(crate) fn candidates_in(
+        &self,
+        qp: &[f64],
+        limit: f64,
+        exclude: Option<usize>,
+        leaves: std::ops::Range<usize>,
+        cost: &impl Fn(f64) -> f64,
+    ) -> (Vec<usize>, IndexStats) {
+        let mut out = Vec::new();
+        let mut effort = IndexStats::default();
+        for leaf in leaves {
+            if exceeds_by(leaf_gaps(qp, self.leaf_box(leaf)), limit, cost) {
+                effort.leaves_pruned += 1;
                 continue;
             }
-            leaves_visited += 1;
-            for &i in &leaf.members {
+            effort.leaves_visited += 1;
+            for (i, means) in self.leaf_rows(leaf) {
                 if Some(i) == exclude {
                     continue;
                 }
-                if self.member_bound_exceeds_by(qp, i, limit, &cost) {
-                    series_pruned += 1;
+                if synopsis_exceeds_by(qp, means, limit, cost) {
+                    effort.series_pruned += 1;
                     continue;
                 }
                 out.push(i);
             }
         }
-        counters.record_descent(leaves_visited, leaves_pruned, series_pruned);
-        out.sort_unstable();
-        out
+        effort.candidates = out.len() as u64;
+        (out, effort)
     }
 
     /// Leaves ordered by ascending MBR lower bound under `cost` (ties by
@@ -506,11 +562,8 @@ impl CandidateIndex {
         qp: &[f64],
         cost: impl Fn(f64) -> f64,
     ) -> Vec<(f64, usize)> {
-        let mut order: Vec<(f64, usize)> = self
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(id, leaf)| (self.leaf_lower_bound_by(qp, leaf, &cost), id))
+        let mut order: Vec<(f64, usize)> = (0..self.leaf_count())
+            .map(|leaf| (self.leaf_lower_bound_by(qp, leaf, &cost), leaf))
             .collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         order
@@ -519,14 +572,41 @@ impl CandidateIndex {
     /// The ascending member list of leaf `leaf`.
     #[must_use]
     pub fn leaf_members(&self, leaf: usize) -> &[usize] {
-        &self.leaves[leaf].members
+        &self.row_slot[self.rows(leaf)]
     }
 }
 
-/// Per segment, the gap from the query mean to `leaf`'s rectangle (zero
+/// Whether the cost-space PAA gap `Σ_s cost(q_s − m_s)` between the query
+/// synopsis `qp` and one member's means exceeds `limit`, abandoning the
+/// sum as soon as it does.
+#[inline]
+pub(crate) fn synopsis_exceeds_by(
+    qp: &[f64],
+    means: &[f64],
+    limit: f64,
+    cost: impl Fn(f64) -> f64,
+) -> bool {
+    exceeds_by(qp.iter().zip(means).map(|(&q, &m)| q - m), limit, cost)
+}
+
+/// Whether `Σ cost(term)` exceeds `limit`, summed in order and abandoned
+/// as soon as it does.
+#[inline]
+fn exceeds_by(terms: impl Iterator<Item = f64>, limit: f64, cost: impl Fn(f64) -> f64) -> bool {
+    let mut acc = 0.0;
+    for term in terms {
+        acc += cost(term);
+        if acc > limit {
+            return true;
+        }
+    }
+    false
+}
+
+/// Per segment, the gap from the query mean to a leaf's rectangle (zero
 /// inside it) — the terms of the MBR bound.
-fn leaf_gaps<'a>(qp: &'a [f64], leaf: &'a Leaf) -> impl Iterator<Item = f64> + 'a {
-    let gap = |((&q, &lo), &hi): ((&f64, &f64), &f64)| {
+fn leaf_gaps<'a>(qp: &'a [f64], rect: &'a [[f64; 2]]) -> impl Iterator<Item = f64> + 'a {
+    qp.iter().zip(rect).map(|(&q, &[lo, hi])| {
         if q < lo {
             lo - q
         } else if q > hi {
@@ -534,23 +614,20 @@ fn leaf_gaps<'a>(qp: &'a [f64], leaf: &'a Leaf) -> impl Iterator<Item = f64> + '
         } else {
             0.0
         }
-    };
-    qp.iter().zip(&leaf.lo).zip(&leaf.hi).map(gap)
+    })
 }
 
-/// Per-segment minimum and maximum of `members`' PAA means — a leaf's
-/// bounding rectangle.
-fn bounding_box(member_paa: &[f64], segments: usize, members: &[usize]) -> (Vec<f64>, Vec<f64>) {
-    let mut lo = vec![f64::INFINITY; segments];
-    let mut hi = vec![f64::NEG_INFINITY; segments];
-    for &i in members {
-        let means = &member_paa[i * segments..(i + 1) * segments];
-        for (d, &m) in means.iter().enumerate() {
-            lo[d] = lo[d].min(m);
-            hi[d] = hi[d].max(m);
+/// Per-segment `[min, max]` of a run of synopsis rows — a leaf's bounding
+/// rectangle.
+fn bounding_box(rows: &[f64], segments: usize) -> Vec<[f64; 2]> {
+    let mut rect = vec![[f64::INFINITY, f64::NEG_INFINITY]; segments];
+    for means in rows.chunks_exact(segments) {
+        for (r, &m) in rect.iter_mut().zip(means) {
+            r[0] = r[0].min(m);
+            r[1] = r[1].max(m);
         }
     }
-    (lo, hi)
+    rect
 }
 
 /// Live pruning-effectiveness counters on a prepared engine, accumulated
@@ -576,19 +653,21 @@ pub struct IndexCounters {
 }
 
 impl IndexCounters {
-    /// Adds one query's leaf visits and prunes.
-    pub(crate) fn record_descent(
-        &self,
-        leaves_visited: u64,
-        leaves_pruned: u64,
-        series_pruned: u64,
-    ) {
-        self.leaves_visited
-            .fetch_add(leaves_visited, Ordering::Relaxed);
-        self.leaves_pruned
-            .fetch_add(leaves_pruned, Ordering::Relaxed);
-        self.series_pruned
-            .fetch_add(series_pruned, Ordering::Relaxed);
+    /// Adds one pass's effort (every non-zero field of `effort`).
+    pub(crate) fn record(&self, effort: &IndexStats) {
+        let fields = [
+            (&self.indexed_queries, effort.indexed_queries),
+            (&self.scan_queries, effort.scan_queries),
+            (&self.leaves_visited, effort.leaves_visited),
+            (&self.leaves_pruned, effort.leaves_pruned),
+            (&self.series_pruned, effort.series_pruned),
+            (&self.candidates, effort.candidates),
+        ];
+        for (counter, n) in fields {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// A point-in-time copy of the counters.
@@ -820,6 +899,38 @@ mod unit {
         assert!(ix.query_synopsis(&[0.0; 16]).is_some());
     }
 
+    /// Bitwise equality of two `f64` runs.
+    fn same_bits<'a>(
+        a: impl IntoIterator<Item = &'a f64>,
+        b: impl IntoIterator<Item = &'a f64>,
+    ) -> bool {
+        a.into_iter()
+            .map(|x| x.to_bits())
+            .eq(b.into_iter().map(|x| x.to_bits()))
+    }
+
+    /// Every member's leaf-block row is its fresh `paa(view, segments)`,
+    /// bit for bit, and the position table points at that row.
+    fn assert_rows_are_fresh_synopses(ix: &CandidateIndex, vs: &[Vec<f64>]) {
+        assert_eq!(ix.len(), vs.len());
+        for (i, v) in vs.iter().enumerate() {
+            let row = ix.slot_row[i] as usize;
+            assert_eq!(ix.row_slot[row], i, "position table names member {i}'s row");
+            assert!(
+                same_bits(ix.synopsis(i), &paa(v, ix.segments)),
+                "member {i}'s row is not its PAA"
+            );
+        }
+        for leaf in 0..ix.leaf_count() {
+            for (i, means) in ix.leaf_rows(leaf) {
+                assert!(
+                    same_bits(means, &paa(&vs[i], ix.segments)),
+                    "leaf {leaf} row of {i}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn parallel_build_matches_serial_layout() {
         let vs = views(300, 48);
@@ -838,26 +949,16 @@ mod unit {
             assert_eq!(par.series_len, ser.series_len);
             assert_eq!(par.segments, ser.segments);
             assert_eq!(par.scale.to_bits(), ser.scale.to_bits());
-            assert_eq!(par.member_paa.len(), ser.member_paa.len());
-            assert!(par
-                .member_paa
-                .iter()
-                .zip(&ser.member_paa)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(par.leaf_capacity, ser.leaf_capacity);
+            assert_eq!(par.row_slot, ser.row_slot);
+            assert_eq!(par.slot_row, ser.slot_row);
+            assert!(same_bits(&par.synopses, &ser.synopses));
+            assert!(same_bits(
+                par.boxes.iter().flatten(),
+                ser.boxes.iter().flatten()
+            ));
             assert_eq!(par.leaf_count(), ser.leaf_count());
-            for (a, b) in par.leaves.iter().zip(&ser.leaves) {
-                assert_eq!(a.members, b.members);
-                assert!(a
-                    .lo
-                    .iter()
-                    .zip(&b.lo)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()));
-                assert!(a
-                    .hi
-                    .iter()
-                    .zip(&b.hi)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()));
-            }
+            assert_rows_are_fresh_synopses(&par, &vs);
         }
     }
 
@@ -869,6 +970,7 @@ mod unit {
             ..IndexConfig::always()
         };
         let (mut vs, mut ix) = build(90, 24, &cfg);
+        assert_rows_are_fresh_synopses(&ix, &vs);
         let mut rng = uts_stats::rng::Seed::new(0x1DE7).rng();
         for _ in 0..40 {
             let i = rng.gen_range(0..vs.len());
@@ -877,37 +979,29 @@ mod unit {
             vs[i] = vs[donor].iter().map(|v| v * -1.5 + shift).collect();
             ix.replace_member(i, &vs[i]);
         }
+        assert_rows_are_fresh_synopses(&ix, &vs);
         let mut seen = Vec::new();
-        for (l, leaf) in ix.leaves.iter().enumerate() {
-            assert!(leaf.members.windows(2).all(|w| w[0] < w[1]), "ascending");
+        for leaf in 0..ix.leaf_count() {
+            let members = ix.leaf_members(leaf);
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "ascending");
             assert!(
-                leaf.members
+                members
                     .iter()
-                    .all(|&i| ix.member_leaf[i] as usize == l),
-                "member_leaf names each member's leaf"
+                    .all(|&i| ix.slot_row[i] as usize / ix.leaf_capacity == leaf),
+                "the position table names each member's leaf"
             );
-            seen.extend_from_slice(&leaf.members);
+            seen.extend_from_slice(members);
             for d in 0..ix.segments {
-                let means = leaf
-                    .members
-                    .iter()
-                    .map(|&i| ix.member_paa[i * ix.segments + d]);
-                let lo = means.clone().fold(f64::INFINITY, f64::min);
-                let hi = means.fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(leaf.lo[d].to_bits(), lo.to_bits(), "segment {d}");
-                assert_eq!(leaf.hi[d].to_bits(), hi.to_bits(), "segment {d}");
+                let means: Vec<f64> = ix.leaf_rows(leaf).map(|(_, means)| means[d]).collect();
+                let lo = means.iter().copied().fold(f64::INFINITY, f64::min);
+                let hi = means.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let [box_lo, box_hi] = ix.leaf_box(leaf)[d];
+                assert_eq!(box_lo.to_bits(), lo.to_bits(), "segment {d}");
+                assert_eq!(box_hi.to_bits(), hi.to_bits(), "segment {d}");
             }
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..vs.len()).collect::<Vec<_>>(), "leaves partition");
-        for (i, v) in vs.iter().enumerate() {
-            let want = paa(v, ix.segments);
-            let got = &ix.member_paa[i * ix.segments..(i + 1) * ix.segments];
-            assert!(got
-                .iter()
-                .zip(&want)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
         // So the bounds stay admissible over the patched members.
         let counters = IndexCounters::default();
         for q in [0usize, 45, 89] {
@@ -917,6 +1011,38 @@ mod unit {
                 if i != q && euclidean(&vs[q], v) <= 3.0 {
                     assert!(cands.contains(&i), "q={q}: true answer {i} dismissed");
                 }
+            }
+        }
+    }
+
+    /// Leaf chunks partition the full candidate pass: their candidates
+    /// concatenate to the same set and their effort sums to the same
+    /// counts, whatever the chunk size.
+    #[test]
+    fn leaf_chunks_partition_the_candidate_pass() {
+        let cfg = IndexConfig {
+            leaf_capacity: 3,
+            ..IndexConfig::always()
+        };
+        let (vs, ix) = build(150, 24, &cfg);
+        let q = 17;
+        let qp = ix.query_synopsis(&vs[q]).unwrap();
+        for eps in [0.0, 1.0, 3.0] {
+            let counters = IndexCounters::default();
+            let whole = ix.range_candidates_by(&qp, eps, Some(q), &counters, sq);
+            let limit = ix.squared_prune_limit(eps);
+            for chunk in [1, 7, 32, ix.leaf_count()] {
+                let mut got = Vec::new();
+                let mut effort = IndexStats::default();
+                for start in (0..ix.leaf_count()).step_by(chunk) {
+                    let leaves = start..(start + chunk).min(ix.leaf_count());
+                    let (part, part_effort) = ix.candidates_in(&qp, limit, Some(q), leaves, &sq);
+                    got.extend(part);
+                    effort.absorb(&part_effort);
+                }
+                got.sort_unstable();
+                assert_eq!(got, whole, "eps={eps} chunk={chunk}");
+                assert_eq!(effort, counters.snapshot(), "eps={eps} chunk={chunk}");
             }
         }
     }
@@ -943,13 +1069,11 @@ mod unit {
                 )
             })
             .collect();
-        let leaf_acc: Vec<f64> = ix
-            .leaves
-            .iter()
+        let leaf_acc: Vec<f64> = (0..ix.leaf_count())
             .map(|l| {
-                let gaps = qp.iter().zip(&l.lo).zip(&l.hi);
+                let gaps = qp.iter().zip(ix.leaf_box(l));
                 sum_sq(
-                    gaps.map(|((&m, &lo), &hi)| (lo - m).max(m - hi).max(0.0))
+                    gaps.map(|(&m, &[lo, hi])| (lo - m).max(m - hi).max(0.0))
                         .collect(),
                 )
             })
@@ -971,8 +1095,8 @@ mod unit {
         for eps in [0.0, 1.0, 3.0, f64::INFINITY] {
             let limit = ix.squared_prune_limit(eps);
             let mut want = Vec::new();
-            for (leaf, &leaf_sum) in ix.leaves.iter().zip(&leaf_acc) {
-                for &i in &leaf.members {
+            for (leaf, &leaf_sum) in leaf_acc.iter().enumerate() {
+                for &i in ix.leaf_members(leaf) {
                     let pruned = member_acc[i] > limit;
                     assert_eq!(ix.member_bound_exceeds_by(&qp, i, limit, sq), pruned);
                     if i != q && leaf_sum <= limit && !pruned {

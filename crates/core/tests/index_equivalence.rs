@@ -15,6 +15,7 @@ use uts_core::index::{admits, IndexConfig};
 use uts_core::matching::{MatchingTask, Technique};
 use uts_core::uma::Uma;
 use uts_stats::rng::Seed;
+use uts_tseries::paa::paa;
 use uts_tseries::TimeSeries;
 use uts_uncertain::{perturb, ErrorFamily, ErrorSpec, PointError, UncertainSeries};
 
@@ -297,4 +298,121 @@ fn stats_account_for_every_member() {
         stats.series_pruned + stats.leaves_pruned > 0,
         "pruning engaged: {stats:?}"
     );
+}
+
+/// Many small leaves: n = 512 with 1–4 members per leaf (128–512
+/// leaves) takes the engine's leaf-chunked range path, which fans chunks
+/// of leaves over the worker pool, and the best-first top-k over the same
+/// leaves. Both must answer exactly as the naive path, and each query's
+/// pruning counters must account for every leaf and every member:
+/// each leaf is visited or pruned, and each non-excluded member of a
+/// visited leaf is pruned or emitted.
+#[test]
+fn many_leaf_collections_answer_like_the_scan_and_count_every_member() {
+    let n = 512;
+    let len = 32;
+    let task = build_task(0xC4C5, n, len, 5);
+    let uma = Uma::default();
+    for technique in [
+        Technique::Euclidean,
+        Technique::Uma(uma),
+        Technique::Dust(Dust::default()),
+    ] {
+        let name = technique.kind();
+        // The value view each technique indexes, and its per-segment
+        // pruning cost (DUST's envelope over the task's one error).
+        let views: Vec<Vec<f64>> = task
+            .uncertain()
+            .iter()
+            .map(|u| match &technique {
+                Technique::Uma(u_) => u_.filter(u).values().to_vec(),
+                _ => u.values().to_vec(),
+            })
+            .collect();
+        let envelope = match &technique {
+            Technique::Dust(d) => Some(
+                d.bound_envelope(&task.uncertain()[0].errors()[..1])
+                    .expect("constant Normal errors have an envelope"),
+            ),
+            _ => None,
+        };
+        let cost = |gap: f64| match &envelope {
+            Some(env) => env.cost(gap.abs()),
+            None => gap * gap,
+        };
+        for leaf_capacity in [1, 2, 4] {
+            let cfg = IndexConfig {
+                leaf_capacity,
+                ..IndexConfig::always()
+            };
+            let engine = QueryEngine::prepare_with(&task, &technique, cfg);
+            let ix = engine.index().expect("indexed");
+            assert_eq!(ix.leaf_count(), n.div_ceil(leaf_capacity));
+            let synopses: Vec<Vec<f64>> = views.iter().map(|v| paa(v, ix.segments())).collect();
+            let leaves = ix.leaf_count() as u64;
+            // Non-excluded members of leaf `l`.
+            let members =
+                |l: usize, q: usize| ix.leaf_members(l).iter().filter(|&&i| i != q).count() as u64;
+            for q in [0, 171, 342, n - 1] {
+                let ctx = format!("{name} leaf_capacity={leaf_capacity} q={q}");
+                let qp = paa(&views[q], ix.segments());
+                let eps = task.calibrated_threshold(q, &technique);
+                for scale in [0.0, 0.5, 1.0, 2.0] {
+                    let e = eps * scale;
+                    let before = engine.index_stats();
+                    let hits = engine.answer_set(q, e);
+                    let delta = engine.index_stats().since(&before);
+                    assert_eq!(
+                        hits,
+                        task.answer_set_naive(q, &technique, e),
+                        "{ctx} eps={e}"
+                    );
+                    // A leaf is visited when its rectangle's cost-space gap
+                    // stays within the limit (costs are non-negative, so the
+                    // index's early abandonment decides the same way).
+                    let limit = ix.squared_prune_limit(e);
+                    let visited: Vec<usize> = (0..ix.leaf_count())
+                        .filter(|&l| {
+                            let gap = (0..ix.segments()).fold(0.0, |acc, s| {
+                                let col = ix.leaf_members(l).iter().map(|&i| synopses[i][s]);
+                                let lo = col.clone().fold(f64::INFINITY, f64::min);
+                                let hi = col.fold(f64::NEG_INFINITY, f64::max);
+                                let g = if qp[s] < lo {
+                                    lo - qp[s]
+                                } else if qp[s] > hi {
+                                    qp[s] - hi
+                                } else {
+                                    0.0
+                                };
+                                acc + cost(g)
+                            });
+                            gap <= limit
+                        })
+                        .collect();
+                    assert_eq!(delta.indexed_queries, 1, "{ctx} eps={e}");
+                    assert_eq!(delta.leaves_visited, visited.len() as u64, "{ctx} eps={e}");
+                    assert_eq!(delta.leaves_visited + delta.leaves_pruned, leaves, "{ctx}");
+                    assert_eq!(
+                        delta.series_pruned + delta.candidates,
+                        visited.iter().map(|&l| members(l, q)).sum::<u64>(),
+                        "{ctx} eps={e}"
+                    );
+                }
+                for k in [1, 5, 40] {
+                    let before = engine.index_stats();
+                    assert_top_k_matches(&engine, &task, &technique, q, k, &ctx);
+                    let delta = engine.index_stats().since(&before);
+                    // Top-k visits a prefix of the best-first leaf order.
+                    assert_eq!(delta.leaves_visited + delta.leaves_pruned, leaves, "{ctx}");
+                    let order = ix.leaves_by_lower_bound_by(&qp, cost);
+                    let prefix = &order[..delta.leaves_visited as usize];
+                    assert_eq!(
+                        delta.series_pruned + delta.candidates,
+                        prefix.iter().map(|&(_, l)| members(l, q)).sum::<u64>(),
+                        "{ctx} k={k}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -837,9 +837,23 @@ fn default_options_path_is_bit_identical_to_flat() {
 /// the unarmed ones — for all six techniques, index forced on and off,
 /// one and four shards. Armed and default queries go to separate
 /// engines, so neither is answered from the other's cache.
+///
+/// The second collection has 512 members in leaves of two, so each
+/// shard's indexed range queries split into leaf chunks that poll the
+/// deadline on the worker pool.
 #[test]
 fn armed_deadline_answers_match_default_options() {
-    let task = build_task(0x5E49, 12, 20, 3);
+    let many_leaves = IndexConfig {
+        leaf_capacity: 2,
+        ..IndexConfig::always()
+    };
+    armed_deadline_matches_default(&build_task(0x5E49, 12, 20, 3), IndexConfig::always());
+    armed_deadline_matches_default(&build_task(0x5E4A, 512, 20, 3), many_leaves);
+}
+
+/// The body of [`armed_deadline_answers_match_default_options`] over one
+/// collection, with the index forced on under `indexed` and off.
+fn armed_deadline_matches_default(task: &MatchingTask, indexed: IndexConfig) {
     let armed = QueryOptions::default().with_deadline(Duration::from_secs(60));
     for technique in techniques() {
         let name = technique.kind();
@@ -848,13 +862,13 @@ fn armed_deadline_answers_match_default_options() {
             Technique::Munich { .. } | Technique::Proud { .. }
         );
         for shards in [1, 4] {
-            for cfg in [IndexConfig::always(), IndexConfig::disabled()] {
+            for cfg in [indexed, IndexConfig::disabled()] {
                 let prepare = || {
                     let rr = ShardAssignment::RoundRobin;
-                    ShardedEngine::prepare_with(&task, &technique, shards, rr, cfg)
+                    ShardedEngine::prepare_with(task, &technique, shards, rr, cfg)
                 };
                 let (deadlined, default) = (prepare(), prepare());
-                for q in probe_queries(&task) {
+                for q in probe_queries(task) {
                     let indexed = cfg != IndexConfig::disabled();
                     let ctx = format!("{name} shards={shards} indexed={indexed} q={q}");
                     let eps = task.calibrated_threshold(q, &technique);

@@ -13,6 +13,10 @@
 //! DUST additionally below a 90% floor, since its envelope must do real
 //! work, not just squeak by). The index's two contracts, checked in
 //! seconds without a full perfbench run.
+//!
+//! A second pass packs the same collection into leaves of 8 (128
+//! leaves), so indexed range queries split into leaf chunks that run on
+//! the worker pool; its answers must be bit-identical to the scan too.
 
 use std::time::Instant;
 
@@ -57,65 +61,84 @@ fn main() {
     ];
     let queries: Vec<usize> = (0..n).step_by(97).collect();
 
+    let layouts = [
+        ("16 leaves", IndexConfig::default()),
+        (
+            "128 leaves",
+            IndexConfig {
+                leaf_capacity: 8,
+                ..IndexConfig::default()
+            },
+        ),
+    ];
+
     let t0 = Instant::now();
     for (name, technique) in &techniques {
         let scan = QueryEngine::prepare_with(&task, technique, IndexConfig::disabled());
-        let indexed = QueryEngine::prepare_with(&task, technique, IndexConfig::default());
         assert!(!scan.is_indexed(), "{name}: disabled config built an index");
-        assert!(
-            indexed.is_indexed(),
-            "{name}: default config skipped the index at n={n}"
-        );
-        for &q in &queries {
-            let eps = task.calibrated_threshold(q, technique);
-            for scale in [0.5, 1.0, 2.0] {
-                let e = eps * scale;
-                assert_eq!(
-                    indexed.answer_set(q, e),
-                    scan.answer_set(q, e),
-                    "{name}: indexed range answers diverged (q={q}, eps={e})"
+        for (layout, cfg) in layouts {
+            let indexed = QueryEngine::prepare_with(&task, technique, cfg);
+            assert!(
+                indexed.is_indexed(),
+                "{name}: {layout} config skipped the index at n={n}"
+            );
+            assert_eq!(
+                indexed.index().map(|ix| ix.leaf_count()),
+                Some(n.div_ceil(cfg.leaf_capacity)),
+                "{name}: {layout}"
+            );
+            for &q in &queries {
+                let eps = task.calibrated_threshold(q, technique);
+                for scale in [0.5, 1.0, 2.0] {
+                    let e = eps * scale;
+                    assert_eq!(
+                        indexed.answer_set(q, e),
+                        scan.answer_set(q, e),
+                        "{name} ({layout}): indexed range answers diverged (q={q}, eps={e})"
+                    );
+                }
+                let fast = indexed.top_k(q, 10).expect("value-based technique");
+                let base = scan.top_k(q, 10).expect("value-based technique");
+                assert!(
+                    fast.iter()
+                        .zip(&base)
+                        .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
+                    "{name} ({layout}): indexed top-k diverged (q={q})"
                 );
             }
-            let fast = indexed.top_k(q, 10).expect("value-based technique");
-            let base = scan.top_k(q, 10).expect("value-based technique");
+            let stats = indexed.index_stats();
+            let per_query = stats.candidates as f64 / stats.indexed_queries as f64;
+            assert_eq!(
+                stats.scan_queries, 0,
+                "{name} ({layout}): indexed engine fell back to scan"
+            );
             assert!(
-                fast.iter()
-                    .zip(&base)
-                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
-                "{name}: indexed top-k diverged (q={q})"
+                per_query < n as f64,
+                "{name} ({layout}): index visited {per_query:.0} candidates/query — no pruning at n={n}"
+            );
+            if *name == "dust" {
+                // The φ-space envelope must deliver real pruning, not just
+                // engage: a 90% candidate floor catches an envelope gone
+                // degenerate (e.g. collapsed to zero cost) that
+                // bit-identity alone would never notice.
+                assert!(
+                    per_query < 0.9 * n as f64,
+                    "{name} ({layout}): envelope pruning degenerate — {per_query:.0} of {n} candidates/query"
+                );
+            }
+            println!(
+                "{name} ({layout}): {} queries indexed ≡ scan ({:.0} candidates/query of {n}, {} of {} leaves pruned)",
+                stats.indexed_queries,
+                per_query,
+                stats.leaves_pruned,
+                stats.leaves_pruned + stats.leaves_visited,
             );
         }
-        let stats = indexed.index_stats();
-        let per_query = stats.candidates as f64 / stats.indexed_queries as f64;
-        assert_eq!(
-            stats.scan_queries, 0,
-            "{name}: indexed engine fell back to scan"
-        );
-        assert!(
-            per_query < n as f64,
-            "{name}: index visited {per_query:.0} candidates/query — no pruning at n={n}"
-        );
-        if *name == "dust" {
-            // The φ-space envelope must deliver real pruning, not just
-            // engage: a 90% candidate floor catches an envelope gone
-            // degenerate (e.g. collapsed to zero cost) that bit-identity
-            // alone would never notice.
-            assert!(
-                per_query < 0.9 * n as f64,
-                "{name}: envelope pruning degenerate — {per_query:.0} of {n} candidates/query"
-            );
-        }
-        println!(
-            "{name}: {} queries indexed ≡ scan ({:.0} candidates/query of {n}, {} of {} leaves pruned)",
-            stats.indexed_queries,
-            per_query,
-            stats.leaves_pruned,
-            stats.leaves_pruned + stats.leaves_visited,
-        );
     }
     println!(
-        "index smoke ok: {} techniques × {} range + top-k queries over {n}×{len} in {:?}",
+        "index smoke ok: {} techniques × {} layouts × {} range + top-k queries over {n}×{len} in {:?}",
         techniques.len(),
+        layouts.len(),
         queries.len(),
         t0.elapsed()
     );
