@@ -1,17 +1,20 @@
-//! 1-NN classification under uncertainty.
+//! k-NN classification under uncertainty.
 //!
 //! The paper's motivation for studying similarity matching is that it
 //! "serves as the basis for developing various more complex analysis and
 //! mining algorithms" (§1) — and the UCR datasets it evaluates on are
 //! classification benchmarks. This module builds the canonical such
-//! algorithm, leave-one-out 1-NN classification, on top of any
-//! [`UncertainDistance`], so the downstream effect of a distance choice
-//! can be measured directly (see the `ext-classify` experiment).
+//! algorithm, leave-one-out k-NN classification, as a loop of
+//! [`QueryEngine::top_k`] queries over a prepared engine, so the
+//! downstream effect of a technique choice can be measured directly (see
+//! the `ext-classify` experiment).
 
-use crate::query::UncertainDistance;
-use uts_uncertain::UncertainSeries;
+use std::borrow::Borrow;
 
-/// Result of a leave-one-out 1-NN classification run.
+use crate::engine::QueryEngine;
+use crate::matching::MatchingTask;
+
+/// Result of a leave-one-out classification run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassificationOutcome {
     /// Correctly classified instances.
@@ -31,75 +34,34 @@ impl ClassificationOutcome {
     }
 }
 
-/// Leave-one-out 1-NN classification: each series is classified by the
-/// label of its nearest neighbour under `measure` (self excluded).
+/// Leave-one-out k-NN classification: each member of the engine's
+/// collection is classified by majority vote among its `k` nearest
+/// neighbours ([`QueryEngine::top_k`]: self excluded, ordered by distance
+/// then index). Ties go to the nearer neighbour set: the first label
+/// reaching the plurality among the k nearest. `k = 1` is 1-NN. `None`
+/// for the probabilistic techniques, which rank no neighbours.
 ///
 /// # Panics
-/// If `collection` and `labels` disagree in length or fewer than two
-/// series are provided.
-pub fn one_nn_loocv<M: UncertainDistance>(
-    collection: &[UncertainSeries],
-    labels: &[usize],
-    measure: &M,
-) -> ClassificationOutcome {
-    assert_eq!(
-        collection.len(),
-        labels.len(),
-        "collection/labels length mismatch"
-    );
-    assert!(collection.len() >= 2, "need at least two series");
-    let mut correct = 0;
-    for (q, query) in collection.iter().enumerate() {
-        let mut best = (f64::INFINITY, usize::MAX);
-        for (i, candidate) in collection.iter().enumerate() {
-            if i == q {
-                continue;
-            }
-            let d = measure.distance(query, candidate);
-            if d < best.0 {
-                best = (d, i);
-            }
-        }
-        if labels[best.1] == labels[q] {
-            correct += 1;
-        }
-    }
-    ClassificationOutcome {
-        correct,
-        total: collection.len(),
-    }
-}
-
-/// k-NN majority-vote variant (ties broken toward the nearer neighbour
-/// set: the first label reaching the plurality among the k nearest).
-pub fn knn_loocv<M: UncertainDistance>(
-    collection: &[UncertainSeries],
+/// If the collection and `labels` disagree in length, `k == 0`, or the
+/// collection holds no more than `k` series.
+pub fn knn_loocv<T: Borrow<MatchingTask>>(
+    engine: &QueryEngine<T>,
     labels: &[usize],
     k: usize,
-    measure: &M,
-) -> ClassificationOutcome {
+) -> Option<ClassificationOutcome> {
     assert!(k >= 1, "k must be positive");
-    assert_eq!(
-        collection.len(),
-        labels.len(),
-        "collection/labels length mismatch"
-    );
-    assert!(collection.len() > k, "need more than k series");
+    let n = engine.task().len();
+    assert_eq!(n, labels.len(), "collection/labels length mismatch");
+    assert!(n > k, "need more than k series");
     let n_classes = labels.iter().copied().max().map_or(1, |m| m + 1);
     let mut correct = 0;
     let mut votes = vec![0usize; n_classes];
-    for (q, query) in collection.iter().enumerate() {
-        let mut dists: Vec<(f64, usize)> = collection
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != q)
-            .map(|(i, c)| (measure.distance(query, c), i))
-            .collect();
-        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
-        votes.iter_mut().for_each(|v| *v = 0);
-        let mut winner = labels[dists[0].1];
+    for (q, &label) in labels.iter().enumerate() {
+        let neighbours = engine.top_k(q, k)?;
+        votes.fill(0);
+        let mut winner = labels[neighbours[0].0];
         let mut winner_votes = 0;
-        for &(_, i) in dists.iter().take(k) {
+        for &(i, _) in &neighbours {
             let l = labels[i];
             votes[l] += 1;
             // Strict improvement keeps the nearest-first tie-break.
@@ -108,70 +70,79 @@ pub fn knn_loocv<M: UncertainDistance>(
                 winner = l;
             }
         }
-        if winner == labels[q] {
+        if winner == label {
             correct += 1;
         }
     }
-    ClassificationOutcome {
-        correct,
-        total: collection.len(),
-    }
+    Some(ClassificationOutcome { correct, total: n })
 }
 
 #[cfg(test)]
 mod unit {
     use super::*;
-    use crate::query::EuclideanMeasure;
+    use crate::matching::Technique;
+    use crate::proud::Proud;
     use crate::uma::Uema;
     use uts_stats::rng::Seed;
     use uts_tseries::TimeSeries;
     use uts_uncertain::{perturb, ErrorFamily, ErrorSpec};
 
-    /// Two well-separated classes of noisy sinusoids.
-    fn workload(sigma: f64, n_per_class: usize) -> (Vec<UncertainSeries>, Vec<usize>) {
+    /// Two well-separated classes of noisy sinusoids, as a task with
+    /// its labels.
+    fn workload(sigma: f64, n_per_class: usize) -> (MatchingTask, Vec<usize>) {
         let seed = Seed::new(31);
         let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
+        let mut clean = Vec::new();
         let mut coll = Vec::new();
         let mut labels = Vec::new();
         for class in 0..2usize {
             for j in 0..n_per_class {
                 let phase = class as f64 * std::f64::consts::FRAC_PI_2;
-                let clean =
+                let series =
                     TimeSeries::from_values((0..64).map(|t| ((t as f64 / 5.0) + phase).sin()))
                         .znormalized();
                 coll.push(perturb(
-                    &clean,
+                    &series,
                     &spec,
                     seed.derive_u64((class * 1000 + j) as u64),
                 ));
+                clean.push(series);
                 labels.push(class);
             }
         }
-        (coll, labels)
+        (MatchingTask::new(clean, coll, None, 1), labels)
+    }
+
+    fn accuracy(task: &MatchingTask, labels: &[usize], technique: &Technique, k: usize) -> f64 {
+        let engine = QueryEngine::prepare(task, technique);
+        knn_loocv(&engine, labels, k)
+            .expect("distance-ranked technique")
+            .accuracy()
     }
 
     #[test]
     fn separable_classes_classify_well() {
-        let (coll, labels) = workload(0.2, 10);
-        let out = one_nn_loocv(&coll, &labels, &EuclideanMeasure);
+        let (task, labels) = workload(0.2, 10);
+        let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
+        let out = knn_loocv(&engine, &labels, 1).unwrap();
         assert!(out.accuracy() > 0.9, "accuracy {}", out.accuracy());
         assert_eq!(out.total, 20);
     }
 
     #[test]
     fn noise_degrades_accuracy() {
-        let (clean_coll, labels) = workload(0.2, 12);
-        let (noisy_coll, _) = workload(2.5, 12);
-        let a_clean = one_nn_loocv(&clean_coll, &labels, &EuclideanMeasure).accuracy();
-        let a_noisy = one_nn_loocv(&noisy_coll, &labels, &EuclideanMeasure).accuracy();
+        let (clean_task, labels) = workload(0.2, 12);
+        let (noisy_task, _) = workload(2.5, 12);
+        let a_clean = accuracy(&clean_task, &labels, &Technique::Euclidean, 1);
+        let a_noisy = accuracy(&noisy_task, &labels, &Technique::Euclidean, 1);
         assert!(a_clean > a_noisy, "{a_clean} !> {a_noisy}");
     }
 
     #[test]
     fn uema_recovers_accuracy_under_noise() {
-        let (coll, labels) = workload(1.5, 12);
-        let eucl = one_nn_loocv(&coll, &labels, &EuclideanMeasure).accuracy();
-        let uema = one_nn_loocv(&coll, &labels, &Uema::default()).accuracy();
+        let (task, labels) = workload(1.5, 12);
+        let eucl = accuracy(&task, &labels, &Technique::Euclidean, 1);
+        let uema = accuracy(&task, &labels, &Technique::Uema(Uema::default()), 1);
         assert!(
             uema >= eucl,
             "UEMA ({uema}) should not lose to Euclidean ({eucl}) on smooth noisy data"
@@ -179,18 +150,23 @@ mod unit {
     }
 
     #[test]
-    fn knn_equals_1nn_at_k1() {
-        let (coll, labels) = workload(0.8, 8);
-        let a = one_nn_loocv(&coll, &labels, &EuclideanMeasure);
-        let b = knn_loocv(&coll, &labels, 1, &EuclideanMeasure);
-        assert_eq!(a, b);
+    fn probabilistic_techniques_do_not_classify() {
+        let (task, labels) = workload(0.8, 4);
+        let proud = Technique::Proud {
+            proud: Proud::default(),
+            tau: 0.5,
+        };
+        assert_eq!(
+            knn_loocv(&QueryEngine::prepare(&task, &proud), &labels, 1),
+            None
+        );
     }
 
     #[test]
     fn knn_majority_stabilises() {
-        let (coll, labels) = workload(1.2, 12);
-        let k1 = knn_loocv(&coll, &labels, 1, &EuclideanMeasure).accuracy();
-        let k5 = knn_loocv(&coll, &labels, 5, &EuclideanMeasure).accuracy();
+        let (task, labels) = workload(1.2, 12);
+        let k1 = accuracy(&task, &labels, &Technique::Euclidean, 1);
+        let k5 = accuracy(&task, &labels, &Technique::Euclidean, 5);
         // Majority voting should not be dramatically worse; usually better
         // under noise. Allow equality within a small slack.
         assert!(k5 + 0.15 >= k1, "k=5 {k5} collapsed vs k=1 {k1}");
@@ -213,7 +189,8 @@ mod unit {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_labels_panic() {
-        let (coll, _) = workload(0.5, 3);
-        let _ = one_nn_loocv(&coll, &[0, 1], &EuclideanMeasure);
+        let (task, _) = workload(0.5, 3);
+        let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
+        let _ = knn_loocv(&engine, &[0, 1], 1);
     }
 }

@@ -555,6 +555,81 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         self.top_k_ref(&self.query_ref(q), k, Some(q))
     }
 
+    /// Top-k motifs: the `k` closest pairs `(i, j, distance)`, `i < j`,
+    /// of the collection (paper §3.3 lists top-k motif search among the
+    /// queries DUST supports), sorted ascending by distance, then `i`,
+    /// then `j`; `None` for the probabilistic techniques. A pair's
+    /// distance is the one query `i` measures to candidate `j`, as in an
+    /// exhaustive pair scan.
+    ///
+    /// Answered from per-member [`QueryEngine::top_k`] lists: for a
+    /// symmetric distance, a pair among the `k` closest has `j` among
+    /// `i`'s `k` nearest neighbours. DUST's tables are keyed by the
+    /// ordered error pair, so its two directions of a pair can differ
+    /// (widely when the two error pdfs differ in family), and a list is
+    /// not trusted to hold every needed pair: while some member's list
+    /// omits a pair `(i, j > i)` yet ends no farther than the current
+    /// k-th candidate, that list is doubled and re-queried.
+    ///
+    /// # Example: a planted duplicate is the closest pair
+    ///
+    /// ```
+    /// use uts_core::engine::QueryEngine;
+    /// use uts_core::matching::{MatchingTask, Technique};
+    /// use uts_tseries::TimeSeries;
+    /// use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
+    ///
+    /// let e = PointError::new(ErrorFamily::Normal, 0.1);
+    /// // Member 4 repeats member 1.
+    /// let clean: Vec<TimeSeries> = [0, 1, 2, 3, 1]
+    ///     .iter()
+    ///     .map(|&f| TimeSeries::from_values((0..8).map(|t| ((t * (f + 1)) as f64 / 3.0).sin())))
+    ///     .collect();
+    /// let uncertain: Vec<UncertainSeries> = clean
+    ///     .iter()
+    ///     .map(|c| UncertainSeries::new(c.values().to_vec(), vec![e; 8]))
+    ///     .collect();
+    /// let task = MatchingTask::new(clean, uncertain, None, 1);
+    /// let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
+    /// let motifs = engine.top_k_motifs(2).expect("Euclidean ranks by distance");
+    /// assert_eq!(motifs.len(), 2);
+    /// assert_eq!(motifs[0], (1, 4, 0.0));
+    /// ```
+    pub fn top_k_motifs(&self, k: usize) -> Option<Vec<(usize, usize, f64)>> {
+        assert!(k > 0, "k must be positive");
+        let n = self.task().len();
+        let first = k.min(n - 1);
+        let mut lists = (0..n)
+            .map(|i| Some((first, self.top_k(i, first)?)))
+            .collect::<Option<Vec<_>>>()?;
+        loop {
+            let mut pairs: Vec<(usize, usize, f64)> = lists
+                .iter()
+                .enumerate()
+                .flat_map(|(i, (_, list))| {
+                    list.iter()
+                        .filter(move |&&(j, _)| j > i)
+                        .map(move |&(j, d)| (i, j, d))
+                })
+                .collect();
+            pairs.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+            let kth = pairs.get(k - 1).map_or(f64::INFINITY, |p| p.2);
+            let mut complete = true;
+            for (i, (width, list)) in lists.iter_mut().enumerate() {
+                let later = list.iter().filter(|&&(j, _)| j > i).count();
+                if later < n - 1 - i && list.last().is_some_and(|&(_, d)| d <= kth) {
+                    *width = (*width * 2).min(n - 1);
+                    *list = self.top_k(i, *width)?;
+                    complete = false;
+                }
+            }
+            if complete {
+                pairs.truncate(k);
+                return Some(pairs);
+            }
+        }
+    }
+
     /// Top-k against an external query view (see
     /// [`QueryEngine::answer_set_ref`] for the `exclude` convention):
     /// the `min(k, candidates)` nearest members of *this* collection, as

@@ -18,9 +18,10 @@
 //!
 //! MUNICH and PROUD answer *probabilistic range queries*
 //! `PRQ(Q, C, ε, τ) = {T : Pr(distance(Q, T) ≤ ε) ≥ τ}` (paper Eq. 2);
-//! DUST, Euclidean and UMA/UEMA produce plain distances and answer range /
-//! top-k queries ([`engine`]); [`query`] adds the distance-generic
-//! subsequence and motif searches.
+//! DUST, Euclidean and UMA/UEMA produce plain distances and answer range,
+//! top-k and top-k motif queries ([`engine`]); [`classify`] runs
+//! leave-one-out k-NN classification on those top-k queries, and
+//! [`proud_stream`] is PROUD's O(1)-per-point sliding-window form.
 //!
 //! ## Methodology
 //!
@@ -37,16 +38,16 @@
 //! `*_naive` reference paths.
 //!
 //! [`serving`] stacks a concurrent serving layer on top: the collection
-//! partitioned across shard engines, queries fanned over a scoped worker
-//! pool, answers merged deterministically (still bit-identical to the
-//! unsharded engine), and a cross-query result cache for skewed
+//! partitioned across shard engines, queries fanned over a persistent
+//! worker pool, answers merged deterministically (still bit-identical to
+//! the unsharded engine), and a cross-query result cache for skewed
 //! workloads.
 //!
 //! [`index`] is the candidate-generation stage under both: a lower-bound
-//! PAA/SAX grid built at prepare time for the value-based techniques, so
-//! large-collection range and top-k queries prune most candidates before
-//! the exact kernels run — with no false dismissals (admissible bounds
-//! only).
+//! PAA/SAX grid built at prepare time for the value-based techniques and
+//! DUST, so large-collection range and top-k queries prune most
+//! candidates before the exact kernels run — with no false dismissals
+//! (admissible bounds only).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -63,11 +64,10 @@ pub mod munich;
 pub mod parallel;
 pub mod proud;
 pub mod proud_stream;
-pub mod query;
 pub mod serving;
 pub mod uma;
 
-pub use classify::{knn_loocv, one_nn_loocv, ClassificationOutcome};
+pub use classify::{knn_loocv, ClassificationOutcome};
 pub use dust::{Dust, DustConfig};
 pub use engine::{QueryEngine, QueryRef};
 pub use error::InputError;
@@ -78,7 +78,6 @@ pub use munich::{MbiEnvelope, Munich, MunichConfig, MunichStrategy};
 pub use parallel::{parallel_map, try_parallel_map, WorkerPanic};
 pub use proud::{MomentModel, Proud, ProudConfig};
 pub use proud_stream::ProudStream;
-pub use query::{SubsequenceScan, TopKMotifs};
 pub use serving::{
     AdmissionConfig, CacheStats, Coverage, FaultKind, FaultPlan, GateStats, QueryOptions,
     ResultCache, ScoredAnswer, ServeError, ServingResponse, ShardAssignment, ShardFault, ShardPlan,

@@ -172,7 +172,7 @@ const DELAY_SLICE: Duration = Duration::from_millis(1);
 /// collection (`QueryEngine<Arc<MatchingTask>>` — the owning form of
 /// the same engine the batch protocols borrow). A query resolves its
 /// prepared view once on its owner shard, fans out across all shards
-/// on a scoped worker pool, and merges deterministically.
+/// on the persistent worker pool, and merges deterministically.
 ///
 /// # Example: sharded top-k is bit-identical to unsharded
 ///

@@ -7,7 +7,8 @@
 //! fast path: the early-abandon kernels replay the naive accumulation
 //! order and the squared cutoffs are exact under IEEE rounding, so the
 //! speedups never move a result. Any divergence — one index, one ulp —
-//! fails here.
+//! fails here. Top-k motifs, which the engine answers from per-member
+//! top-k lists, are held to the exhaustive pair scan the same way.
 
 use uts_core::dust::Dust;
 use uts_core::engine::QueryEngine;
@@ -16,10 +17,11 @@ use uts_core::matching::{MatchingTask, QualityScores, Technique};
 use uts_core::munich::Munich;
 use uts_core::proud::{Proud, ProudConfig};
 use uts_core::uma::{Uema, Uma};
+use uts_datasets::{Catalogue, DatasetId};
 use uts_stats::rng::Seed;
 use uts_tseries::TimeSeries;
 use uts_uncertain::{
-    perturb, perturb_multi, ErrorFamily, ErrorSpec, MultiObsSeries, UncertainSeries,
+    perturb, perturb_multi, ErrorFamily, ErrorSpec, MultiObsSeries, PointError, UncertainSeries,
 };
 
 /// One seeded workload: a clean collection, its pdf-model perturbation
@@ -486,5 +488,160 @@ fn shared_engine_protocol_matches_naive_protocol() {
                 .collect();
             assert_eq!(fast, naive, "{} / {}", w.name, technique.kind());
         }
+    }
+}
+
+/// The exhaustive motif oracle: every pair `(i, j > i)` at the distance
+/// query `i` measures to `j` (`top_k_naive` over all `n − 1`
+/// neighbours), sorted by distance, then `i`, then `j`.
+fn naive_motifs(task: &MatchingTask, technique: &Technique) -> Vec<(usize, usize, f64)> {
+    let mut pairs = Vec::new();
+    for i in 0..task.len() {
+        let neighbours = task.top_k_naive(i, technique, task.len() - 1).unwrap();
+        pairs.extend(
+            neighbours
+                .into_iter()
+                .filter(|&(j, _)| j > i)
+                .map(|(j, d)| (i, j, d)),
+        );
+    }
+    pairs.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+    pairs
+}
+
+/// `n` members of a catalogue dataset under the paper's mixed-σ normal
+/// errors (DUST then looks up both orders of each σ pair), with planted
+/// duplicates: members `n − 3` and `n − 2` copy member 1 outright (three
+/// pairs tied at one distance), and member `n − 1` takes member 7's
+/// observed values with its own errors.
+fn motif_task(id: DatasetId, n: usize) -> MatchingTask {
+    let seed = Seed::new(0x5EED);
+    let mut clean = Catalogue::new(seed).generate_scaled(id, n).series;
+    for (to, from) in [(n - 3, 1), (n - 2, 1), (n - 1, 7)] {
+        clean[to] = clean[from].clone();
+    }
+    let spec = ErrorSpec::paper_mixed(ErrorFamily::Normal);
+    let mut uncertain: Vec<UncertainSeries> = clean
+        .iter()
+        .enumerate()
+        .map(|(i, c)| perturb(c, &spec, seed.derive_u64(i as u64)))
+        .collect();
+    uncertain[n - 3] = uncertain[1].clone();
+    uncertain[n - 2] = uncertain[1].clone();
+    uncertain[n - 1] = UncertainSeries::new(
+        uncertain[7].values().to_vec(),
+        uncertain[n - 1].errors().to_vec(),
+    );
+    MatchingTask::new(clean, uncertain, None, 1)
+}
+
+/// Top-k motifs: the engine's pairs equal the exhaustive scan's first `k`
+/// bit for bit, on the scan path (60 members) and the indexed path (300),
+/// for every distance technique, for `k` from 1 past the number of pairs.
+#[test]
+fn top_k_motifs_bit_identical_to_pair_scan() {
+    let bits = |m: &[(usize, usize, f64)]| -> Vec<(usize, usize, u64)> {
+        m.iter().map(|&(i, j, d)| (i, j, d.to_bits())).collect()
+    };
+    for (id, n) in [(DatasetId::Ecg200, 60), (DatasetId::Cbf, 300)] {
+        let task = motif_task(id, n);
+        let pairs = n * (n - 1) / 2;
+        for technique in [
+            Technique::Euclidean,
+            Technique::Dust(Dust::default()),
+            Technique::Uma(Uma::default()),
+            Technique::Uema(Uema::default()),
+        ] {
+            let engine = QueryEngine::prepare(&task, &technique);
+            assert_eq!(engine.is_indexed(), n == 300, "{}", technique.kind());
+            let naive = naive_motifs(&task, &technique);
+            assert_eq!(naive.len(), pairs);
+            for k in [1, 3, 10, 50, pairs + 1] {
+                let fast = engine.top_k_motifs(k).unwrap();
+                assert_eq!(
+                    bits(&fast),
+                    bits(&naive[..k.min(pairs)]),
+                    "{id:?} n={n} / {} k={k}",
+                    technique.kind()
+                );
+            }
+        }
+    }
+}
+
+/// A motif only a widened list reveals. DUST distances depend on
+/// direction when two series' error pdfs differ, so member 1's nearest
+/// neighbour can tie between members 0 and 2 (member 0 wins on index)
+/// while pair (0, 1), measured from member 0, ranks behind (1, 2). The
+/// top motif (1, 2) is then in neither 1-wide list, and member 1's list
+/// has to be widened to find it.
+#[test]
+fn motifs_widen_lists_under_direction_dependent_distances() {
+    let dust = Dust::default();
+    let lo = PointError::new(ErrorFamily::Normal, 0.4);
+    let hi = PointError::new(ErrorFamily::Exponential, 1.0);
+    let member = |gap: f64, e: PointError| {
+        let mut values = vec![0.0; 8];
+        values[3] = gap;
+        UncertainSeries::new(values, vec![e; 8])
+    };
+    // Members 0 and 2 sit one gap either side of member 1 at one timestamp.
+    let (members, x) = (1..200)
+        .map(|s| s as f64 * 0.013)
+        .find_map(|gap| {
+            let m = [member(gap, hi), member(0.0, lo), member(-gap, hi)];
+            let x = dust.distance(&m[1], &m[0]);
+            let ranks_first =
+                x > 0.0 && x < dust.distance(&m[0], &m[1]) && x < dust.distance(&m[0], &m[2]);
+            ranks_first.then_some((m, x))
+        })
+        .expect("a gap whose DUST distance depends on direction");
+    let clean = members
+        .iter()
+        .map(|u| TimeSeries::from_values(u.values().iter().copied()))
+        .collect();
+    let task = MatchingTask::new(clean, members.to_vec(), None, 1);
+    let technique = Technique::Dust(dust);
+    let engine = QueryEngine::prepare(&task, &technique);
+    assert_eq!(engine.top_k(1, 1).unwrap(), vec![(0, x)]);
+    assert_eq!(engine.top_k_motifs(1).unwrap(), vec![(1, 2, x)]);
+    assert_eq!(
+        engine.top_k_motifs(3).unwrap(),
+        naive_motifs(&task, &technique)
+    );
+}
+
+/// The planted exact duplicate ranks first at distance 0.
+#[test]
+fn motifs_find_closest_pair() {
+    let task = motif_task(DatasetId::Ecg200, 60);
+    let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
+    let motifs = engine.top_k_motifs(3).unwrap();
+    assert_eq!(motifs.len(), 3);
+    assert_eq!(motifs[0], (1, 57, 0.0));
+    assert!(motifs.windows(2).all(|w| w[0].2 <= w[1].2));
+}
+
+/// A `k` past the number of pairs returns every pair, `C(n, 2)`.
+#[test]
+fn motifs_truncate_to_available_pairs() {
+    let task = build(&WORKLOADS[0]);
+    let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
+    let n = task.len();
+    assert_eq!(engine.top_k_motifs(1000).unwrap().len(), n * (n - 1) / 2);
+}
+
+/// PROUD and MUNICH produce probabilities, not distances: no motifs.
+#[test]
+fn probabilistic_techniques_have_no_motifs() {
+    let w = &WORKLOADS[0];
+    let task = build(w);
+    for technique in techniques(w.sigma) {
+        let motifs = QueryEngine::prepare(&task, &technique).top_k_motifs(3);
+        let ranked = !matches!(
+            technique,
+            Technique::Proud { .. } | Technique::Munich { .. }
+        );
+        assert_eq!(motifs.is_some(), ranked, "{}", technique.kind());
     }
 }

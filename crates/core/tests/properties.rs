@@ -1,16 +1,16 @@
 //! Property-based tests for the similarity techniques.
 
 use proptest::prelude::*;
-use uts_core::classify::{knn_loocv, one_nn_loocv};
+use uts_core::classify::{knn_loocv, ClassificationOutcome};
 use uts_core::dust::{Dust, DustConfig};
-use uts_core::matching::QualityScores;
+use uts_core::engine::QueryEngine;
+use uts_core::matching::{MatchingTask, QualityScores, Technique};
 use uts_core::munich::{Munich, MunichConfig, MunichStrategy};
 use uts_core::proud::Proud;
 use uts_core::proud_stream::ProudStream;
-use uts_core::query::EuclideanMeasure;
 use uts_core::uma::{Uema, Uma};
 use uts_stats::rng::Seed;
-use uts_tseries::euclidean;
+use uts_tseries::{euclidean, TimeSeries};
 use uts_uncertain::{ErrorFamily, MultiObsSeries, PointError, UncertainSeries};
 
 fn family_strategy() -> impl Strategy<Value = ErrorFamily> {
@@ -236,8 +236,15 @@ proptest! {
         n_per_class in 3usize..8,
         sigma in 0.1..1.5f64,
         k in 1usize..4,
+        technique in prop::sample::select(vec![
+            Technique::Euclidean,
+            Technique::Dust(Dust::default()),
+            Technique::Uma(Uma::default()),
+            Technique::Uema(Uema::default()),
+        ]),
     ) {
         let s = Seed::new(seed);
+        let mut clean = Vec::new();
         let mut coll = Vec::new();
         let mut labels = Vec::new();
         for class in 0..2usize {
@@ -248,19 +255,34 @@ proptest! {
                 let values: Vec<f64> = (0..16)
                     .map(|t| ((t as f64 / 3.0) + class as f64).sin() + 0.1 * rng.gen_range(-1.0..1.0))
                     .collect();
+                clean.push(TimeSeries::from_values(values.iter().copied()));
                 coll.push(UncertainSeries::new(values, vec![e; 16]));
                 labels.push(class);
             }
         }
-        let o1 = one_nn_loocv(&coll, &labels, &EuclideanMeasure);
-        prop_assert!((0.0..=1.0).contains(&o1.accuracy()));
-        prop_assert_eq!(o1.total, coll.len());
-        let k = k.min(coll.len() - 1);
-        let ok = knn_loocv(&coll, &labels, k, &EuclideanMeasure);
+        let task = MatchingTask::new(clean, coll, None, 1);
+        let k = k.min(task.len() - 1);
+        let engine = QueryEngine::prepare(&task, &technique);
+        let ok = knn_loocv(&engine, &labels, k).expect("distance-ranked technique");
         prop_assert!((0.0..=1.0).contains(&ok.accuracy()));
-        if k == 1 {
-            prop_assert_eq!(o1, ok);
-        }
+        prop_assert_eq!(ok.total, task.len());
+        // Oracle: the plurality label among the naive k nearest, ties to
+        // the label whose count reached the maximum first.
+        let correct = (0..task.len())
+            .filter(|&q| {
+                let nearest = task.top_k_naive(q, &technique, k).unwrap();
+                let mut votes = [0usize; 2];
+                let mut best = (0, labels[nearest[0].0]);
+                for &(i, _) in &nearest {
+                    votes[labels[i]] += 1;
+                    if votes[labels[i]] > best.0 {
+                        best = (votes[labels[i]], labels[i]);
+                    }
+                }
+                best.1 == labels[q]
+            })
+            .count();
+        prop_assert_eq!(ok, ClassificationOutcome { correct, total: task.len() });
     }
 
     // ---- quality scores -----------------------------------------------------

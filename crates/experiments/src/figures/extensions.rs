@@ -424,13 +424,19 @@ pub fn run_bridge(config: &ExpConfig) -> Vec<Table> {
 /// the "mining algorithm built on similarity matching" the paper's
 /// introduction motivates.
 pub fn run_classify(config: &ExpConfig) -> Vec<Table> {
-    use uts_core::classify::one_nn_loocv;
-    use uts_core::query::EuclideanMeasure;
+    use uts_core::classify::knn_loocv;
+    use uts_core::engine::QueryEngine;
+    use uts_core::matching::{MatchingTask, Technique};
     use uts_core::uma::{Uema, Uma};
 
     let seed = config.seed.derive("ext-classify");
     let spec = ErrorSpec::paper_mixed(ErrorFamily::Normal);
-    let dust = Dust::default();
+    let techniques = [
+        Technique::Euclidean,
+        Technique::Dust(Dust::default()),
+        Technique::Uma(Uma::default()),
+        Technique::Uema(Uema::default()),
+    ];
     let mut table = Table::new(
         "Extension (classification): leave-one-out 1-NN accuracy, mixed normal error",
         vec![
@@ -454,18 +460,14 @@ pub fn run_classify(config: &ExpConfig) -> Vec<Table> {
             .enumerate()
             .map(|(i, s)| perturb(s, &spec, seed.derive(id.name()).derive_u64(i as u64)))
             .collect();
-        let acc = |m: &dyn Fn() -> f64| m();
-        let eucl = acc(&|| one_nn_loocv(&observed, &dataset.labels, &EuclideanMeasure).accuracy());
-        let dust_a = acc(&|| one_nn_loocv(&observed, &dataset.labels, &dust).accuracy());
-        let uma = acc(&|| one_nn_loocv(&observed, &dataset.labels, &Uma::default()).accuracy());
-        let uema = acc(&|| one_nn_loocv(&observed, &dataset.labels, &Uema::default()).accuracy());
-        table.push_row(vec![
-            id.name().to_string(),
-            Table::cell(eucl),
-            Table::cell(dust_a),
-            Table::cell(uma),
-            Table::cell(uema),
-        ]);
+        let task = MatchingTask::new(dataset.series.clone(), observed, None, 1);
+        let mut row = vec![id.name().to_string()];
+        for technique in &techniques {
+            let engine = QueryEngine::prepare(&task, technique);
+            let outcome = knn_loocv(&engine, &dataset.labels, 1).expect("distance-ranked");
+            row.push(Table::cell(outcome.accuracy()));
+        }
+        table.push_row(row);
     }
     vec![table]
 }
@@ -529,14 +531,15 @@ mod unit {
 
     #[test]
     fn classification_runs_on_three_datasets() {
-        let config = ExpConfig::with_scale(Scale::Quick);
-        let tables = run_classify(&config);
-        assert_eq!(tables[0].rows.len(), 3);
-        for row in &tables[0].rows {
-            for cell in &row[1..] {
-                let acc: f64 = cell.parse().unwrap();
-                assert!((0.0..=1.0).contains(&acc), "{}: accuracy {acc}", row[0]);
-            }
-        }
+        let tables = run_classify(&ExpConfig::default());
+        let want = [
+            ["CBF", "0.7708", "0.8125", "0.8750", "0.8750"],
+            ["GunPoint", "0.8750", "0.9375", "0.9792", "0.9792"],
+            ["syntheticControl", "0.6667", "0.7292", "0.8958", "0.8333"],
+        ];
+        assert_eq!(
+            tables[0].rows,
+            want.map(|row| row.map(String::from).to_vec())
+        );
     }
 }

@@ -13,9 +13,9 @@
 //! reference, with the probability quantifying the confidence.
 
 use uncertts::core::proud_stream::ProudStream;
-use uncertts::core::query::{EuclideanMeasure, SubsequenceScan};
 use uncertts::stats::rng::Seed;
-use uncertts::uncertain::{ErrorFamily, PointError, UncertainSeries};
+use uncertts::tseries::euclidean;
+use uncertts::uncertain::{ErrorFamily, PointError};
 
 fn main() {
     let seed = Seed::new(5);
@@ -76,25 +76,21 @@ fn main() {
     }
 
     // Forensics: where does the faulty cycle shape occur in the recorded
-    // stream? Subsequence scan with the post-fault pattern.
-    let errors = vec![pe; n];
-    let recorded = UncertainSeries::new(
-        live_truth.iter().map(|v| v + pe.sample(&mut rng)).collect(),
-        errors.clone(),
-    );
-    let pattern = UncertainSeries::new(
-        (0..window)
-            .map(|t| 1.6 * ((t + drift_at) as f64 / 8.0).sin() + 0.4 + pe.sample(&mut rng))
-            .collect(),
-        errors[..window].to_vec(),
-    );
+    // stream? Slide the post-fault pattern over the recorded observations
+    // every 4 samples and keep the windows within ε (Euclidean).
+    let recorded: Vec<f64> = live_truth.iter().map(|v| v + pe.sample(&mut rng)).collect();
+    let pattern: Vec<f64> = (0..window)
+        .map(|t| 1.6 * ((t + drift_at) as f64 / 8.0).sin() + 0.4 + pe.sample(&mut rng))
+        .collect();
     let eps_scan = (2.0 * window as f64 * sigma * sigma).sqrt() * 2.0;
-    let hits = SubsequenceScan::new(eps_scan, 4).evaluate(&pattern, &recorded, &EuclideanMeasure);
-    let first_hit = hits.iter().map(|(o, _)| *o).min();
+    let hits: Vec<usize> = (0..=n - window)
+        .step_by(4)
+        .filter(|&offset| euclidean(&pattern, &recorded[offset..offset + window]) <= eps_scan)
+        .collect();
     println!(
         "subsequence scan: {} windows match the fault signature; earliest at offset {:?} \
          (fault was at {drift_at})",
         hits.len(),
-        first_hit
+        hits.first()
     );
 }

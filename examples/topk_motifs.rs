@@ -14,7 +14,6 @@
 use uncertts::core::dust::{Dust, DustConfig};
 use uncertts::core::engine::QueryEngine;
 use uncertts::core::matching::{MatchingTask, Technique};
-use uncertts::core::TopKMotifs;
 use uncertts::datasets::{Catalogue, DatasetId};
 use uncertts::stats::rng::Seed;
 use uncertts::tseries::DtwOptions;
@@ -53,10 +52,11 @@ fn main() {
     }
 
     // --- top-k motifs ---------------------------------------------------
-    // The motif pairs: the most similar series in the collection —
-    // quadratic scan, as in the classical motif definition.
+    // The motif pairs: the most similar series in the collection, from
+    // the same prepared engine's per-member top-k lists.
     println!("\ntop-3 motif pairs under DUST:");
-    for (i, j, d) in TopKMotifs::new(3).evaluate(&collection, &dust) {
+    let motifs = engine.top_k_motifs(3).expect("DUST ranks by distance");
+    for (i, j, d) in motifs {
         println!(
             "  ({i:>2}, {j:>2})  dust {d:>7.3}  classes ({}, {})",
             dataset.labels[i], dataset.labels[j]
