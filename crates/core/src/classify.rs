@@ -11,8 +11,8 @@
 
 use std::borrow::Borrow;
 
+use crate::collection::Collection;
 use crate::engine::QueryEngine;
-use crate::matching::MatchingTask;
 
 /// Result of a leave-one-out classification run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,13 +44,13 @@ impl ClassificationOutcome {
 /// # Panics
 /// If the collection and `labels` disagree in length, `k == 0`, or the
 /// collection holds no more than `k` series.
-pub fn knn_loocv<T: Borrow<MatchingTask>>(
+pub fn knn_loocv<T: Borrow<Collection>>(
     engine: &QueryEngine<T>,
     labels: &[usize],
     k: usize,
 ) -> Option<ClassificationOutcome> {
     assert!(k >= 1, "k must be positive");
-    let n = engine.task().len();
+    let n = engine.collection().len();
     assert_eq!(n, labels.len(), "collection/labels length mismatch");
     assert!(n > k, "need more than k series");
     let n_classes = labels.iter().copied().max().map_or(1, |m| m + 1);
@@ -87,12 +87,11 @@ mod unit {
     use uts_tseries::TimeSeries;
     use uts_uncertain::{perturb, ErrorFamily, ErrorSpec};
 
-    /// Two well-separated classes of noisy sinusoids, as a task with
-    /// its labels.
-    fn workload(sigma: f64, n_per_class: usize) -> (MatchingTask, Vec<usize>) {
+    /// Two well-separated classes of noisy sinusoids, as a collection
+    /// with its labels.
+    fn workload(sigma: f64, n_per_class: usize) -> (Collection, Vec<usize>) {
         let seed = Seed::new(31);
         let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
-        let mut clean = Vec::new();
         let mut coll = Vec::new();
         let mut labels = Vec::new();
         for class in 0..2usize {
@@ -106,15 +105,14 @@ mod unit {
                     &spec,
                     seed.derive_u64((class * 1000 + j) as u64),
                 ));
-                clean.push(series);
                 labels.push(class);
             }
         }
-        (MatchingTask::new(clean, coll, None, 1), labels)
+        (Collection::try_new(coll, None).unwrap(), labels)
     }
 
-    fn accuracy(task: &MatchingTask, labels: &[usize], technique: &Technique, k: usize) -> f64 {
-        let engine = QueryEngine::prepare(task, technique);
+    fn accuracy(collection: &Collection, labels: &[usize], technique: &Technique, k: usize) -> f64 {
+        let engine = QueryEngine::prepare(collection, technique);
         knn_loocv(&engine, labels, k)
             .expect("distance-ranked technique")
             .accuracy()
@@ -122,8 +120,8 @@ mod unit {
 
     #[test]
     fn separable_classes_classify_well() {
-        let (task, labels) = workload(0.2, 10);
-        let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
+        let (collection, labels) = workload(0.2, 10);
+        let engine = QueryEngine::prepare(&collection, &Technique::Euclidean);
         let out = knn_loocv(&engine, &labels, 1).unwrap();
         assert!(out.accuracy() > 0.9, "accuracy {}", out.accuracy());
         assert_eq!(out.total, 20);
@@ -131,18 +129,18 @@ mod unit {
 
     #[test]
     fn noise_degrades_accuracy() {
-        let (clean_task, labels) = workload(0.2, 12);
-        let (noisy_task, _) = workload(2.5, 12);
-        let a_clean = accuracy(&clean_task, &labels, &Technique::Euclidean, 1);
-        let a_noisy = accuracy(&noisy_task, &labels, &Technique::Euclidean, 1);
+        let (quiet, labels) = workload(0.2, 12);
+        let (noisy, _) = workload(2.5, 12);
+        let a_clean = accuracy(&quiet, &labels, &Technique::Euclidean, 1);
+        let a_noisy = accuracy(&noisy, &labels, &Technique::Euclidean, 1);
         assert!(a_clean > a_noisy, "{a_clean} !> {a_noisy}");
     }
 
     #[test]
     fn uema_recovers_accuracy_under_noise() {
-        let (task, labels) = workload(1.5, 12);
-        let eucl = accuracy(&task, &labels, &Technique::Euclidean, 1);
-        let uema = accuracy(&task, &labels, &Technique::Uema(Uema::default()), 1);
+        let (collection, labels) = workload(1.5, 12);
+        let eucl = accuracy(&collection, &labels, &Technique::Euclidean, 1);
+        let uema = accuracy(&collection, &labels, &Technique::Uema(Uema::default()), 1);
         assert!(
             uema >= eucl,
             "UEMA ({uema}) should not lose to Euclidean ({eucl}) on smooth noisy data"
@@ -151,22 +149,22 @@ mod unit {
 
     #[test]
     fn probabilistic_techniques_do_not_classify() {
-        let (task, labels) = workload(0.8, 4);
+        let (collection, labels) = workload(0.8, 4);
         let proud = Technique::Proud {
             proud: Proud::default(),
             tau: 0.5,
         };
         assert_eq!(
-            knn_loocv(&QueryEngine::prepare(&task, &proud), &labels, 1),
+            knn_loocv(&QueryEngine::prepare(&collection, &proud), &labels, 1),
             None
         );
     }
 
     #[test]
     fn knn_majority_stabilises() {
-        let (task, labels) = workload(1.2, 12);
-        let k1 = accuracy(&task, &labels, &Technique::Euclidean, 1);
-        let k5 = accuracy(&task, &labels, &Technique::Euclidean, 5);
+        let (collection, labels) = workload(1.2, 12);
+        let k1 = accuracy(&collection, &labels, &Technique::Euclidean, 1);
+        let k5 = accuracy(&collection, &labels, &Technique::Euclidean, 5);
         // Majority voting should not be dramatically worse; usually better
         // under noise. Allow equality within a small slack.
         assert!(k5 + 0.15 >= k1, "k=5 {k5} collapsed vs k=1 {k1}");
@@ -189,8 +187,8 @@ mod unit {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_labels_panic() {
-        let (task, _) = workload(0.5, 3);
-        let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
+        let (collection, _) = workload(0.5, 3);
+        let engine = QueryEngine::prepare(&collection, &Technique::Euclidean);
         let _ = knn_loocv(&engine, &[0, 1], 1);
     }
 }

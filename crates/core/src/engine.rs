@@ -46,7 +46,6 @@
 use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use uts_tseries::distance::{
     euclidean_squared_early_abandon, squared_cutoff, squared_cutoff_strict,
@@ -55,6 +54,7 @@ use uts_tseries::TimeSeries;
 use uts_uncertain::{MultiObsSeries, PointError, UncertainSeries};
 
 use crate::cancel::{Deadline, DeadlineExpired};
+use crate::collection::Collection;
 use crate::dust::DustBoundTable;
 use crate::error::InputError;
 use crate::index::{
@@ -132,10 +132,11 @@ pub enum QueryRef<'q> {
 /// prepared instance serves all worker threads of a batched evaluation.
 ///
 /// The collection parameter `T` is anything that borrows a
-/// [`MatchingTask`]: plain `&MatchingTask` for the classic borrowed
-/// engine, or an owning handle such as `Arc<MatchingTask>` when the
-/// engine must outlive the scope that built the task (the sharded
-/// serving layer holds one owning engine per shard).
+/// [`Collection`]: a bare `Collection` or `&Collection` (the sharded
+/// serving layer owns one per shard), or a [`MatchingTask`] as
+/// `MatchingTask`, `&MatchingTask` or `Arc<MatchingTask>`, which serves
+/// the task's collection and adds the §4.1.2 protocol
+/// ([`QueryEngine::task`], [`QueryEngine::query_quality`]).
 ///
 /// # Example: prepare once, query many
 ///
@@ -164,8 +165,8 @@ pub enum QueryRef<'q> {
 /// }
 /// ```
 #[derive(Debug)]
-pub struct QueryEngine<T: Borrow<MatchingTask>> {
-    task: T,
+pub struct QueryEngine<T: Borrow<Collection>> {
+    collection: T,
     technique: Technique,
     state: Prepared,
     /// Lower-bound candidate index over the technique's value view
@@ -176,7 +177,7 @@ pub struct QueryEngine<T: Borrow<MatchingTask>> {
     counters: IndexCounters,
 }
 
-impl<T: Borrow<MatchingTask>> QueryEngine<T> {
+impl<T: Borrow<Collection>> QueryEngine<T> {
     /// Prepares the engine: runs the technique's per-collection
     /// precomputation (the `O(collection)` work every query would
     /// otherwise repeat).
@@ -186,11 +187,11 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// index for the value-based techniques.
     ///
     /// # Panics
-    /// For [`Technique::Munich`] when the task holds no multi-observation
-    /// data ([`QueryEngine::try_prepare_with`] reports this as a typed
-    /// [`InputError`] instead).
-    pub fn prepare(task: T, technique: &Technique) -> Self {
-        Self::prepare_with(task, technique, IndexConfig::default())
+    /// For [`Technique::Munich`] when the collection holds no
+    /// multi-observation data ([`QueryEngine::try_prepare_with`] reports
+    /// this as a typed [`InputError`] instead).
+    pub fn prepare(collection: T, technique: &Technique) -> Self {
+        Self::prepare_with(collection, technique, IndexConfig::default())
     }
 
     /// [`QueryEngine::prepare`] with an explicit [`IndexConfig`] —
@@ -199,20 +200,20 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     ///
     /// # Panics
     /// As [`QueryEngine::prepare`].
-    pub fn prepare_with(task: T, technique: &Technique, index: IndexConfig) -> Self {
-        Self::try_prepare_with(task, technique, index).unwrap_or_else(|e| panic!("{e}"))
+    pub fn prepare_with(collection: T, technique: &Technique, index: IndexConfig) -> Self {
+        Self::try_prepare_with(collection, technique, index).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible twin of [`QueryEngine::prepare_with`].
     pub fn try_prepare_with(
-        task: T,
+        collection: T,
         technique: &Technique,
         index: IndexConfig,
     ) -> Result<Self, InputError> {
-        let state = Self::build_state(task.borrow(), technique)?;
-        let index = Self::build_index(task.borrow(), technique, &state, &index);
+        let state = Self::build_state(collection.borrow(), technique)?;
+        let index = Self::build_index(collection.borrow(), technique, &state, &index);
         Ok(Self {
-            task,
+            collection,
             technique: technique.clone(),
             state,
             index,
@@ -230,7 +231,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// [`IndexStats`]); DUST also skips the build when its envelope is
     /// unavailable.
     fn build_index(
-        task: &MatchingTask,
+        collection: &Collection,
         technique: &Technique,
         state: &Prepared,
         cfg: &IndexConfig,
@@ -245,7 +246,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 Prepared::Dust {
                     envelope: Some(_), ..
                 },
-            ) => task.uncertain().iter().map(|u| u.values()).collect(),
+            ) => collection.uncertain().iter().map(|u| u.values()).collect(),
             _ => return None,
         };
         CandidateIndex::build(&views, cfg)
@@ -254,7 +255,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// The per-collection precomputation behind
     /// [`QueryEngine::try_prepare_with`] (see the module docs for what each
     /// technique hoists out of the query loop).
-    fn build_state(task: &MatchingTask, technique: &Technique) -> Result<Prepared, InputError> {
+    fn build_state(coll: &Collection, technique: &Technique) -> Result<Prepared, InputError> {
         let state = match technique {
             Technique::Euclidean | Technique::Proud { .. } => Prepared::Plain,
             Technique::Dust(d) => {
@@ -263,7 +264,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 // would warm anyway — a per-point-σ workload would
                 // otherwise make this scan quadratic in total points.
                 let mut errors: Vec<PointError> = Vec::new();
-                'scan: for u in task.uncertain() {
+                'scan: for u in coll.uncertain() {
                     for e in u.errors() {
                         if !errors.iter().any(|k| crate::dust::same_error(k, e)) {
                             errors.push(*e);
@@ -282,23 +283,23 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 Prepared::Dust {
                     errors,
                     envelope,
-                    max_abs: collection_max_abs(task),
+                    max_abs: collection_max_abs(coll),
                 }
             }
             Technique::Uma(_) | Technique::Uema(_) => {
-                Prepared::Filtered(parallel_map(task.uncertain(), |s| technique.filtered(s)))
+                Prepared::Filtered(parallel_map(coll.uncertain(), |s| technique.filtered(s)))
             }
             Technique::Munich { .. } => {
-                let multi = task.multi().ok_or(InputError::MissingMultiObs)?;
+                let multi = coll.multi().ok_or(InputError::MissingMultiObs)?;
                 Prepared::Munich(multi.iter().map(MbiEnvelope::build).collect())
             }
         };
         Ok(state)
     }
 
-    /// The underlying task.
-    pub fn task(&self) -> &MatchingTask {
-        self.task.borrow()
+    /// The collection the engine serves.
+    pub fn collection(&self) -> &Collection {
+        self.collection.borrow()
     }
 
     /// The technique the engine was prepared for.
@@ -331,19 +332,19 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     /// engine — the query need not be a member of the receiving
     /// collection).
     pub fn query_ref(&self, q: usize) -> QueryRef<'_> {
-        let task = self.task();
-        assert!(q < task.len(), "query index out of range");
+        let coll = self.collection();
+        assert!(q < coll.len(), "query index out of range");
         match (&self.technique, &self.state) {
             (Technique::Uma(_) | Technique::Uema(_), Prepared::Filtered(filtered)) => {
                 QueryRef::Filtered(&filtered[q])
             }
             (Technique::Munich { .. }, Prepared::Munich(envelopes)) => {
-                let multi = task
+                let multi = coll
                     .multi()
                     .expect("MUNICH requires multi-observation data in the task");
                 QueryRef::Multi(&multi[q], &envelopes[q])
             }
-            _ => QueryRef::Uncertain(&task.uncertain()[q]),
+            _ => QueryRef::Uncertain(&coll.uncertain()[q]),
         }
     }
 
@@ -389,7 +390,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         exclude: Option<usize>,
         deadline: &Deadline,
     ) -> Result<Vec<usize>, DeadlineExpired> {
-        let task = self.task();
+        let coll = self.collection();
         let hits = match (&self.technique, &self.state, query) {
             (Technique::Euclidean, _, QueryRef::Uncertain(qu)) => {
                 let qv = qu.values();
@@ -400,7 +401,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                     deadline,
                     Some(squared),
                     |i, limit| {
-                        euclidean_squared_early_abandon(qv, task.uncertain()[i].values(), limit)
+                        euclidean_squared_early_abandon(qv, coll.uncertain()[i].values(), limit)
                     },
                 );
             }
@@ -434,13 +435,13 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                     exclude,
                     deadline,
                     dust_cost(errors, envelope.as_ref(), *max_abs, qu),
-                    |i, cutoff| d.within_sq(qu, &task.uncertain()[i], cutoff).then_some(0.0),
+                    |i, cutoff| d.within_sq(qu, &coll.uncertain()[i], cutoff).then_some(0.0),
                 );
             }
             (Technique::Proud { proud, tau }, _, QueryRef::Uncertain(qu)) => {
                 self.counters.scan_queries.fetch_add(1, Ordering::Relaxed);
                 self.scan_pairs(exclude, deadline, false, |i| {
-                    proud.matches(qu, &task.uncertain()[i], epsilon, *tau)
+                    proud.matches(qu, &coll.uncertain()[i], epsilon, *tau)
                 })?
             }
             (
@@ -455,7 +456,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                     // other technique (MUNICH's pair API rejects it).
                     return Ok(Vec::new());
                 }
-                let multi = task
+                let multi = coll
                     .multi()
                     .expect("MUNICH requires multi-observation data in the task");
                 // Each candidate runs the MBI-filter → count-bound-abandon
@@ -507,7 +508,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         exclude: Option<usize>,
         deadline: &Deadline,
     ) -> Result<Option<Vec<(usize, f64)>>, DeadlineExpired> {
-        let task = self.task();
+        let coll = self.collection();
         // A negative or NaN ε bounds no distance: every candidate's
         // probability is 0, as the range answer is empty.
         let degenerate = epsilon.is_nan() || epsilon < 0.0;
@@ -520,7 +521,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
             }
             (Technique::Proud { proud, .. }, _, QueryRef::Uncertain(qu)) => {
                 Ok(Some(self.scan_pairs(exclude, deadline, false, |i| {
-                    proud.probability_within(qu, &task.uncertain()[i], epsilon)
+                    proud.probability_within(qu, &coll.uncertain()[i], epsilon)
                 })?))
             }
             (
@@ -528,7 +529,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 Prepared::Munich(envelopes),
                 QueryRef::Multi(qm, qenv),
             ) => {
-                let multi = task
+                let multi = coll
                     .multi()
                     .expect("MUNICH requires multi-observation data in the task");
                 Ok(Some(self.scan_pairs(exclude, deadline, true, |i| {
@@ -575,29 +576,29 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     ///
     /// ```
     /// use uts_core::engine::QueryEngine;
-    /// use uts_core::matching::{MatchingTask, Technique};
-    /// use uts_tseries::TimeSeries;
+    /// use uts_core::matching::Technique;
+    /// use uts_core::Collection;
     /// use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
     ///
     /// let e = PointError::new(ErrorFamily::Normal, 0.1);
     /// // Member 4 repeats member 1.
-    /// let clean: Vec<TimeSeries> = [0, 1, 2, 3, 1]
+    /// let uncertain: Vec<UncertainSeries> = [0, 1, 2, 3, 1]
     ///     .iter()
-    ///     .map(|&f| TimeSeries::from_values((0..8).map(|t| ((t * (f + 1)) as f64 / 3.0).sin())))
+    ///     .map(|&f| {
+    ///         let values = (0..8).map(|t| ((t * (f + 1)) as f64 / 3.0).sin()).collect();
+    ///         UncertainSeries::new(values, vec![e; 8])
+    ///     })
     ///     .collect();
-    /// let uncertain: Vec<UncertainSeries> = clean
-    ///     .iter()
-    ///     .map(|c| UncertainSeries::new(c.values().to_vec(), vec![e; 8]))
-    ///     .collect();
-    /// let task = MatchingTask::new(clean, uncertain, None, 1);
-    /// let engine = QueryEngine::prepare(&task, &Technique::Euclidean);
+    /// // No ground truth: the engine serves the bare collection.
+    /// let collection = Collection::try_new(uncertain, None).unwrap();
+    /// let engine = QueryEngine::prepare(&collection, &Technique::Euclidean);
     /// let motifs = engine.top_k_motifs(2).expect("Euclidean ranks by distance");
     /// assert_eq!(motifs.len(), 2);
     /// assert_eq!(motifs[0], (1, 4, 0.0));
     /// ```
     pub fn top_k_motifs(&self, k: usize) -> Option<Vec<(usize, usize, f64)>> {
         assert!(k > 0, "k must be positive");
-        let n = self.task().len();
+        let n = self.collection().len();
         let first = k.min(n - 1);
         let mut lists = (0..n)
             .map(|i| Some((first, self.top_k(i, first)?)))
@@ -665,7 +666,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         exclude: Option<usize>,
         deadline: &Deadline,
     ) -> Result<Option<Vec<(usize, f64)>>, DeadlineExpired> {
-        let task = self.task();
+        let coll = self.collection();
         assert!(k > 0, "k must be positive");
         match (&self.technique, &self.state, query) {
             (Technique::Euclidean, _, QueryRef::Uncertain(qu)) => {
@@ -677,7 +678,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                     deadline,
                     Some(squared),
                     |i, limit| {
-                        euclidean_squared_early_abandon(qv, task.uncertain()[i].values(), limit)
+                        euclidean_squared_early_abandon(qv, coll.uncertain()[i].values(), limit)
                     },
                 )?))
             }
@@ -710,22 +711,11 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
                 exclude,
                 deadline,
                 dust_cost(errors, envelope.as_ref(), *max_abs, qu),
-                |i, limit| d.distance_sq_early_abandon(qu, &task.uncertain()[i], limit),
+                |i, limit| d.distance_sq_early_abandon(qu, &coll.uncertain()[i], limit),
             )?)),
             (Technique::Proud { .. } | Technique::Munich { .. }, _, _) => Ok(None),
             _ => panic!("query view does not match the prepared technique"),
         }
-    }
-
-    /// Full §4.1.2 protocol for one query: ground truth, calibrated
-    /// threshold, answer, score — with the answer scan on the prepared
-    /// fast path.
-    pub fn query_quality(&self, q: usize) -> QualityScores {
-        let task = self.task();
-        let gt = task.ground_truth(q);
-        let eps = task.threshold_against(q, gt.anchor, &self.technique);
-        let answer = self.answer_set(q, eps);
-        QualityScores::from_sets(&answer, &gt.neighbors)
     }
 
     /// The probabilistic techniques' scan: `pair(i)` for every candidate,
@@ -740,7 +730,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
         parallel: bool,
         pair: impl Fn(usize) -> R + Sync,
     ) -> Result<Vec<(usize, R)>, DeadlineExpired> {
-        let cands: Vec<usize> = candidates(self.task().len(), exclude).collect();
+        let cands: Vec<usize> = candidates(self.collection().len(), exclude).collect();
         let run = |&i: &usize| {
             deadline.check()?;
             Ok((i, pair(i)))
@@ -802,7 +792,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     ) -> Result<Vec<usize>, DeadlineExpired> {
         let cutoff = range_cutoff(epsilon);
         let Some((ix, qp, cost)) = self.index_route(qv, cost) else {
-            let scan = candidates(self.task().len(), exclude);
+            let scan = candidates(self.collection().len(), exclude);
             return range_decide(scan, cutoff, deadline, dist_sq);
         };
         let limit = ix.squared_prune_limit(epsilon);
@@ -845,7 +835,7 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
             Some((ix, qp, cost)) => {
                 self.indexed_top_k(ix, &qp, k, exclude, deadline, cost, dist_sq)
             }
-            None => select_top_k(self.task().len(), exclude, k, deadline, dist_sq),
+            None => select_top_k(self.collection().len(), exclude, k, deadline, dist_sq),
         }
     }
 
@@ -924,7 +914,26 @@ impl<T: Borrow<MatchingTask>> QueryEngine<T> {
     }
 }
 
-impl QueryEngine<Arc<MatchingTask>> {
+/// The §4.1.2 protocol, for engines prepared over a [`MatchingTask`].
+impl<T: Borrow<Collection> + Borrow<MatchingTask>> QueryEngine<T> {
+    /// The task the engine was prepared over.
+    pub fn task(&self) -> &MatchingTask {
+        Borrow::<MatchingTask>::borrow(&self.collection)
+    }
+
+    /// Full §4.1.2 protocol for one query: ground truth, calibrated
+    /// threshold, answer, score — with the answer scan on the prepared
+    /// fast path.
+    pub fn query_quality(&self, q: usize) -> QualityScores {
+        let task = self.task();
+        let gt = task.ground_truth(q);
+        let eps = task.threshold_against(q, gt.anchor, &self.technique);
+        let answer = self.answer_set(q, eps);
+        QualityScores::from_sets(&answer, &gt.neighbors)
+    }
+}
+
+impl QueryEngine<Collection> {
     /// Replaces member `i` of the owned collection in place and patches
     /// only that member's slot of the prepared state and candidate index
     /// — the serving layer's write path, `O(one member)` instead of a
@@ -938,20 +947,18 @@ impl QueryEngine<Arc<MatchingTask>> {
     /// index build under `cfg` (the config the engine was prepared with).
     ///
     /// # Errors
-    /// A replacement whose shape the task cannot absorb is a typed
+    /// A replacement whose shape the collection cannot absorb is a typed
     /// [`InputError`] and leaves the engine untouched.
     pub(crate) fn try_replace_member(
         &mut self,
         i: usize,
-        clean: TimeSeries,
         uncertain: UncertainSeries,
         multi: Option<MultiObsSeries>,
         cfg: &IndexConfig,
     ) -> Result<(), InputError> {
-        // A shard engine holds the only handle, so this never clones.
-        let old = Arc::make_mut(&mut self.task).try_replace(i, clean, uncertain, multi)?;
-        let task: &MatchingTask = &self.task;
-        let u = &task.uncertain()[i];
+        let old = self.collection.try_replace(i, uncertain, multi)?;
+        let coll = &self.collection;
+        let u = &coll.uncertain()[i];
         let view = match (&self.technique, &mut self.state) {
             (Technique::Euclidean, _) => Some(u.values()),
             (t @ (Technique::Uma(_) | Technique::Uema(_)), Prepared::Filtered(filtered)) => {
@@ -959,7 +966,7 @@ impl QueryEngine<Arc<MatchingTask>> {
                 Some(filtered[i].values())
             }
             (Technique::Munich { .. }, Prepared::Munich(envelopes)) => {
-                let multi = task
+                let multi = coll
                     .multi()
                     .expect("MUNICH requires multi-observation data in the task");
                 envelopes[i] = MbiEnvelope::build(&multi[i]);
@@ -976,16 +983,16 @@ impl QueryEngine<Arc<MatchingTask>> {
                     *max_abs = new_max;
                 } else if new_max < *max_abs && series_max_abs(old.values()) == *max_abs {
                     // The replaced member held the maximum.
-                    *max_abs = collection_max_abs(task);
+                    *max_abs = collection_max_abs(coll);
                 }
                 Some(u.values())
             }
             // A new error description: the envelope does not cover its
             // pairs, so DUST is prepared afresh.
             (Technique::Dust(_), _) => {
-                self.state = Self::build_state(task, &self.technique)
+                self.state = Self::build_state(coll, &self.technique)
                     .expect("DUST prepares on any collection");
-                self.index = Self::build_index(task, &self.technique, &self.state, cfg);
+                self.index = Self::build_index(coll, &self.technique, &self.state, cfg);
                 return Ok(());
             }
             // PROUD keeps no per-member state.
@@ -1061,8 +1068,9 @@ fn series_max_abs(values: &[f64]) -> f64 {
 }
 
 /// Largest |value| across the collection's observed series.
-fn collection_max_abs(task: &MatchingTask) -> f64 {
-    task.uncertain()
+fn collection_max_abs(collection: &Collection) -> f64 {
+    collection
+        .uncertain()
         .iter()
         .fold(0.0f64, |m, u| m.max(series_max_abs(u.values())))
 }

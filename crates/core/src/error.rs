@@ -5,13 +5,14 @@ use std::fmt;
 /// Typed rejection of input that does not fit the technique's model or
 /// the collection's shape (paper §2: MUNICH takes repeated observations,
 /// every technique takes equal-length series). Returned by
+/// [`crate::Collection::try_new`],
 /// [`crate::QueryEngine::try_prepare_with`],
 /// [`crate::ShardedEngine::try_prepare_with`],
 /// [`crate::ShardedEngine::try_update_series`] and the MUNICH `try_*`
 /// pair methods; their panicking twins raise the same messages.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InputError {
-    /// MUNICH needs repeated observations, but the task carries none.
+    /// MUNICH needs repeated observations, but the collection has none.
     MissingMultiObs,
     /// A series' length differs from the one it is compared with or
     /// replaces (the first series of a MUNICH pair, or the collection
@@ -42,17 +43,24 @@ pub enum InputError {
         /// Length of the replacement's uncertain series.
         uncertain: usize,
     },
-    /// Multi-observation data must be supplied iff the task carries it.
+    /// Multi-observation data must be supplied iff the collection has it.
     MultiPresenceMismatch {
         /// Whether the task holds multi-observation data.
         task_has_multi: bool,
     },
-    /// The replacement's multi-observation series length differs from
-    /// the member it replaces.
+    /// A multi-observation series' length differs from its member's
+    /// uncertain series, or from the one it replaces.
     MultiLengthMismatch {
-        /// Length of the member's multi-observation series.
+        /// Length of the member's series.
         expected: usize,
-        /// Length the replacement brought.
+        /// Length the multi-observation series brought.
+        got: usize,
+    },
+    /// A collection's multi-observation series are not one per member.
+    MultiCountMismatch {
+        /// Number of members.
+        expected: usize,
+        /// Number of multi-observation series.
         got: usize,
     },
 }
@@ -94,6 +102,10 @@ impl fmt::Display for InputError {
             Self::MultiLengthMismatch { expected, got } => write!(
                 f,
                 "multi-obs series length mismatch: expected {expected}, got {got}"
+            ),
+            Self::MultiCountMismatch { expected, got } => write!(
+                f,
+                "multi-obs collection size mismatch: expected {expected}, got {got}"
             ),
         }
     }
@@ -160,6 +172,13 @@ mod unit {
                     got: 9,
                 },
                 "multi-obs series length mismatch: expected 10, got 9",
+            ),
+            (
+                InputError::MultiCountMismatch {
+                    expected: 12,
+                    got: 11,
+                },
+                "multi-obs collection size mismatch: expected 12, got 11",
             ),
         ];
         for (e, want) in input {

@@ -35,7 +35,8 @@
 //! per-collection preparation (filter caches, DUST table warm-up, MBI
 //! envelopes) split from per-query evaluation with early
 //! abandonment and lower-bound pruning, bit-identical to the naive
-//! `*_naive` reference paths.
+//! `*_naive` reference paths. It serves a [`Collection`], which holds no
+//! ground truth: bare, or a [`MatchingTask`]'s.
 //!
 //! [`serving`] stacks a concurrent serving layer on top: the collection
 //! partitioned across shard engines, queries fanned over a persistent
@@ -54,6 +55,7 @@
 
 mod cancel;
 pub mod classify;
+mod collection;
 pub mod dust;
 pub mod engine;
 mod error;
@@ -68,6 +70,7 @@ pub mod serving;
 pub mod uma;
 
 pub use classify::{knn_loocv, ClassificationOutcome};
+pub use collection::Collection;
 pub use dust::{Dust, DustConfig};
 pub use engine::{QueryEngine, QueryRef};
 pub use error::InputError;

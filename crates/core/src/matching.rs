@@ -26,13 +26,16 @@
 //! always matches itself; including it would inflate every score by the
 //! same constant — a deliberate deviation from the paper's setup).
 
+use std::borrow::Borrow;
+use std::sync::Arc;
+
 use uts_tseries::distance::euclidean;
 use uts_tseries::TimeSeries;
 use uts_uncertain::{MultiObsSeries, UncertainSeries};
 
+use crate::collection::Collection;
 use crate::dust::Dust;
 use crate::engine::QueryEngine;
-use crate::error::InputError;
 use crate::munich::Munich;
 use crate::proud::Proud;
 use crate::uma::{Uema, Uma};
@@ -208,14 +211,15 @@ pub struct GroundTruth {
     pub clean_distance: f64,
 }
 
-/// One dataset instance prepared for the matching task: clean truth,
-/// pdf-model observations, and (optionally) MUNICH's multi-observation
-/// views.
+/// One dataset instance prepared for the matching task: the served
+/// [`Collection`] plus the clean series and `k` that only the §4.1.2
+/// protocol reads (ground truth, calibration, scoring, and the `*_naive`
+/// oracles). Engines prepare over it through its collection (see
+/// [`QueryEngine`]).
 #[derive(Debug, Clone)]
 pub struct MatchingTask {
     clean: Vec<TimeSeries>,
-    uncertain: Vec<UncertainSeries>,
-    multi: Option<Vec<MultiObsSeries>>,
+    collection: Collection,
     k: usize,
 }
 
@@ -248,90 +252,12 @@ impl MatchingTask {
         for (c, u) in clean.iter().zip(&uncertain) {
             assert_eq!(c.len(), u.len(), "clean/uncertain series length mismatch");
         }
-        if let Some(m) = &multi {
-            assert_eq!(m.len(), clean.len(), "multi-obs collection size mismatch");
-            for (c, mo) in clean.iter().zip(m) {
-                assert_eq!(c.len(), mo.len(), "multi-obs series length mismatch");
-            }
-        }
+        let collection = Collection::try_new(uncertain, multi).unwrap_or_else(|e| panic!("{e}"));
         Self {
             clean,
-            uncertain,
-            multi,
+            collection,
             k,
         }
-    }
-
-    /// Shard-local view for the serving layer: the members at `indices`
-    /// (ascending global order), cloned into a standalone task. Skips the
-    /// `k + 2` minimum-size guard — a shard is a scan target, never a
-    /// ground-truth provider, and may legitimately hold one series.
-    pub(crate) fn subset(&self, indices: &[usize]) -> MatchingTask {
-        debug_assert!(
-            indices.windows(2).all(|w| w[0] < w[1]),
-            "shard members must be ascending"
-        );
-        MatchingTask {
-            clean: indices.iter().map(|&i| self.clean[i].clone()).collect(),
-            uncertain: indices.iter().map(|&i| self.uncertain[i].clone()).collect(),
-            multi: self
-                .multi
-                .as_ref()
-                .map(|m| indices.iter().map(|&i| m[i].clone()).collect()),
-            k: self.k,
-        }
-    }
-
-    /// Replaces member `i` in place — the serving layer's mutation
-    /// primitive — and returns the observed series it replaced. Validates
-    /// the replacement against the task's shape first: lengths must match
-    /// the member it replaces, and the multi-observation side must be
-    /// supplied iff the task carries one. A shape the task cannot absorb
-    /// is a typed [`InputError`] and leaves the task untouched.
-    pub(crate) fn try_replace(
-        &mut self,
-        i: usize,
-        clean: TimeSeries,
-        uncertain: UncertainSeries,
-        multi: Option<MultiObsSeries>,
-    ) -> Result<UncertainSeries, InputError> {
-        if i >= self.len() {
-            return Err(InputError::IndexOutOfRange {
-                index: i,
-                len: self.len(),
-            });
-        }
-        if clean.len() != self.clean[i].len() {
-            return Err(InputError::LengthMismatch {
-                expected: self.clean[i].len(),
-                got: clean.len(),
-            });
-        }
-        if uncertain.len() != clean.len() {
-            return Err(InputError::CleanUncertainMismatch {
-                clean: clean.len(),
-                uncertain: uncertain.len(),
-            });
-        }
-        match (self.multi.as_mut(), multi) {
-            (Some(m), Some(new_m)) => {
-                if new_m.len() != m[i].len() {
-                    return Err(InputError::MultiLengthMismatch {
-                        expected: m[i].len(),
-                        got: new_m.len(),
-                    });
-                }
-                m[i] = new_m;
-            }
-            (None, None) => {}
-            (m, _) => {
-                return Err(InputError::MultiPresenceMismatch {
-                    task_has_multi: m.is_some(),
-                })
-            }
-        }
-        self.clean[i] = clean;
-        Ok(std::mem::replace(&mut self.uncertain[i], uncertain))
     }
 
     /// Number of series in the task.
@@ -354,14 +280,20 @@ impl MatchingTask {
         &self.clean
     }
 
+    /// The served collection: the uncertain series and their
+    /// multi-observation views.
+    pub fn collection(&self) -> &Collection {
+        &self.collection
+    }
+
     /// The observed uncertain series.
     pub fn uncertain(&self) -> &[UncertainSeries] {
-        &self.uncertain
+        self.collection.uncertain()
     }
 
     /// MUNICH's multi-observation views, when present.
     pub fn multi(&self) -> Option<&[MultiObsSeries]> {
-        self.multi.as_deref()
+        self.collection.multi()
     }
 
     /// Ground truth for query `q`: its `k` nearest clean neighbours
@@ -405,8 +337,8 @@ impl MatchingTask {
     /// Threshold measured against a specific anchor (avoids recomputing
     /// ground truth when the caller already has it).
     pub fn threshold_against(&self, q: usize, anchor: usize, technique: &Technique) -> f64 {
-        let qu = &self.uncertain[q];
-        let cu = &self.uncertain[anchor];
+        let qu = &self.uncertain()[q];
+        let cu = &self.uncertain()[anchor];
         match technique {
             // "Since the distances in MUNICH and PROUD are based on the
             // Euclidean distance, we will use the same threshold for both
@@ -429,15 +361,14 @@ impl MatchingTask {
         let others = (0..self.len()).filter(|&i| i != q);
         match technique {
             Technique::Proud { proud, tau } => {
-                let qu = &self.uncertain[q];
+                let qu = &self.uncertain()[q];
                 others
-                    .filter(|&i| proud.matches(qu, &self.uncertain[i], epsilon, *tau))
+                    .filter(|&i| proud.matches(qu, &self.uncertain()[i], epsilon, *tau))
                     .collect()
             }
             Technique::Munich { munich, tau } => {
                 let multi = self
-                    .multi
-                    .as_ref()
+                    .multi()
                     .expect("MUNICH requires multi-observation data in the task");
                 if epsilon.is_nan() || epsilon < 0.0 {
                     // Matches nothing, as in every other technique.
@@ -461,20 +392,20 @@ impl MatchingTask {
     /// distance(q, i))` for every `i ≠ q` in index order, re-filtering
     /// each member per pair; `None` for the probabilistic techniques.
     fn naive_distances(&self, q: usize, technique: &Technique) -> Option<Vec<(usize, f64)>> {
-        let qu = &self.uncertain[q];
+        let qu = &self.uncertain()[q];
         let others = (0..self.len()).filter(|&i| i != q);
         Some(match technique {
             Technique::Euclidean => others
-                .map(|i| (i, euclidean(qu.values(), self.uncertain[i].values())))
+                .map(|i| (i, euclidean(qu.values(), self.uncertain()[i].values())))
                 .collect(),
             Technique::Dust(d) => others
-                .map(|i| (i, d.distance(qu, &self.uncertain[i])))
+                .map(|i| (i, d.distance(qu, &self.uncertain()[i])))
                 .collect(),
             Technique::Uma(_) | Technique::Uema(_) => {
                 let fq = technique.filtered(qu);
                 others
                     .map(|i| {
-                        let fi = technique.filtered(&self.uncertain[i]);
+                        let fi = technique.filtered(&self.uncertain()[i]);
                         (i, euclidean(fq.values(), fi.values()))
                     })
                     .collect()
@@ -499,7 +430,7 @@ impl MatchingTask {
         technique: &Technique,
         epsilon: f64,
     ) -> Option<Vec<(usize, f64)>> {
-        let qu = &self.uncertain[q];
+        let qu = &self.uncertain()[q];
         let others = (0..self.len()).filter(|&i| i != q);
         // A negative or NaN ε bounds no distance: every probability is 0,
         // as the range answer is empty.
@@ -510,13 +441,17 @@ impl MatchingTask {
             }
             Technique::Proud { proud, .. } => Some(
                 others
-                    .map(|i| (i, proud.probability_within(qu, &self.uncertain[i], epsilon)))
+                    .map(|i| {
+                        (
+                            i,
+                            proud.probability_within(qu, &self.uncertain()[i], epsilon),
+                        )
+                    })
                     .collect(),
             ),
             Technique::Munich { munich, .. } => {
                 let multi = self
-                    .multi
-                    .as_ref()
+                    .multi()
                     .expect("MUNICH requires multi-observation data in the task");
                 let qm = &multi[q];
                 Some(
@@ -561,6 +496,26 @@ impl MatchingTask {
     /// MUNICH envelopes) once.
     pub fn query_quality(&self, q: usize, technique: &Technique) -> QualityScores {
         QueryEngine::prepare(self, technique).query_quality(q)
+    }
+}
+
+// An engine prepared over a task serves the task's collection; the
+// reference and `Arc` forms cover borrowed and shared tasks.
+impl Borrow<Collection> for MatchingTask {
+    fn borrow(&self) -> &Collection {
+        &self.collection
+    }
+}
+
+impl Borrow<Collection> for &MatchingTask {
+    fn borrow(&self) -> &Collection {
+        &self.collection
+    }
+}
+
+impl Borrow<Collection> for Arc<MatchingTask> {
+    fn borrow(&self) -> &Collection {
+        &self.collection
     }
 }
 
@@ -766,6 +721,19 @@ mod unit {
         } else {
             panic!("expected Proud");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-obs collection size mismatch: expected 12, got 11")]
+    fn mismatched_multi_count_panics_with_its_typed_wording() {
+        let task = toy_task(4, 8, 0.3, 3);
+        let multi = task.multi().unwrap()[..11].to_vec();
+        let _ = MatchingTask::new(
+            task.clean().to_vec(),
+            task.uncertain().to_vec(),
+            Some(multi),
+            3,
+        );
     }
 
     #[test]

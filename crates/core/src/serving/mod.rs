@@ -91,6 +91,7 @@ pub use merge::{merge_answer_sets, merge_scored_by_index, merge_top_k};
 pub use options::{Coverage, QueryOptions, ServeError, ServingResponse, ShardFault, Strictness};
 pub use shard::{ShardAssignment, ShardPlan};
 
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -100,10 +101,11 @@ use uts_tseries::TimeSeries;
 use uts_uncertain::{MultiObsSeries, UncertainSeries};
 
 use crate::cancel::{Deadline, DeadlineExpired};
+use crate::collection::Collection;
 use crate::engine::{QueryEngine, QueryRef};
 use crate::error::InputError;
 use crate::index::{IndexConfig, IndexStats};
-use crate::matching::{MatchingTask, Technique};
+use crate::matching::Technique;
 use crate::parallel::{panic_message, try_parallel_map};
 
 /// Default bound on resident cache entries (see [`ResultCache`]).
@@ -168,9 +170,9 @@ const DELAY_SLICE: Duration = Duration::from_millis(1);
 /// and probability queries concurrently with cached, deterministic
 /// answers.
 ///
-/// Each shard owns a prepared [`QueryEngine`] over its slice of the
-/// collection (`QueryEngine<Arc<MatchingTask>>` — the owning form of
-/// the same engine the batch protocols borrow). A query resolves its
+/// Each shard owns a prepared [`QueryEngine`] over its own slice of the
+/// [`Collection`] (`QueryEngine<Collection>`: uncertain series and
+/// multi-observation rows, no ground truth). A query resolves its
 /// prepared view once on its owner shard, fans out across all shards
 /// on the persistent worker pool, and merges deterministically.
 ///
@@ -178,29 +180,28 @@ const DELAY_SLICE: Duration = Duration::from_millis(1);
 ///
 /// ```
 /// use uts_core::engine::QueryEngine;
-/// use uts_core::matching::{MatchingTask, Technique};
+/// use uts_core::matching::Technique;
 /// use uts_core::serving::{QueryOptions, ShardAssignment, ShardedEngine};
-/// use uts_tseries::TimeSeries;
+/// use uts_core::Collection;
 /// use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
 ///
 /// let e = PointError::new(ErrorFamily::Normal, 0.1);
-/// let clean: Vec<TimeSeries> = (0..9)
-///     .map(|i| TimeSeries::from_values((0..12).map(|t| ((t * (i + 1)) as f64 / 5.0).cos())))
+/// let uncertain: Vec<UncertainSeries> = (0..9)
+///     .map(|i| {
+///         let values = (0..12).map(|t| ((t * (i + 1)) as f64 / 5.0).cos()).collect();
+///         UncertainSeries::new(values, vec![e; 12])
+///     })
 ///     .collect();
-/// let uncertain: Vec<UncertainSeries> = clean
-///     .iter()
-///     .map(|c| UncertainSeries::new(c.values().to_vec(), vec![e; 12]))
-///     .collect();
-/// let task = MatchingTask::new(clean, uncertain, None, 3);
+/// let collection = Collection::try_new(uncertain, None).unwrap();
 ///
-/// let flat = QueryEngine::prepare(&task, &Technique::Euclidean);
+/// let flat = QueryEngine::prepare(&collection, &Technique::Euclidean);
 /// let sharded = ShardedEngine::prepare(
-///     &task,
+///     &collection,
 ///     &Technique::Euclidean,
 ///     4, // does not divide 9: shard sizes 3/2/2/2
 ///     ShardAssignment::RoundRobin,
 /// );
-/// for q in 0..task.len() {
+/// for q in 0..collection.len() {
 ///     let served = sharded.top_k_opts(q, 3, &QueryOptions::default()).unwrap();
 ///     assert_eq!(*served.value, flat.top_k(q, 3).unwrap());
 /// }
@@ -209,7 +210,7 @@ const DELAY_SLICE: Duration = Duration::from_millis(1);
 pub struct ShardedEngine {
     technique: Technique,
     plan: ShardPlan,
-    shards: Vec<QueryEngine<Arc<MatchingTask>>>,
+    shards: Vec<QueryEngine<Collection>>,
     cache: ResultCache,
     /// The index config every shard was prepared with — kept so a DUST
     /// write that must rebuild its shard's index
@@ -225,24 +226,32 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Partitions `task` across `shards` shards and prepares one engine
-    /// per shard.
+    /// Partitions `collection` (a [`Collection`], or a
+    /// [`crate::MatchingTask`] for its collection) across `shards` shards
+    /// and prepares one engine per shard, each owning its slice.
     ///
     /// Uses the default [`IndexConfig`] — shards of at least
     /// [`crate::index::DEFAULT_MIN_COLLECTION`] members get their own
     /// candidate index.
     ///
     /// # Panics
-    /// If `shards == 0`, or for [`Technique::Munich`] when the task
-    /// holds no multi-observation data ([`ShardedEngine::try_prepare_with`]
-    /// reports the latter as a typed [`InputError`] instead).
+    /// If `shards == 0`, or for [`Technique::Munich`] when the
+    /// collection holds no multi-observation data
+    /// ([`ShardedEngine::try_prepare_with`] reports the latter as a typed
+    /// [`InputError`] instead).
     pub fn prepare(
-        task: &MatchingTask,
+        collection: &impl Borrow<Collection>,
         technique: &Technique,
         shards: usize,
         assignment: ShardAssignment,
     ) -> Self {
-        Self::prepare_with(task, technique, shards, assignment, IndexConfig::default())
+        Self::prepare_with(
+            collection,
+            technique,
+            shards,
+            assignment,
+            IndexConfig::default(),
+        )
     }
 
     /// [`ShardedEngine::prepare`] with an explicit [`IndexConfig`],
@@ -252,29 +261,30 @@ impl ShardedEngine {
     /// # Panics
     /// As [`ShardedEngine::prepare`].
     pub fn prepare_with(
-        task: &MatchingTask,
+        collection: &impl Borrow<Collection>,
         technique: &Technique,
         shards: usize,
         assignment: ShardAssignment,
         index: IndexConfig,
     ) -> Self {
-        Self::try_prepare_with(task, technique, shards, assignment, index)
+        Self::try_prepare_with(collection, technique, shards, assignment, index)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible twin of [`ShardedEngine::prepare_with`].
     pub fn try_prepare_with(
-        task: &MatchingTask,
+        collection: &impl Borrow<Collection>,
         technique: &Technique,
         shards: usize,
         assignment: ShardAssignment,
         index: IndexConfig,
     ) -> Result<Self, InputError> {
-        let plan = ShardPlan::new(task.len(), shards, assignment);
+        let collection: &Collection = collection.borrow();
+        let plan = ShardPlan::new(collection.len(), shards, assignment);
         let shards = (0..plan.shard_count())
             .map(|s| {
-                let shard_task = Arc::new(task.subset(plan.members(s)));
-                QueryEngine::try_prepare_with(shard_task, technique, index)
+                let slice = collection.subset(plan.members(s));
+                QueryEngine::try_prepare_with(slice, technique, index)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
@@ -520,7 +530,7 @@ impl ShardedEngine {
         op: CacheOp,
         opts: &QueryOptions,
         run: impl Fn(
-                &QueryEngine<Arc<MatchingTask>>,
+                &QueryEngine<Collection>,
                 &QueryRef<'_>,
                 Option<usize>,
                 &Deadline,
@@ -660,10 +670,12 @@ impl ShardedEngine {
         .map(Some)
     }
 
-    /// Replaces global member `i` with new clean/uncertain (and, iff
-    /// the task carries one, multi-observation) series, patches the owner
-    /// shard in place, and invalidates the result cache — the mutation
-    /// path that keeps cached answers from outliving the data.
+    /// Replaces global member `i` with a new uncertain (and, iff the
+    /// collection carries them, multi-observation) series, patches the
+    /// owner shard in place, and invalidates the result cache — the
+    /// mutation path that keeps cached answers from outliving the data.
+    /// `clean` is never stored or served: it is only checked against the
+    /// member's length and against `uncertain`.
     ///
     /// The patch touches only member `i`'s slot: its filtered view
     /// (UMA/UEMA), MBI envelope (MUNICH) or DUST collection maximum, and
@@ -681,31 +693,28 @@ impl ShardedEngine {
     /// never goes backwards across an update.
     ///
     /// # Errors
-    /// A replacement whose shape the task cannot absorb (index out of
-    /// range, length mismatch, multi-observation presence disagreeing
-    /// with the task) is a typed [`InputError`] and leaves the engine
-    /// (shards, indexes, cache) untouched.
+    /// A replacement whose shape the collection cannot absorb (index out
+    /// of range, length mismatch, multi-observation presence disagreeing
+    /// with the collection) is a typed [`InputError`] and leaves the
+    /// engine (shards, indexes, cache) untouched.
     ///
     /// # Example: mutation invalidates the cache
     ///
     /// ```
-    /// use uts_core::matching::{MatchingTask, Technique};
+    /// use uts_core::matching::Technique;
     /// use uts_core::serving::{QueryOptions, ShardAssignment, ShardedEngine};
+    /// use uts_core::Collection;
     /// use uts_tseries::TimeSeries;
     /// use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
     ///
     /// let e = PointError::new(ErrorFamily::Normal, 0.1);
-    /// let clean: Vec<TimeSeries> = (0..6)
-    ///     .map(|i| TimeSeries::from_values((0..8).map(|t| (t + i) as f64)))
+    /// let uncertain: Vec<UncertainSeries> = (0..6)
+    ///     .map(|i| UncertainSeries::new((0..8).map(|t| (t + i) as f64).collect(), vec![e; 8]))
     ///     .collect();
-    /// let uncertain: Vec<UncertainSeries> = clean
-    ///     .iter()
-    ///     .map(|c| UncertainSeries::new(c.values().to_vec(), vec![e; 8]))
-    ///     .collect();
-    /// let task = MatchingTask::new(clean, uncertain, None, 2);
+    /// let collection = Collection::try_new(uncertain, None).unwrap();
     ///
     /// let mut serving = ShardedEngine::prepare(
-    ///     &task,
+    ///     &collection,
     ///     &Technique::Euclidean,
     ///     2,
     ///     ShardAssignment::Contiguous,
@@ -737,13 +746,20 @@ impl ShardedEngine {
             });
         }
         let (owner, local) = self.plan.owner_of(i);
-        self.shards[owner].try_replace_member(
-            local,
-            clean,
-            uncertain,
-            multi,
-            &self.index_config,
-        )?;
+        let member = self.shards[owner].collection().uncertain()[local].len();
+        if clean.len() != member {
+            return Err(InputError::LengthMismatch {
+                expected: member,
+                got: clean.len(),
+            });
+        }
+        if uncertain.len() != clean.len() {
+            return Err(InputError::CleanUncertainMismatch {
+                clean: clean.len(),
+                uncertain: uncertain.len(),
+            });
+        }
+        self.shards[owner].try_replace_member(local, uncertain, multi, &self.index_config)?;
         self.cache.invalidate();
         Ok(())
     }
@@ -754,30 +770,31 @@ mod unit {
     use super::*;
     use uts_uncertain::{ErrorFamily, PointError};
 
-    fn small_task() -> MatchingTask {
+    fn small_collection() -> Collection {
         let e = PointError::new(ErrorFamily::Normal, 0.1);
-        let clean: Vec<TimeSeries> = (0..7)
-            .map(|i| TimeSeries::from_values((0..10).map(|t| ((t * (i + 2)) as f64 / 4.0).sin())))
+        let uncertain = (0..7)
+            .map(|i| {
+                let values = (0..10)
+                    .map(|t| ((t * (i + 2)) as f64 / 4.0).sin())
+                    .collect();
+                UncertainSeries::new(values, vec![e; 10])
+            })
             .collect();
-        let uncertain = clean
-            .iter()
-            .map(|c| UncertainSeries::new(c.values().to_vec(), vec![e; 10]))
-            .collect();
-        MatchingTask::new(clean, uncertain, None, 2)
+        Collection::try_new(uncertain, None).unwrap()
     }
 
     #[test]
     fn more_shards_than_members_is_served() {
-        let task = small_task();
-        let flat = QueryEngine::prepare(&task, &Technique::Euclidean);
+        let collection = small_collection();
+        let flat = QueryEngine::prepare(&collection, &Technique::Euclidean);
         let sharded = ShardedEngine::prepare(
-            &task,
+            &collection,
             &Technique::Euclidean,
-            task.len() + 3,
+            collection.len() + 3,
             ShardAssignment::RoundRobin,
         );
         let opts = QueryOptions::default();
-        for q in 0..task.len() {
+        for q in 0..collection.len() {
             let top = sharded.top_k_opts(q, 3, &opts).unwrap();
             assert_eq!(*top.value, flat.top_k(q, 3).unwrap());
             let range = sharded.answer_set_opts(q, 1.5, &opts).unwrap();
@@ -787,9 +804,13 @@ mod unit {
 
     #[test]
     fn repeated_queries_hit_the_cache() {
-        let task = small_task();
-        let sharded =
-            ShardedEngine::prepare(&task, &Technique::Euclidean, 3, ShardAssignment::Contiguous);
+        let collection = small_collection();
+        let sharded = ShardedEngine::prepare(
+            &collection,
+            &Technique::Euclidean,
+            3,
+            ShardAssignment::Contiguous,
+        );
         let opts = QueryOptions::default();
         let first = sharded.answer_set_opts(2, 1.0, &opts).unwrap().value;
         let second = sharded.answer_set_opts(2, 1.0, &opts).unwrap().value;
@@ -803,12 +824,13 @@ mod unit {
 
     #[test]
     fn probabilistic_top_k_is_typed_error() {
-        let task = small_task();
+        let collection = small_collection();
         let technique = Technique::Proud {
             proud: crate::proud::Proud::default(),
             tau: 0.5,
         };
-        let sharded = ShardedEngine::prepare(&task, &technique, 2, ShardAssignment::RoundRobin);
+        let sharded =
+            ShardedEngine::prepare(&collection, &technique, 2, ShardAssignment::RoundRobin);
         let opts = QueryOptions::default();
         assert_eq!(
             sharded.top_k_opts(0, 3, &opts),
@@ -816,8 +838,12 @@ mod unit {
         );
         assert!(sharded.probabilities_opts(0, 1.0, &opts).unwrap().is_some());
         // And the distance techniques have no probabilities.
-        let euclid =
-            ShardedEngine::prepare(&task, &Technique::Euclidean, 2, ShardAssignment::RoundRobin);
+        let euclid = ShardedEngine::prepare(
+            &collection,
+            &Technique::Euclidean,
+            2,
+            ShardAssignment::RoundRobin,
+        );
         assert!(euclid.probabilities_opts(0, 1.0, &opts).unwrap().is_none());
     }
 }

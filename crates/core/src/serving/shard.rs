@@ -25,7 +25,6 @@ pub enum ShardAssignment {
 /// map.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
-    assignment: ShardAssignment,
     /// Global indices per shard, ascending within each shard.
     members: Vec<Vec<usize>>,
     /// Global index → (shard, local position within the shard).
@@ -66,16 +65,7 @@ impl ShardPlan {
                 }
             }
         }
-        Self {
-            assignment,
-            members,
-            owner,
-        }
-    }
-
-    /// The assignment strategy this plan was built with.
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
+        Self { members, owner }
     }
 
     /// Number of shards (including empty ones).

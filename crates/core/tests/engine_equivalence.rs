@@ -1,7 +1,8 @@
 //! Engine-vs-naive equivalence suite: for every [`Technique`], the
 //! batched [`QueryEngine`] must return *bit-identical* answer sets,
 //! top-k results and probabilities to the naive `*_naive` reference
-//! paths on [`MatchingTask`], across several seeded workloads.
+//! paths on [`MatchingTask`], across several seeded workloads — whether
+//! the engine is prepared over the task or over its bare collection.
 //!
 //! This is the contract that lets every figure reproduction run on the
 //! fast path: the early-abandon kernels replay the naive accumulation
@@ -118,6 +119,14 @@ fn techniques(sigma: f64) -> Vec<Technique> {
     ]
 }
 
+/// Bit-level view of an optional scored answer, so `assert_eq!`
+/// compares scores by their bits.
+fn bits(scored: &Option<Vec<(usize, f64)>>) -> Option<Vec<(usize, u64)>> {
+    scored
+        .as_ref()
+        .map(|v| v.iter().map(|&(i, d)| (i, d.to_bits())).collect())
+}
+
 /// Range answer sets: engine vs naive, every query, at the calibrated
 /// threshold and at scaled thresholds (sparse and dense answer sets) —
 /// with the candidate index both off (the workloads sit below the
@@ -130,6 +139,7 @@ fn answer_sets_bit_identical_across_workloads() {
         for technique in techniques(w.sigma) {
             let engine = QueryEngine::prepare(&task, &technique);
             let indexed = QueryEngine::prepare_with(&task, &technique, IndexConfig::always());
+            let bare = QueryEngine::prepare(task.collection(), &technique);
             for q in probe_queries(&task) {
                 let eps = task.calibrated_threshold(q, &technique);
                 for scale in [0.5, 1.0, 2.0] {
@@ -139,6 +149,13 @@ fn answer_sets_bit_identical_across_workloads() {
                         engine.answer_set(q, e),
                         naive,
                         "{} / {} q={q} eps={e}",
+                        w.name,
+                        technique.kind()
+                    );
+                    assert_eq!(
+                        bare.answer_set(q, e),
+                        naive,
+                        "{} / {} q={q} eps={e} (collection)",
                         w.name,
                         technique.kind()
                     );
@@ -165,12 +182,14 @@ fn top_k_bit_identical_across_workloads() {
         for technique in techniques(w.sigma) {
             let engine = QueryEngine::prepare(&task, &technique);
             let indexed = QueryEngine::prepare_with(&task, &technique, IndexConfig::always());
+            let bare = QueryEngine::prepare(task.collection(), &technique);
             for q in probe_queries(&task) {
                 for k in [1, w.k, task.len() - 1] {
                     let naive = task.top_k_naive(q, &technique, k);
                     for (label, fast) in [
                         ("scan", engine.top_k(q, k)),
                         ("indexed", indexed.top_k(q, k)),
+                        ("collection", bare.top_k(q, k)),
                     ] {
                         match (&fast, &naive) {
                             (Some(f), Some(nv)) => {
@@ -219,10 +238,18 @@ fn probabilities_bit_identical_across_workloads() {
             // The index never touches the probability paths; forcing it
             // on must leave them bit-identical too.
             let engine = QueryEngine::prepare_with(&task, &technique, IndexConfig::always());
+            let bare = QueryEngine::prepare(task.collection(), &technique);
             for q in probe_queries(&task) {
                 let eps = task.calibrated_threshold(q, &technique);
-                let fast = engine.probabilities(q, eps);
                 let naive = task.probabilities_naive(q, &technique, eps);
+                assert_eq!(
+                    bits(&bare.probabilities(q, eps)),
+                    bits(&naive),
+                    "{} / {} q={q} (collection)",
+                    w.name,
+                    technique.kind()
+                );
+                let fast = engine.probabilities(q, eps);
                 match (&fast, &naive) {
                     (Some(f), Some(nv)) => {
                         assert_eq!(f.len(), nv.len());

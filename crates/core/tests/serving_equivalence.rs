@@ -2,7 +2,8 @@
 //! [`ShardedEngine`] must return *bit-identical* answer sets, top-k
 //! results and probabilities to the unsharded [`QueryEngine`] — for
 //! every shard count (including counts that do not divide the
-//! collection) and both assignment strategies — plus the cache
+//! collection), both assignment strategies, and shards prepared from a
+//! task or from its bare [`Collection`] — plus the cache
 //! contracts (hit ≡ miss, invalidation on mutation, thread-safety) and
 //! property tests over random collection/shard shapes.
 
@@ -18,6 +19,7 @@ use uts_core::munich::Munich;
 use uts_core::proud::{Proud, ProudConfig};
 use uts_core::serving::{QueryOptions, ScoredAnswer, ServeError, ShardAssignment, ShardedEngine};
 use uts_core::uma::{Uema, Uma};
+use uts_core::{euclidean_distance, Collection};
 use uts_stats::rng::Seed;
 use uts_tseries::TimeSeries;
 use uts_uncertain::{
@@ -120,6 +122,8 @@ fn sharded_answer_sets_bit_identical() {
                     assignment,
                     IndexConfig::always(),
                 );
+                let bare =
+                    ShardedEngine::prepare(task.collection(), &technique, shards, assignment);
                 for q in probe_queries(&task) {
                     let eps = task.calibrated_threshold(q, &technique);
                     for scale in [0.5, 1.0, 2.0] {
@@ -129,6 +133,12 @@ fn sharded_answer_sets_bit_identical() {
                             *range(&sharded, q, e),
                             want,
                             "{} shards={shards} {assignment:?} q={q} eps={e}",
+                            technique.kind()
+                        );
+                        assert_eq!(
+                            *range(&bare, q, e),
+                            want,
+                            "{} shards={shards} {assignment:?} q={q} eps={e} (collection)",
                             technique.kind()
                         );
                         assert_eq!(
@@ -162,9 +172,15 @@ fn sharded_top_k_bit_identical() {
                     assignment,
                     IndexConfig::always(),
                 );
+                let bare =
+                    ShardedEngine::prepare(task.collection(), &technique, shards, assignment);
                 for q in probe_queries(&task) {
                     for k in [1, 3, task.len() - 1] {
-                        for (label, engine) in [("scan", &sharded), ("indexed", &indexed)] {
+                        for (label, engine) in [
+                            ("scan", &sharded),
+                            ("indexed", &indexed),
+                            ("collection", &bare),
+                        ] {
                             match (top_k(engine, q, k), flat.top_k(q, k)) {
                                 (Ok(s), Some(f)) => {
                                     assert_eq!(s.len(), f.len());
@@ -203,8 +219,16 @@ fn sharded_probabilities_bit_identical() {
         for shards in SHARD_COUNTS {
             for assignment in ASSIGNMENTS {
                 let sharded = ShardedEngine::prepare(&task, &technique, shards, assignment);
+                let bare =
+                    ShardedEngine::prepare(task.collection(), &technique, shards, assignment);
                 for q in probe_queries(&task) {
                     let eps = task.calibrated_threshold(q, &technique);
+                    assert_eq!(
+                        probabilities(&bare, q, eps).map(|p| bits(&p)),
+                        probabilities(&sharded, q, eps).map(|p| bits(&p)),
+                        "{} shards={shards} {assignment:?} q={q} (collection)",
+                        technique.kind()
+                    );
                     match (probabilities(&sharded, q, eps), flat.probabilities(q, eps)) {
                         (Some(s), Some(f)) => {
                             assert_eq!(s.len(), f.len());
@@ -224,6 +248,58 @@ fn sharded_probabilities_bit_identical() {
                         ),
                     }
                 }
+            }
+        }
+    }
+}
+
+/// A 2-member collection — below `MatchingTask::new`'s `k + 2` floor,
+/// since it carries no ground truth — is served as it is: range and
+/// top-k through the engine and through a 2-shard sharded engine (one
+/// member per shard) match an inline pair scan, bit for bit.
+#[test]
+fn two_member_collection_matches_pair_scan() {
+    let source = build_task(0x5E44, 5, 20, 3);
+    let collection = Collection::try_new(
+        source.uncertain()[..2].to_vec(),
+        Some(source.multi().unwrap()[..2].to_vec()),
+    )
+    .unwrap();
+    let u = collection.uncertain();
+    let (dust, uma, uema) = (Dust::default(), Uma::default(), Uema::default());
+    type Pair<'a> = Box<dyn Fn(usize, usize) -> f64 + 'a>;
+    let cases: [(Technique, Pair); 4] = [
+        (
+            Technique::Euclidean,
+            Box::new(|a, b| euclidean_distance(u[a].values(), u[b].values())),
+        ),
+        (
+            Technique::Dust(dust.clone()),
+            Box::new(|a, b| dust.distance(&u[a], &u[b])),
+        ),
+        (
+            Technique::Uma(uma),
+            Box::new(|a, b| uma.distance(&u[a], &u[b])),
+        ),
+        (
+            Technique::Uema(uema),
+            Box::new(|a, b| uema.distance(&u[a], &u[b])),
+        ),
+    ];
+    for (technique, distance) in &cases {
+        let flat = QueryEngine::prepare(&collection, technique);
+        let sharded =
+            ShardedEngine::prepare(&collection, technique, 2, ShardAssignment::Contiguous);
+        for q in 0..2 {
+            let other = 1 - q;
+            let d = distance(q, other);
+            let want = vec![(other, d.to_bits())];
+            let ctx = format!("{} q={q}", technique.kind());
+            assert_eq!(bits(&flat.top_k(q, 1).unwrap()), want, "{ctx}");
+            assert_eq!(bits(&top_k(&sharded, q, 1).unwrap()), want, "{ctx}");
+            for (eps, want) in [(d, vec![other]), (0.5 * d, vec![])] {
+                assert_eq!(flat.answer_set(q, eps), want, "{ctx} eps={eps}");
+                assert_eq!(*range(&sharded, q, eps), want, "{ctx} eps={eps}");
             }
         }
     }

@@ -426,8 +426,9 @@ pub fn run_bridge(config: &ExpConfig) -> Vec<Table> {
 pub fn run_classify(config: &ExpConfig) -> Vec<Table> {
     use uts_core::classify::knn_loocv;
     use uts_core::engine::QueryEngine;
-    use uts_core::matching::{MatchingTask, Technique};
+    use uts_core::matching::Technique;
     use uts_core::uma::{Uema, Uma};
+    use uts_core::Collection;
 
     let seed = config.seed.derive("ext-classify");
     let spec = ErrorSpec::paper_mixed(ErrorFamily::Normal);
@@ -460,10 +461,10 @@ pub fn run_classify(config: &ExpConfig) -> Vec<Table> {
             .enumerate()
             .map(|(i, s)| perturb(s, &spec, seed.derive(id.name()).derive_u64(i as u64)))
             .collect();
-        let task = MatchingTask::new(dataset.series.clone(), observed, None, 1);
+        let collection = Collection::try_new(observed, None).expect("no multi-observation rows");
         let mut row = vec![id.name().to_string()];
         for technique in &techniques {
-            let engine = QueryEngine::prepare(&task, technique);
+            let engine = QueryEngine::prepare(&collection, technique);
             let outcome = knn_loocv(&engine, &dataset.labels, 1).expect("distance-ranked");
             row.push(Table::cell(outcome.accuracy()));
         }

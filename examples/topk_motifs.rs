@@ -13,7 +13,8 @@
 
 use uncertts::core::dust::{Dust, DustConfig};
 use uncertts::core::engine::QueryEngine;
-use uncertts::core::matching::{MatchingTask, Technique};
+use uncertts::core::matching::Technique;
+use uncertts::core::Collection;
 use uncertts::datasets::{Catalogue, DatasetId};
 use uncertts::stats::rng::Seed;
 use uncertts::tseries::DtwOptions;
@@ -23,7 +24,7 @@ fn main() {
     let seed = Seed::new(17);
     let dataset = Catalogue::new(seed).generate_scaled(DatasetId::Ecg200, 60);
     let spec = ErrorSpec::paper_mixed(ErrorFamily::Normal);
-    let collection: Vec<_> = dataset
+    let observed: Vec<_> = dataset
         .series
         .iter()
         .enumerate()
@@ -35,8 +36,8 @@ fn main() {
     // --- top-k nearest neighbours -------------------------------------
     // Prepared once (DUST lookup tables warmed for the collection's
     // errors); the query is a member, excluded from its own answer.
-    let task = MatchingTask::new(dataset.series.clone(), collection.clone(), None, 5);
-    let engine = QueryEngine::prepare(&task, &Technique::Dust(dust.clone()));
+    let collection = Collection::try_new(observed, None).expect("no multi-observation rows");
+    let engine = QueryEngine::prepare(&collection, &Technique::Dust(dust.clone()));
     let q = 0;
     let top = engine.top_k(q, 5).expect("DUST ranks by distance");
     println!(
@@ -67,7 +68,7 @@ fn main() {
     // Build a phase-shifted copy of a beat train: aligned DUST sees a large
     // distance, DUST-DTW absorbs the shift (paper §3.2: DUST "can be
     // employed to compute the Dynamic Time Warping distance").
-    let original = &collection[1];
+    let original = &collection.uncertain()[1];
     let shift = 6;
     let shifted = {
         let mut values: Vec<f64> = original.values()[shift..].to_vec();

@@ -57,6 +57,7 @@ pub mod prelude {
     pub use uts_core::munich::{Munich, MunichConfig};
     pub use uts_core::proud::{Proud, ProudConfig};
     pub use uts_core::uma::{Uema, Uma};
+    pub use uts_core::Collection;
     pub use uts_datasets::{Catalogue, DatasetId};
     pub use uts_stats::rng::Seed;
     pub use uts_tseries::TimeSeries;
