@@ -20,14 +20,23 @@ impl Collection {
     /// multi-observation series, checking their shapes once.
     ///
     /// # Errors
-    /// [`InputError::MultiCountMismatch`] when `multi` holds a different
-    /// number of series, [`InputError::MultiLengthMismatch`] when a
-    /// member's multi-observation series differs in length from its
-    /// uncertain one.
+    /// [`InputError::LengthMismatch`] when a member's length differs from
+    /// the first member's, [`InputError::MultiCountMismatch`] when
+    /// `multi` holds a different number of series,
+    /// [`InputError::MultiLengthMismatch`] when a member's
+    /// multi-observation series differs in length from its uncertain one.
     pub fn try_new(
         uncertain: Vec<UncertainSeries>,
         multi: Option<Vec<MultiObsSeries>>,
     ) -> Result<Self, InputError> {
+        if let Some(first) = uncertain.first() {
+            if let Some(u) = uncertain.iter().find(|u| u.len() != first.len()) {
+                return Err(InputError::LengthMismatch {
+                    expected: first.len(),
+                    got: u.len(),
+                });
+            }
+        }
         if let Some(m) = &multi {
             if m.len() != uncertain.len() {
                 return Err(InputError::MultiCountMismatch {
@@ -142,7 +151,7 @@ mod unit {
     /// Any member count is a collection, empty included; multi-observation
     /// rows must come one per member, each as long as its member.
     #[test]
-    fn try_new_checks_multi_shapes_only() {
+    fn try_new_checks_multi_shapes() {
         assert!(Collection::try_new(Vec::new(), None).unwrap().is_empty());
         let c = Collection::try_new(members(3, 4), Some(multi(3, 4))).unwrap();
         assert_eq!((c.len(), c.multi().map(<[_]>::len)), (3, Some(3)));
@@ -166,5 +175,21 @@ mod unit {
                 got: 5
             }
         );
+    }
+
+    /// Members must share one length: a ragged collection is rejected
+    /// against the first member's length, with or without multi rows.
+    #[test]
+    fn try_new_rejects_ragged_members() {
+        let mut uncertain = members(4, 8);
+        uncertain[1] = members(1, 6).remove(0);
+        let want = InputError::LengthMismatch {
+            expected: 8,
+            got: 6,
+        };
+        let e = Collection::try_new(uncertain.clone(), None).unwrap_err();
+        assert_eq!(e, want);
+        let e = Collection::try_new(uncertain, Some(multi(4, 8))).unwrap_err();
+        assert_eq!(e, want);
     }
 }

@@ -37,18 +37,22 @@
 //! Like the original implementation, `dust` values are served from
 //! per-(families, σx, σy) **lookup tables** over a Δ grid
 //! (paper §4.2.1 mentions "how the DUST lookup tables are determined"),
-//! built lazily and cached behind an `std::sync::RwLock`.
+//! built lazily and cached behind an `std::sync::RwLock`. Every kernel —
+//! the aligned distance, the range predicate and DUST-DTW — serves from
+//! these tables and evaluates the exact kernel only beyond the grid;
+//! [`Dust::dust_squared_exact`] exposes that exact kernel as the
+//! reference the tables are tested against.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use uts_stats::dist::{ContinuousDistribution, Normal};
 use uts_stats::integrate::adaptive_simpson_with_breaks;
-use uts_tseries::dtw::{DtwOptions, DtwWorkspace};
+use uts_tseries::dtw::{dtw_with_cost, DtwOptions};
 use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
 
 /// Largest distinct-error-set size for which [`Dust::warm_tables`] warms
-/// eagerly (and [`Dust::dtw_distance`] hoists a full table grid).
+/// eagerly and [`Dust::bound_envelope`] builds an envelope.
 /// The paper's workloads carry at most a handful of (family, σ) levels;
 /// sample-estimated workloads with per-point σ blow past this and stay on
 /// lazy per-pair resolution.
@@ -69,9 +73,6 @@ pub struct DustConfig {
     /// Relative width of the Gaussian tail (in multiples of the uniform
     /// σ).
     pub uniform_tail_width: f64,
-    /// Disable lookup tables and evaluate the kernel exactly on every call
-    /// (ablation switch; an order of magnitude slower).
-    pub exact_evaluation: bool,
 }
 
 impl Default for DustConfig {
@@ -81,7 +82,6 @@ impl Default for DustConfig {
             table_max_delta: 16.0,
             uniform_tail_weight: 1e-3,
             uniform_tail_width: 3.0,
-            exact_evaluation: false,
         }
     }
 }
@@ -297,16 +297,16 @@ impl Dust {
     /// clamp preserves `dust(x, x) = 0` reflexivity, the role of the
     /// paper's constant `k`).
     pub fn dust_squared(&self, ex: PointError, ey: PointError, delta: f64) -> f64 {
-        let delta = delta.abs();
-        if self.config.exact_evaluation {
-            return dust_sq_exact(&self.config, ex, ey, delta);
-        }
-        let key = TableKey::new(ex, ey);
-        let table = self.resolve_table(key, ex, ey);
-        match table.lookup(delta) {
-            Some(v) => v,
-            None => dust_sq_exact(&self.config, ex, ey, delta),
-        }
+        let table = self.resolve_table(TableKey::new(ex, ey), ex, ey);
+        self.served(&table, ex, ey, delta.abs())
+    }
+
+    /// [`Dust::dust_squared`] evaluated from the kernel itself, with no
+    /// lookup table: the reference the served tables interpolate. Builds
+    /// no table; each call evaluates the kernel (a numeric integration
+    /// for cross-family pairs).
+    pub fn dust_squared_exact(&self, ex: PointError, ey: PointError, delta: f64) -> f64 {
+        dust_sq_exact(&self.config, ex, ey, delta.abs())
     }
 
     /// Per-point dust value (paper's `dust(x, y)`).
@@ -346,43 +346,49 @@ impl Dust {
         limit: f64,
     ) -> Option<f64> {
         assert_eq!(x.len(), y.len(), "DUST requires equal-length series");
-        if self.config.exact_evaluation {
-            let mut acc = 0.0;
-            for i in 0..x.len() {
-                // |Δ|, exactly as `dust_squared` and the table grid take
-                // it — keeps exact mode symmetric and consistent with
-                // table mode for the sign-asymmetric error kernels.
-                let delta = (x.value_at(i) - y.value_at(i)).abs();
-                acc += dust_sq_exact(&self.config, x.error_at(i), y.error_at(i), delta);
-                if acc > limit {
-                    return None;
-                }
-            }
-            return Some(acc);
-        }
         let mut acc = 0.0;
-        let mut memo: Option<(TableKey, Arc<DustTable>)> = None;
+        let mut memo = None;
         for i in 0..x.len() {
             let ex = x.error_at(i);
             let ey = y.error_at(i);
             let delta = (x.value_at(i) - y.value_at(i)).abs();
-            let key = TableKey::new(ex, ey);
-            // Refresh the memo only when the error pair changes; the hot
-            // loop then borrows the table without touching the lock or
-            // the Arc refcount.
-            if memo.as_ref().map(|(k, _)| *k != key).unwrap_or(true) {
-                memo = Some((key, self.resolve_table(key, ex, ey)));
-            }
-            let table = &memo.as_ref().expect("just set").1;
-            acc += match table.lookup(delta) {
-                Some(v) => v,
-                None => dust_sq_exact(&self.config, ex, ey, delta),
-            };
+            acc += self.served(self.memo_table(&mut memo, ex, ey), ex, ey, delta);
             if acc > limit {
                 return None;
             }
         }
         Some(acc)
+    }
+
+    /// The table for `(ex, ey)`, resolved through the shared cache only
+    /// when the pair differs from the one `memo` holds. Runs of equal
+    /// error pairs (the common case: the paper's workloads use one or
+    /// two σ levels) then borrow the table without touching the lock or
+    /// the `Arc` refcount.
+    #[inline]
+    fn memo_table<'m>(
+        &self,
+        memo: &'m mut Option<(TableKey, Arc<DustTable>)>,
+        ex: PointError,
+        ey: PointError,
+    ) -> &'m DustTable {
+        let key = TableKey::new(ex, ey);
+        if memo.as_ref().is_some_and(|(k, _)| *k != key) {
+            *memo = None;
+        }
+        &memo
+            .get_or_insert_with(|| (key, self.resolve_table(key, ex, ey)))
+            .1
+    }
+
+    /// The served `dust²` at `|Δ|`: the table's interpolation on the
+    /// grid, the exact kernel beyond it.
+    #[inline]
+    fn served(&self, table: &DustTable, ex: PointError, ey: PointError, delta: f64) -> f64 {
+        match table.lookup(delta) {
+            Some(v) => v,
+            None => dust_sq_exact(&self.config, ex, ey, delta),
+        }
     }
 
     /// Fetches (building if necessary) the table for an error pair.
@@ -402,82 +408,35 @@ impl Dust {
     /// DUST as the local cost of Dynamic Time Warping (paper §3.2: DUST
     /// "can be employed to compute the Dynamic Time Warping distance").
     ///
-    /// Table resolution is hoisted out of the `O(n·m)` cell loop: the
-    /// distinct error pairs of the two series (one or two per series in
-    /// the paper's workloads) are resolved once up front, and each cell
-    /// indexes the prepared grid instead of hashing into the shared cache.
+    /// Each cell serves `dust²` exactly as [`Dust::dust_squared`] does,
+    /// through the same last-error-pair memo as the aligned kernels.
     pub fn dtw_distance(&self, x: &UncertainSeries, y: &UncertainSeries, opts: DtwOptions) -> f64 {
-        let mut workspace = DtwWorkspace::new();
-        if self.config.exact_evaluation {
-            return workspace
-                .accumulated_cost(
-                    x.len(),
-                    y.len(),
-                    |i, j| {
-                        let delta = (x.value_at(i) - y.value_at(j)).abs();
-                        dust_sq_exact(&self.config, x.error_at(i), y.error_at(j), delta)
-                    },
-                    opts,
-                )
-                .sqrt();
-        }
-        let (x_ids, x_errs) = distinct_errors(x);
-        let (y_ids, y_errs) = distinct_errors(y);
-        // Hoist eagerly only while each side's distinct-error list stays
-        // within the `warm_tables` cap: with per-point σ estimates the
-        // "grid" would be len × len eager table builds per pair, most of
-        // them for band-excluded cells — resolve per cell instead.
-        if x_errs.len().max(y_errs.len()) > MAX_WARM_ERRORS {
-            return workspace
-                .accumulated_cost(
-                    x.len(),
-                    y.len(),
-                    |i, j| {
-                        let delta = (x.value_at(i) - y.value_at(j)).abs();
-                        self.dust_squared(x.error_at(i), y.error_at(j), delta)
-                    },
-                    opts,
-                )
-                .sqrt();
-        }
-        let tables: Vec<Vec<Arc<DustTable>>> = x_errs
-            .iter()
-            .map(|&ex| {
-                y_errs
-                    .iter()
-                    .map(|&ey| self.resolve_table(TableKey::new(ex, ey), ex, ey))
-                    .collect()
-            })
-            .collect();
-        workspace
-            .accumulated_cost(
-                x.len(),
-                y.len(),
-                |i, j| {
-                    let delta = (x.value_at(i) - y.value_at(j)).abs();
-                    match tables[x_ids[i]][y_ids[j]].lookup(delta) {
-                        Some(v) => v,
-                        None => dust_sq_exact(&self.config, x.error_at(i), y.error_at(j), delta),
-                    }
-                },
-                opts,
-            )
-            .sqrt()
+        let mut memo = None;
+        dtw_with_cost(
+            x.len(),
+            y.len(),
+            |i, j| {
+                let (ex, ey) = (x.error_at(i), y.error_at(j));
+                let delta = (x.value_at(i) - y.value_at(j)).abs();
+                self.served(self.memo_table(&mut memo, ex, ey), ex, ey, delta)
+            },
+            opts,
+        )
+        .sqrt()
     }
 
     /// Pre-resolves the lookup tables for every ordered pair of the given
     /// error descriptions — the batched engine's per-collection warm-up,
     /// so no query ever pays a table *build* inside its candidate scan.
     ///
-    /// No-op under [`DustConfig::exact_evaluation`], and skipped entirely
-    /// when the error set is large (> [`MAX_WARM_ERRORS`] distinct
-    /// descriptions): eager warming is quadratic in distinct errors, and
-    /// a sample-estimated workload where every *point* carries its own σ
-    /// would build millions of tables that mostly never co-occur in an
-    /// aligned comparison. Such workloads keep the lazy per-pair builds
-    /// of the scan itself, exactly as the naive path does.
+    /// Skipped entirely when the error set is large (> [`MAX_WARM_ERRORS`]
+    /// distinct descriptions): eager warming is quadratic in distinct
+    /// errors, and a sample-estimated workload where every *point* carries
+    /// its own σ would build millions of tables that mostly never co-occur
+    /// in an aligned comparison. Such workloads keep the lazy per-pair
+    /// builds of the scan itself, exactly as the naive path does.
     pub fn warm_tables(&self, errors: &[PointError]) {
-        if self.config.exact_evaluation || errors.len() > MAX_WARM_ERRORS {
+        if errors.len() > MAX_WARM_ERRORS {
             return;
         }
         for &ex in errors {
@@ -489,14 +448,13 @@ impl Dust {
 
     /// Builds the admissible φ-space lower envelope ([`DustBoundTable`])
     /// over every ordered pair of the given distinct error descriptions,
-    /// or `None` when no sound envelope is available: exact-evaluation
-    /// mode (there is no served grid to bound), an empty or
+    /// or `None` when no sound envelope is available: an empty or
     /// over-[`MAX_WARM_ERRORS`] error set (the per-point-σ workloads that
     /// also skip eager warming), or a beyond-grid probe of the exact
     /// kernel evaluating to NaN (the tail cannot then be validated).
     /// Refusal is always safe — the engine keeps the exact scan.
     pub fn bound_envelope(&self, errors: &[PointError]) -> Option<DustBoundTable> {
-        if self.config.exact_evaluation || errors.is_empty() || errors.len() > MAX_WARM_ERRORS {
+        if errors.is_empty() || errors.len() > MAX_WARM_ERRORS {
             return None;
         }
         let n = self.config.table_resolution;
@@ -622,30 +580,21 @@ impl Dust {
     /// confined to `[lo, hi]`; when the whole interval lands on one side
     /// of the cutoff — with a guard band orders of magnitude wider than
     /// the fp drift between the two accumulations — the decision is
-    /// forced without evaluating a single lerp. Ambiguous sums, and
-    /// exact-evaluation mode, delegate to the kernel itself, so the
-    /// decision is always the kernel's own.
+    /// forced without evaluating a single lerp. Ambiguous sums delegate
+    /// to the kernel itself, so the decision is always the kernel's own.
     ///
     /// # Panics
     /// If the series lengths differ.
     pub fn within_sq(&self, x: &UncertainSeries, y: &UncertainSeries, cutoff: f64) -> bool {
         assert_eq!(x.len(), y.len(), "DUST requires equal-length series");
-        if self.config.exact_evaluation {
-            return self.distance_sq_early_abandon(x, y, cutoff).is_some();
-        }
         let mut lo = 0.0f64;
         let mut hi = 0.0f64;
-        let mut memo: Option<(TableKey, Arc<DustTable>)> = None;
+        let mut memo = None;
         for i in 0..x.len() {
             let ex = x.error_at(i);
             let ey = y.error_at(i);
             let delta = (x.value_at(i) - y.value_at(i)).abs();
-            let key = TableKey::new(ex, ey);
-            if memo.as_ref().map(|(k, _)| *k != key).unwrap_or(true) {
-                memo = Some((key, self.resolve_table(key, ex, ey)));
-            }
-            let table = &memo.as_ref().expect("just set").1;
-            match table.bracket(delta) {
+            match self.memo_table(&mut memo, ex, ey).bracket(delta) {
                 Some((a, b)) => {
                     lo += a;
                     hi += b;
@@ -683,26 +632,6 @@ impl Dust {
 /// decides whether two points can reuse one table.
 pub(crate) fn same_error(a: &PointError, b: &PointError) -> bool {
     a.family == b.family && a.sigma.to_bits() == b.sigma.to_bits()
-}
-
-/// Deduplicates a series' per-point errors: returns, per point, an index
-/// into the (small) list of distinct error descriptions. The paper's
-/// workloads use one or two σ levels, so the list length is effectively
-/// constant while the series runs to hundreds of points.
-fn distinct_errors(s: &UncertainSeries) -> (Vec<usize>, Vec<PointError>) {
-    let mut distinct: Vec<PointError> = Vec::new();
-    let ids = s
-        .errors()
-        .iter()
-        .map(|e| match distinct.iter().position(|d| same_error(d, e)) {
-            Some(i) => i,
-            None => {
-                distinct.push(*e);
-                distinct.len() - 1
-            }
-        })
-        .collect();
-    (ids, distinct)
 }
 
 /// Exact `dust²` evaluation (no table): `ln φ(0) − ln φ(Δ)`, clamped at 0.
@@ -968,10 +897,9 @@ mod unit {
         // With tails disabled it degenerates (guarded to a huge value).
         let raw = Dust::new(DustConfig {
             uniform_tail_weight: 0.0,
-            exact_evaluation: true,
             ..DustConfig::default()
         });
-        assert!(raw.dust_squared(e, e, 3.0) > 1e100);
+        assert!(raw.dust_squared_exact(e, e, 3.0) > 1e100);
     }
 
     #[test]
@@ -1037,11 +965,7 @@ mod unit {
 
     #[test]
     fn table_lookup_matches_exact() {
-        let table = Dust::default();
-        let exact = Dust::new(DustConfig {
-            exact_evaluation: true,
-            ..DustConfig::default()
-        });
+        let dust = Dust::default();
         for (fx, fy) in [
             (ErrorFamily::Normal, ErrorFamily::Normal),
             (ErrorFamily::Uniform, ErrorFamily::Normal),
@@ -1051,8 +975,8 @@ mod unit {
             let e2 = pe(fy, 1.0);
             for i in 0..40 {
                 let delta = i as f64 * 0.25;
-                let a = table.dust_squared(e1, e2, delta);
-                let b = exact.dust_squared(e1, e2, delta);
+                let a = dust.dust_squared(e1, e2, delta);
+                let b = dust.dust_squared_exact(e1, e2, delta);
                 assert!(
                     (a - b).abs() < 2e-3 * (1.0 + b),
                     "{fx}/{fy} Δ={delta}: table {a} vs exact {b}"
@@ -1091,9 +1015,9 @@ mod unit {
     }
 
     #[test]
-    fn hoisted_dtw_matches_per_point_resolution() {
-        // Mixed error pairs across the two series: the hoisted table grid
-        // must reproduce the per-cell `dust_squared` path bit-for-bit.
+    fn dtw_matches_per_cell_dust_squared() {
+        // Mixed error pairs across the two series: the memoised cell cost
+        // must reproduce a fresh `dust_squared` per cell bit-for-bit.
         let mk_errs = |seed: usize| -> Vec<PointError> {
             (0..7)
                 .map(|i| {
@@ -1110,9 +1034,8 @@ mod unit {
             DtwOptions::with_band(0),
             DtwOptions::with_band(2),
         ] {
-            let hoisted = dust.dtw_distance(&x, &y, opts);
-            // Reference: the pre-hoist formulation — per-cell table
-            // resolution through `dust_squared`.
+            let served = dust.dtw_distance(&x, &y, opts);
+            // Reference: per-cell table resolution through `dust_squared`.
             let reference = uts_tseries::dtw::dtw_with_cost(
                 x.len(),
                 y.len(),
@@ -1123,25 +1046,31 @@ mod unit {
                 opts,
             )
             .sqrt();
-            assert_eq!(hoisted, reference, "opts {opts:?}");
+            assert_eq!(served, reference, "opts {opts:?}");
         }
     }
 
     #[test]
-    fn hoisted_dtw_tracks_dust_sq_exact() {
-        // Against the ground-truth kernel (exact evaluation, no tables):
-        // the table-served DTW agrees to table-interpolation accuracy.
+    fn dtw_tracks_the_exact_kernel() {
+        // Against DTW over the ground-truth kernel (no tables): the
+        // table-served DTW agrees to table-interpolation accuracy.
         let errs = [pe(ErrorFamily::Normal, 0.4), pe(ErrorFamily::Uniform, 0.7)];
         let e: Vec<PointError> = (0..6).map(|i| errs[i % 2]).collect();
         let x = UncertainSeries::new(vec![0.0, 0.6, -0.5, 1.2, 0.3, -0.9], e.clone());
         let y = UncertainSeries::new(vec![0.4, 0.2, 0.5, 0.0, -0.6, 0.1], e);
-        let table = Dust::default();
-        let exact = Dust::new(DustConfig {
-            exact_evaluation: true,
-            ..DustConfig::default()
-        });
-        let a = table.dtw_distance(&x, &y, DtwOptions::with_band(2));
-        let b = exact.dtw_distance(&x, &y, DtwOptions::with_band(2));
+        let dust = Dust::default();
+        let opts = DtwOptions::with_band(2);
+        let a = dust.dtw_distance(&x, &y, opts);
+        let b = uts_tseries::dtw::dtw_with_cost(
+            x.len(),
+            y.len(),
+            |i, j| {
+                let delta = x.value_at(i) - y.value_at(j);
+                dust.dust_squared_exact(x.error_at(i), y.error_at(j), delta)
+            },
+            opts,
+        )
+        .sqrt();
         assert!((a - b).abs() < 2e-3 * (1.0 + b), "table {a} vs exact {b}");
     }
 
@@ -1152,22 +1081,15 @@ mod unit {
             .collect();
         let x = UncertainSeries::new(vec![0.0, 1.0, -0.5, 2.0, 0.3, -1.1, 0.8, 0.2], errs.clone());
         let y = UncertainSeries::new(vec![1.0, 1.0, 0.5, 0.0, -0.2, 0.4, 1.3, -0.7], errs);
-        for dust in [
-            Dust::default(),
-            Dust::new(DustConfig {
-                exact_evaluation: true,
-                ..DustConfig::default()
-            }),
-        ] {
-            let d = dust.distance(&x, &y);
-            let sq = dust
-                .distance_sq_early_abandon(&x, &y, f64::INFINITY)
-                .expect("infinite limit");
-            assert_eq!(sq.sqrt(), d, "full sum must match distance bits");
-            // At the sum: kept. Just below: abandoned.
-            assert_eq!(dust.distance_sq_early_abandon(&x, &y, sq), Some(sq));
-            assert_eq!(dust.distance_sq_early_abandon(&x, &y, sq.next_down()), None);
-        }
+        let dust = Dust::default();
+        let d = dust.distance(&x, &y);
+        let sq = dust
+            .distance_sq_early_abandon(&x, &y, f64::INFINITY)
+            .expect("infinite limit");
+        assert_eq!(sq.sqrt(), d, "full sum must match distance bits");
+        // At the sum: kept. Just below: abandoned.
+        assert_eq!(dust.distance_sq_early_abandon(&x, &y, sq), Some(sq));
+        assert_eq!(dust.distance_sq_early_abandon(&x, &y, sq.next_down()), None);
     }
 
     #[test]
@@ -1176,13 +1098,6 @@ mod unit {
         let errs = [pe(ErrorFamily::Normal, 0.4), pe(ErrorFamily::Uniform, 1.0)];
         dust.warm_tables(&errs);
         assert_eq!(dust.cached_tables(), 4);
-        // Exact mode never builds tables.
-        let exact = Dust::new(DustConfig {
-            exact_evaluation: true,
-            ..DustConfig::default()
-        });
-        exact.warm_tables(&errs);
-        assert_eq!(exact.cached_tables(), 0);
     }
 
     #[test]
@@ -1253,11 +1168,6 @@ mod unit {
             .map(|i| pe(ErrorFamily::Normal, 0.1 + i as f64 * 0.01))
             .collect();
         assert!(dust.bound_envelope(&many).is_none(), "beyond the cap");
-        let exact = Dust::new(DustConfig {
-            exact_evaluation: true,
-            ..DustConfig::default()
-        });
-        assert!(exact.bound_envelope(&[e]).is_none(), "exact mode");
         assert!(dust.bound_envelope(&[e]).is_some(), "single pair works");
     }
 
@@ -1381,10 +1291,6 @@ mod unit {
         );
         for dust in [
             Dust::default(),
-            Dust::new(DustConfig {
-                exact_evaluation: true,
-                ..DustConfig::default()
-            }),
             // Tiny grid: most points fall beyond it (exact-value brackets).
             Dust::new(DustConfig {
                 table_max_delta: 0.5,

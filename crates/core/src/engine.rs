@@ -83,9 +83,9 @@ enum Prepared {
     /// DUST: the collection's distinct error descriptions (empty when
     /// they exceed the warm-table cap) plus the φ-space cost envelope
     /// that makes the candidate index admissible for DUST (`None` when
-    /// the envelope is unavailable — exact-evaluation mode, capped error
-    /// sets, or a construction refusal — in which case DUST queries keep
-    /// the exact scan).
+    /// the envelope is unavailable — a capped error set or a
+    /// construction refusal — in which case DUST queries keep the exact
+    /// scan).
     Dust {
         errors: Vec<PointError>,
         envelope: Option<DustBoundTable>,
@@ -277,7 +277,7 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
                 }
                 d.warm_tables(&errors);
                 // The envelope rides on the tables just warmed; `None`
-                // (capped error sets, exact mode, construction refusal)
+                // (capped error sets, construction refusal)
                 // keeps every DUST query on the exact scan.
                 let envelope = d.bound_envelope(&errors);
                 Prepared::Dust {

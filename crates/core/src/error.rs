@@ -15,8 +15,8 @@ pub enum InputError {
     /// MUNICH needs repeated observations, but the collection has none.
     MissingMultiObs,
     /// A series' length differs from the one it is compared with or
-    /// replaces (the first series of a MUNICH pair, or the collection
-    /// member being replaced).
+    /// replaces (the first series of a MUNICH pair, a collection's first
+    /// member, or the collection member being replaced).
     LengthMismatch {
         /// Length of the reference series.
         expected: usize,

@@ -90,8 +90,8 @@
 //! any per-series vector the engine stores, so those two techniques
 //! transparently bypass the index and keep their exact scans (counted as
 //! `scan_queries` in [`IndexStats`]); DUST also falls back to the scan
-//! when its envelope is unavailable (exact-evaluation mode, error sets
-//! beyond the warm-table cap, or an envelope construction refusal).
+//! when its envelope is unavailable (error sets beyond the warm-table
+//! cap, or an envelope construction refusal).
 //!
 //! # Parallel construction and leaf-chunked range queries
 //!

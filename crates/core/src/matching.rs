@@ -229,8 +229,9 @@ impl MatchingTask {
     ///
     /// # Panics
     /// If the collections disagree in count or per-series length, the
-    /// collection is smaller than `k + 2` (a query needs `k` neighbours
-    /// plus itself), or `k == 0`.
+    /// series differ in length from one another (as
+    /// [`Collection::try_new`] rejects), the collection is smaller than
+    /// `k + 2` (a query needs `k` neighbours plus itself), or `k == 0`.
     pub fn new(
         clean: Vec<TimeSeries>,
         uncertain: Vec<UncertainSeries>,

@@ -171,9 +171,6 @@ pub struct MunichConfig {
     pub auto_bins: usize,
     /// Apply the MBI filter step before any refinement.
     pub use_mbi_filter: bool,
-    /// Seed for the Monte-Carlo estimator (kept in the config so repeated
-    /// queries are reproducible).
-    pub mc_seed: u64,
 }
 
 impl Default for MunichConfig {
@@ -183,10 +180,13 @@ impl Default for MunichConfig {
             exact_support_limit: 200_000,
             auto_bins: 8192,
             use_mbi_filter: true,
-            mc_seed: 0x4d554e49, // "MUNI"
         }
     }
 }
+
+/// Seed of the Monte-Carlo estimator: fixed, so repeated queries are
+/// reproducible.
+const MC_SEED: u64 = 0x4d554e49; // "MUNI"
 
 /// Slop absorbed by every early-abandonment decision: a candidate is only
 /// abandoned when its running probability bounds clear τ by more than
@@ -522,7 +522,7 @@ impl Munich {
         samples: usize,
         decide: Option<f64>,
     ) -> Refined<f64> {
-        let mut rng = Seed::new(self.config.mc_seed).derive("euclid").rng();
+        let mut rng = Seed::new(MC_SEED).derive("euclid").rng();
         let total = samples as f64;
         let mut hits = 0usize;
         for done in 1..=samples {

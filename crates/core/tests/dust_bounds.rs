@@ -14,16 +14,12 @@ use proptest::prelude::*;
 use uts_core::dust::{Dust, DustBoundTable, DustConfig};
 use uts_uncertain::{ErrorFamily, PointError};
 
-/// One shared exact-mode kernel (no lookup tables, so arbitrary σ pairs
-/// cost nothing to set up — each call integrates directly).
+/// One shared kernel, called through [`Dust::dust_squared_exact`] (no
+/// lookup tables, so arbitrary σ pairs cost nothing to set up — each
+/// call integrates directly).
 fn exact_kernel() -> &'static Dust {
     static KERNEL: OnceLock<Dust> = OnceLock::new();
-    KERNEL.get_or_init(|| {
-        Dust::new(DustConfig {
-            exact_evaluation: true,
-            ..DustConfig::default()
-        })
-    })
+    KERNEL.get_or_init(Dust::default)
 }
 
 /// One shared table-mode DUST plus its envelope over a fixed
@@ -71,8 +67,8 @@ proptest! {
         let ey = PointError::new(ErrorFamily::ALL[fy], sy);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let d = exact_kernel();
-        let at_lo = d.dust_squared(ex, ey, lo);
-        let at_hi = d.dust_squared(ex, ey, hi);
+        let at_lo = d.dust_squared_exact(ex, ey, lo);
+        let at_hi = d.dust_squared_exact(ex, ey, hi);
         prop_assert!(at_lo.is_finite() && at_hi.is_finite(),
             "{fx}/{fy} σ=({sx},{sy}) Δ=({lo},{hi}): {at_lo} {at_hi}");
         prop_assert!(
@@ -82,7 +78,7 @@ proptest! {
         );
         // Sign symmetry: the kernel depends on the gap magnitude only.
         prop_assert_eq!(
-            d.dust_squared(ex, ey, -hi).to_bits(),
+            d.dust_squared_exact(ex, ey, -hi).to_bits(),
             at_hi.to_bits(),
             "dust²(-Δ) == dust²(Δ)"
         );

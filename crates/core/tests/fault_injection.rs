@@ -25,7 +25,7 @@ use uts_core::serving::{
     ShardedEngine,
 };
 use uts_core::uma::{Uema, Uma};
-use uts_core::InputError;
+use uts_core::{Collection, InputError};
 use uts_stats::rng::Seed;
 use uts_tseries::TimeSeries;
 use uts_uncertain::{
@@ -623,6 +623,37 @@ fn ill_posed_questions_are_typed_for_every_technique() {
             }
             Err(other) => panic!("{}: unexpected {other:?}", technique.kind()),
         }
+    }
+}
+
+/// A ragged collection (member lengths 20, 14, 20, …) is a typed
+/// [`InputError`] on the way into either engine, for every technique,
+/// instead of a kernel panic that serving would relabel as a shard fault.
+#[test]
+fn ragged_collections_are_typed_before_any_engine_is_built() {
+    let base = build_task(0xFA0C, 12, 20, 3);
+    let mut uncertain = base.uncertain().to_vec();
+    let short = &uncertain[1];
+    uncertain[1] =
+        UncertainSeries::new(short.values()[..14].to_vec(), short.errors()[..14].to_vec());
+    let want = InputError::LengthMismatch {
+        expected: 20,
+        got: 14,
+    };
+    for technique in all_techniques() {
+        let flat = Collection::try_new(uncertain.clone(), None)
+            .and_then(|c| QueryEngine::try_prepare_with(c, &technique, IndexConfig::default()));
+        assert_eq!(flat.err(), Some(want), "{}", technique.kind());
+        let sharded = Collection::try_new(uncertain.clone(), None).and_then(|c| {
+            ShardedEngine::try_prepare_with(
+                &c,
+                &technique,
+                2,
+                ShardAssignment::RoundRobin,
+                IndexConfig::default(),
+            )
+        });
+        assert_eq!(sharded.err(), Some(want), "{}", technique.kind());
     }
 }
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use uts_core::classify::{knn_loocv, ClassificationOutcome};
-use uts_core::dust::{Dust, DustConfig};
+use uts_core::dust::Dust;
 use uts_core::engine::QueryEngine;
 use uts_core::matching::{MatchingTask, QualityScores, Technique};
 use uts_core::munich::{Munich, MunichConfig, MunichStrategy};
@@ -37,6 +37,17 @@ fn uncertain_pair(
         })
 }
 
+/// DUST from the exact kernel at every point, with no lookup table.
+fn exact_distance(x: &UncertainSeries, y: &UncertainSeries) -> f64 {
+    let dust = Dust::default();
+    (0..x.len())
+        .map(|i| {
+            dust.dust_squared_exact(x.error_at(i), y.error_at(i), x.value_at(i) - y.value_at(i))
+        })
+        .sum::<f64>()
+        .sqrt()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -59,8 +70,7 @@ proptest! {
         let errs = vec![PointError::new(ErrorFamily::Normal, sigma); 8];
         let x = UncertainSeries::new(xs, errs.clone());
         let y = UncertainSeries::new(ys, errs);
-        let dust = Dust::new(DustConfig { exact_evaluation: true, ..DustConfig::default() });
-        let d = dust.distance(&x, &y);
+        let d = exact_distance(&x, &y);
         let scale = 1.0 / (4.0 * sigma * sigma).sqrt();
         let want = euclidean(x.values(), y.values()) * scale;
         prop_assert!((d - want).abs() < 1e-6 * (1.0 + want), "dust {d} vs scaled euclid {want}");
@@ -68,10 +78,8 @@ proptest! {
 
     #[test]
     fn dust_table_close_to_exact((x, y, _fam, _sigma) in uncertain_pair(10)) {
-        let table = Dust::default();
-        let exact = Dust::new(DustConfig { exact_evaluation: true, ..DustConfig::default() });
-        let a = table.distance(&x, &y);
-        let b = exact.distance(&x, &y);
+        let a = Dust::default().distance(&x, &y);
+        let b = exact_distance(&x, &y);
         prop_assert!((a - b).abs() < 5e-3 * (1.0 + b), "table {a} vs exact {b}");
     }
 

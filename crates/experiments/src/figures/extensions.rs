@@ -482,7 +482,17 @@ mod unit {
     fn dtw_extension_shows_warping_gain() {
         let config = ExpConfig::with_scale(Scale::Quick);
         let tables = run_dtw(&config);
-        assert_eq!(tables[0].rows.len(), 4);
+        // Pinned rows: DUST-DTW's served tables must keep every score.
+        let want = [
+            ["Euclidean", "0.666±0.106", "0.764±0.190", "0.734±0.253"],
+            ["DTW", "0.760±0.125", "0.815±0.152", "0.781±0.207"],
+            ["DUST", "0.666±0.106", "0.764±0.190", "0.734±0.253"],
+            ["DUST-DTW", "0.760±0.125", "0.815±0.152", "0.781±0.207"],
+        ];
+        assert_eq!(
+            tables[0].rows,
+            want.map(|row| row.map(String::from).to_vec())
+        );
         // Parse mean F1 cells ("x.xxx±y.yyy").
         let f1 = |row: usize| -> f64 {
             tables[0].rows[row][1]

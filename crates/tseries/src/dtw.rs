@@ -64,7 +64,7 @@ impl DtwWorkspace {
         &mut self,
         n: usize,
         m: usize,
-        cost: impl Fn(usize, usize) -> f64,
+        mut cost: impl FnMut(usize, usize) -> f64,
         opts: DtwOptions,
     ) -> f64 {
         assert!(n > 0 && m > 0, "DTW requires non-empty series");
@@ -142,7 +142,7 @@ impl DtwWorkspace {
 pub fn dtw_with_cost(
     n: usize,
     m: usize,
-    cost: impl Fn(usize, usize) -> f64,
+    cost: impl FnMut(usize, usize) -> f64,
     opts: DtwOptions,
 ) -> f64 {
     DtwWorkspace::new().accumulated_cost(n, m, cost, opts)
