@@ -37,11 +37,12 @@
 //! Like the original implementation, `dust` values are served from
 //! per-(families, σx, σy) **lookup tables** over a Δ grid
 //! (paper §4.2.1 mentions "how the DUST lookup tables are determined"),
-//! built lazily and cached behind an `std::sync::RwLock`. Every kernel —
-//! the aligned distance, the range predicate and DUST-DTW — serves from
-//! these tables and evaluates the exact kernel only beyond the grid;
-//! [`Dust::dust_squared_exact`] exposes that exact kernel as the
-//! reference the tables are tested against.
+//! built lazily and cached behind an `std::sync::RwLock`. One loop,
+//! [`Dust::distance_sq_early_abandon`], serves every aligned question —
+//! the distance, range decisions and top-k scans — and DUST-DTW serves
+//! each cell the same way: the table's interpolation on the grid, the
+//! exact kernel only beyond it. [`Dust::dust_squared_exact`] exposes that
+//! exact kernel as the reference the tables are tested against.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -51,11 +52,11 @@ use uts_stats::integrate::adaptive_simpson_with_breaks;
 use uts_tseries::dtw::{dtw_with_cost, DtwOptions};
 use uts_uncertain::{ErrorFamily, PointError, UncertainSeries};
 
-/// Largest distinct-error-set size for which [`Dust::warm_tables`] warms
-/// eagerly and [`Dust::bound_envelope`] builds an envelope.
-/// The paper's workloads carry at most a handful of (family, σ) levels;
-/// sample-estimated workloads with per-point σ blow past this and stay on
-/// lazy per-pair resolution.
+/// Largest distinct-error-set size for which [`Dust::bound_envelope`]
+/// builds an envelope (resolving every ordered pair's table as it goes)
+/// and [`Dust::warm_tables`] warms eagerly. The paper's workloads carry
+/// at most a handful of (family, σ) levels; sample-estimated workloads
+/// with per-point σ blow past this and stay on lazy per-pair resolution.
 pub const MAX_WARM_ERRORS: usize = 16;
 
 /// DUST configuration.
@@ -123,24 +124,6 @@ impl DustTable {
         }
         let frac = pos - idx as f64;
         Some(self.values[idx] * (1.0 - frac) + self.values[idx + 1] * frac)
-    }
-
-    /// The two grid samples [`DustTable::lookup`] would interpolate
-    /// between at `delta`, ordered `(min, max)` — the interval the lerp
-    /// value is confined to. `None` exactly when `lookup` is `None`
-    /// (beyond the grid), `(NaN, NaN)` for a NaN `delta` so callers fall
-    /// through to the kernel rather than decide on a garbage cell.
-    fn bracket(&self, delta: f64) -> Option<(f64, f64)> {
-        if delta.is_nan() {
-            return Some((f64::NAN, f64::NAN));
-        }
-        let pos = delta / self.step;
-        let idx = pos.floor() as usize;
-        if idx + 1 >= self.values.len() {
-            return None;
-        }
-        let (a, b) = (self.values[idx], self.values[idx + 1]);
-        Some(if a <= b { (a, b) } else { (b, a) })
     }
 }
 
@@ -286,12 +269,6 @@ impl Dust {
         self.tables.read().expect("dust table lock").len()
     }
 
-    /// The un-normalised similarity kernel `φ(Δ)` for an error pair — the
-    /// density of `e_x − e_y` at Δ (see module docs).
-    pub fn phi(&self, ex: PointError, ey: PointError, delta: f64) -> f64 {
-        phi_kernel(&self.config, ex, ey, delta)
-    }
-
     /// Per-point squared dust value `dust²(x, y) = −log φ(Δ) + log φ(0)`,
     /// clamped at zero (skewed error pairs can peak away from Δ = 0; the
     /// clamp preserves `dust(x, x) = 0` reflexivity, the role of the
@@ -426,15 +403,15 @@ impl Dust {
     }
 
     /// Pre-resolves the lookup tables for every ordered pair of the given
-    /// error descriptions — the batched engine's per-collection warm-up,
-    /// so no query ever pays a table *build* inside its candidate scan.
+    /// error descriptions, or nothing when there are more than
+    /// [`MAX_WARM_ERRORS`] of them (eager warming is quadratic in
+    /// distinct errors).
     ///
-    /// Skipped entirely when the error set is large (> [`MAX_WARM_ERRORS`]
-    /// distinct descriptions): eager warming is quadratic in distinct
-    /// errors, and a sample-estimated workload where every *point* carries
-    /// its own σ would build millions of tables that mostly never co-occur
-    /// in an aligned comparison. Such workloads keep the lazy per-pair
-    /// builds of the scan itself, exactly as the naive path does.
+    /// The query engine does not call this: [`Dust::bound_envelope`]
+    /// resolves the same tables while it builds. It is public only for
+    /// the benchmark's trace mirror (the `perfbench` package), which
+    /// warms its shards through it; once that mirror moves off it, it
+    /// goes.
     pub fn warm_tables(&self, errors: &[PointError]) {
         if errors.len() > MAX_WARM_ERRORS {
             return;
@@ -568,52 +545,17 @@ impl Dust {
         })
     }
 
-    /// Decision-only range predicate: whether the squared DUST distance
-    /// stays within `cutoff` — bit-equivalent to
-    /// `self.distance_sq_early_abandon(x, y, cutoff).is_some()`, which is
-    /// how the engine's range scans phrase `DUST(x, y) ≤ ε`.
+    /// Whether the squared DUST distance stays within `cutoff`: exactly
+    /// `self.distance_sq_early_abandon(x, y, cutoff).is_some()`, the
+    /// decision the query engine's range scans make directly.
     ///
-    /// Fast path: one pass accumulating the *bracketing* grid samples of
-    /// every per-point Δ (the min and max of the two cells the lerp
-    /// kernel interpolates between — `DustTable::bracket`). Per-point
-    /// values are non-negative, so the kernel's accumulated sum is
-    /// confined to `[lo, hi]`; when the whole interval lands on one side
-    /// of the cutoff — with a guard band orders of magnitude wider than
-    /// the fp drift between the two accumulations — the decision is
-    /// forced without evaluating a single lerp. Ambiguous sums delegate
-    /// to the kernel itself, so the decision is always the kernel's own.
+    /// Kept public only for the benchmark's trace mirror (the `perfbench`
+    /// package), which times its range decisions through this name; once
+    /// that mirror calls [`Dust::distance_sq_early_abandon`], it goes.
     ///
     /// # Panics
     /// If the series lengths differ.
     pub fn within_sq(&self, x: &UncertainSeries, y: &UncertainSeries, cutoff: f64) -> bool {
-        assert_eq!(x.len(), y.len(), "DUST requires equal-length series");
-        let mut lo = 0.0f64;
-        let mut hi = 0.0f64;
-        let mut memo = None;
-        for i in 0..x.len() {
-            let ex = x.error_at(i);
-            let ey = y.error_at(i);
-            let delta = (x.value_at(i) - y.value_at(i)).abs();
-            match self.memo_table(&mut memo, ex, ey).bracket(delta) {
-                Some((a, b)) => {
-                    lo += a;
-                    hi += b;
-                }
-                None => {
-                    // Beyond the grid the kernel evaluates exactly — the
-                    // bracket collapses to the exact value.
-                    let v = dust_sq_exact(&self.config, ex, ey, delta);
-                    lo += v;
-                    hi += v;
-                }
-            }
-            if lo * (1.0 - 1e-9) - 1e-12 > cutoff {
-                return false; // even the optimistic sum already exceeds ε²
-            }
-        }
-        if hi * (1.0 + 1e-9) + 1e-12 <= cutoff {
-            return true; // even the pessimistic sum stays within ε²
-        }
         self.distance_sq_early_abandon(x, y, cutoff).is_some()
     }
 
@@ -649,12 +591,6 @@ fn dust_sq_exact(config: &DustConfig, ex: PointError, ey: PointError, delta: f64
         return f64::MAX / 1e6;
     }
     (ln_phi0 - ln_phid).max(0.0)
-}
-
-/// φ(Δ): density of `e_x − e_y` at Δ (linear scale; may underflow deep in
-/// the tails — use [`ln_phi_kernel`] for computation).
-fn phi_kernel(config: &DustConfig, ex: PointError, ey: PointError, delta: f64) -> f64 {
-    ln_phi_kernel(config, ex, ey, delta).exp()
 }
 
 /// Log-density of the standard normal scaled to std `s`, at `x`.
@@ -893,7 +829,7 @@ mod unit {
         let d = dust.dust(e, e, 3.0);
         assert!(d.is_finite() && d > 0.0, "tail workaround failed: {d}");
         // And φ itself is positive there.
-        assert!(dust.phi(e, e, 3.0) > 0.0);
+        assert!(ln_phi_kernel(dust.config(), e, e, 3.0).exp() > 0.0);
         // With tails disabled it degenerates (guarded to a huge value).
         let raw = Dust::new(DustConfig {
             uniform_tail_weight: 0.0,
@@ -908,7 +844,7 @@ mod unit {
         let e1 = pe(ErrorFamily::Exponential, 0.5);
         let e2 = pe(ErrorFamily::Exponential, 1.1);
         for delta in [-2.0, -0.5, 0.0, 0.3, 1.7] {
-            let analytic = phi_kernel(&cfg, e1, e2, delta);
+            let analytic = ln_phi_kernel(&cfg, e1, e2, delta).exp();
             let numeric = {
                 let fx = contaminated_pdf(&cfg, e1);
                 let fy = contaminated_pdf(&cfg, e2);
@@ -931,7 +867,7 @@ mod unit {
         let e1 = pe(ErrorFamily::Normal, 0.7);
         let e2 = pe(ErrorFamily::Normal, 0.3);
         for delta in [0.0, 0.4, 1.5] {
-            let analytic = phi_kernel(&cfg, e1, e2, delta);
+            let analytic = ln_phi_kernel(&cfg, e1, e2, delta).exp();
             let fx = contaminated_pdf(&cfg, e1);
             let fy = contaminated_pdf(&cfg, e2);
             let numeric = adaptive_simpson(|u| fx(u) * fy(u - delta), -30.0, 30.0, 1e-12, 40);
@@ -948,7 +884,7 @@ mod unit {
         let e1 = pe(ErrorFamily::Uniform, 0.8);
         let e2 = pe(ErrorFamily::Uniform, 0.5);
         for delta in [0.0, 0.5, 1.2, 2.0, 4.0] {
-            let analytic = phi_kernel(&cfg, e1, e2, delta);
+            let analytic = ln_phi_kernel(&cfg, e1, e2, delta).exp();
             let fx = contaminated_pdf(&cfg, e1);
             let fy = contaminated_pdf(&cfg, e2);
             let (xl, xh) = contaminated_support(&cfg, e1);
@@ -1133,33 +1069,6 @@ mod unit {
     }
 
     #[test]
-    fn bracket_confines_lookup() {
-        let dust = Dust::default();
-        let pairs = [
-            (pe(ErrorFamily::Normal, 0.4), pe(ErrorFamily::Normal, 1.0)),
-            (pe(ErrorFamily::Uniform, 0.7), pe(ErrorFamily::Uniform, 0.3)),
-            (
-                pe(ErrorFamily::Exponential, 0.9),
-                pe(ErrorFamily::Exponential, 0.5),
-            ),
-        ];
-        for (ex, ey) in pairs {
-            let key = TableKey::new(ex, ey);
-            let table = dust.resolve_table(key, ex, ey);
-            for i in 0..200 {
-                let delta = i as f64 * 0.1001;
-                match (table.lookup(delta), table.bracket(delta)) {
-                    (Some(v), Some((lo, hi))) => {
-                        assert!(lo <= v && v <= hi, "Δ={delta}: {v} outside [{lo}, {hi}]");
-                    }
-                    (None, None) => {} // beyond the grid on both
-                    (l, b) => panic!("Δ={delta}: lookup {l:?} vs bracket {b:?} disagree"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn envelope_refusal_conditions() {
         let dust = Dust::default();
         let e = pe(ErrorFamily::Normal, 0.4);
@@ -1273,52 +1182,6 @@ mod unit {
                 bound_sq <= exact_sq * (1.0 + 1e-9) + 1e-12,
                 "n={n} m={segments}: bound {bound_sq} > exact {exact_sq}"
             );
-        }
-    }
-
-    #[test]
-    fn within_sq_matches_the_kernel_decision() {
-        let errs: Vec<PointError> = (0..10)
-            .map(|i| pe(ErrorFamily::ALL[i % 3], 0.3 + 0.15 * (i % 4) as f64))
-            .collect();
-        let x = UncertainSeries::new(
-            vec![0.0, 1.0, -0.5, 2.0, 0.3, -1.1, 0.8, 0.2, -0.4, 1.6],
-            errs.clone(),
-        );
-        let y = UncertainSeries::new(
-            vec![1.0, 1.0, 0.5, 0.0, -0.2, 0.4, 1.3, -0.7, 0.9, -1.0],
-            errs,
-        );
-        for dust in [
-            Dust::default(),
-            // Tiny grid: most points fall beyond it (exact-value brackets).
-            Dust::new(DustConfig {
-                table_max_delta: 0.5,
-                table_resolution: 8,
-                ..DustConfig::default()
-            }),
-        ] {
-            let sq = dust
-                .distance_sq_early_abandon(&x, &y, f64::INFINITY)
-                .unwrap();
-            // Cutoffs on both sides of the sum, at it, just under it, and
-            // degenerate — the decision must match the kernel's exactly.
-            for cutoff in [
-                -1.0,
-                0.0,
-                sq * 0.25,
-                sq.next_down(),
-                sq,
-                sq.next_up(),
-                sq * 4.0,
-                f64::INFINITY,
-            ] {
-                assert_eq!(
-                    dust.within_sq(&x, &y, cutoff),
-                    dust.distance_sq_early_abandon(&x, &y, cutoff).is_some(),
-                    "cutoff {cutoff}"
-                );
-            }
         }
     }
 }

@@ -17,7 +17,8 @@
 //!    * UMA/UEMA — the filtered view of every collection member, computed
 //!      in `O(collection)` instead of `O(queries × collection)`;
 //!    * DUST — lookup tables for every ordered error pair present in the
-//!      collection, so no query pays a table *build*;
+//!      collection, resolved while building the candidate index's
+//!      envelope, so no query pays a table *build*;
 //!    * MUNICH — per-series MBI envelopes feeding the filter step without
 //!      re-scanning sample rows per pair; range queries then refine the
 //!      surviving candidates through the count-bound early-abandonment
@@ -260,8 +261,8 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
             Technique::Euclidean | Technique::Proud { .. } => Prepared::Plain,
             Technique::Dust(d) => {
                 // Distinct (family, σ) descriptions across the collection,
-                // abandoned as soon as the set exceeds what `warm_tables`
-                // would warm anyway — a per-point-σ workload would
+                // abandoned as soon as the set exceeds what
+                // `bound_envelope` accepts — a per-point-σ workload would
                 // otherwise make this scan quadratic in total points.
                 let mut errors: Vec<PointError> = Vec::new();
                 'scan: for u in coll.uncertain() {
@@ -275,10 +276,10 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
                         }
                     }
                 }
-                d.warm_tables(&errors);
-                // The envelope rides on the tables just warmed; `None`
-                // (capped error sets, construction refusal)
-                // keeps every DUST query on the exact scan.
+                // Building the envelope resolves every ordered pair's
+                // lookup table, so no query pays a table build. `None`
+                // (capped error sets, construction refusal) keeps every
+                // DUST query on the exact scan, building tables lazily.
                 let envelope = d.bound_envelope(&errors);
                 Prepared::Dust {
                     errors,
@@ -435,7 +436,7 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
                     exclude,
                     deadline,
                     dust_cost(errors, envelope.as_ref(), *max_abs, qu),
-                    |i, cutoff| d.within_sq(qu, &coll.uncertain()[i], cutoff).then_some(0.0),
+                    |i, cutoff| d.distance_sq_early_abandon(qu, &coll.uncertain()[i], cutoff),
                 );
             }
             (Technique::Proud { proud, tau }, _, QueryRef::Uncertain(qu)) => {
@@ -561,7 +562,8 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
     /// queries DUST supports), sorted ascending by distance, then `i`,
     /// then `j`; `None` for the probabilistic techniques. A pair's
     /// distance is the one query `i` measures to candidate `j`, as in an
-    /// exhaustive pair scan.
+    /// exhaustive pair scan. A collection of fewer than two members has
+    /// no pairs: the distance-ranked techniques answer an empty list.
     ///
     /// Answered from per-member [`QueryEngine::top_k`] lists: for a
     /// symmetric distance, a pair among the `k` closest has `j` among
@@ -599,6 +601,9 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
     pub fn top_k_motifs(&self, k: usize) -> Option<Vec<(usize, usize, f64)>> {
         assert!(k > 0, "k must be positive");
         let n = self.collection().len();
+        if n < 2 {
+            return (!self.technique.is_probabilistic()).then(Vec::new);
+        }
         let first = k.min(n - 1);
         let mut lists = (0..n)
             .map(|i| Some((first, self.top_k(i, first)?)))
@@ -1276,6 +1281,23 @@ mod unit {
         };
         assert!(QueryEngine::prepare(&task, &proud).top_k(2, 4).is_none());
         assert!(task.top_k_naive(2, &proud, 4).is_none());
+    }
+
+    #[test]
+    fn motifs_of_fewer_than_two_members_are_empty() {
+        // No pairs exist: distance-ranked techniques answer `Some([])`,
+        // the probabilistic ones keep `None`.
+        let base = toy_task(37, 3, 8, 0.3, 1);
+        for n in [0, 1] {
+            let uncertain = base.uncertain()[..n].to_vec();
+            let multi = base.multi().map(|m| m[..n].to_vec());
+            let coll = Collection::try_new(uncertain, multi).expect("well-formed");
+            for technique in all_techniques(0.3) {
+                let motifs = QueryEngine::prepare(&coll, &technique).top_k_motifs(2);
+                let want = (!technique.is_probabilistic()).then(Vec::new);
+                assert_eq!(motifs, want, "{} n={n}", technique.kind());
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! fails here. Top-k motifs, which the engine answers from per-member
 //! top-k lists, are held to the exhaustive pair scan the same way.
 
-use uts_core::dust::Dust;
+use uts_core::dust::{Dust, DustConfig};
 use uts_core::engine::QueryEngine;
 use uts_core::index::IndexConfig;
 use uts_core::matching::{MatchingTask, QualityScores, Technique};
@@ -106,6 +106,13 @@ fn techniques(sigma: f64) -> Vec<Technique> {
     vec![
         Technique::Euclidean,
         Technique::Dust(Dust::default()),
+        // A tiny table grid: most per-point gaps fall beyond it and are
+        // served by the exact kernel, on the range path as on top-k.
+        Technique::Dust(Dust::new(DustConfig {
+            table_max_delta: 0.5,
+            table_resolution: 8,
+            ..DustConfig::default()
+        })),
         Technique::Uma(Uma::default()),
         Technique::Uema(Uema::default()),
         Technique::Proud {
