@@ -37,11 +37,17 @@
 //! Like the original implementation, `dust` values are served from
 //! per-(families, σx, σy) **lookup tables** over a Δ grid
 //! (paper §4.2.1 mentions "how the DUST lookup tables are determined"),
-//! built lazily and cached behind an `std::sync::RwLock`. One loop,
-//! [`Dust::distance_sq_early_abandon`], serves every aligned question —
-//! the distance, range decisions and top-k scans — and DUST-DTW serves
-//! each cell the same way: the table's interpolation on the grid, the
-//! exact kernel only beyond it. [`Dust::dust_squared_exact`] exposes that
+//! built once per error pair and shared through a cache keyed by the
+//! pair. Hot callers do not consult that cache per point: they give each
+//! distinct error a small class id and read the tables from a flat
+//! store indexed by class — the query engine resolves a collection's
+//! store at prepare, DUST-DTW one per call. The pair API
+//! ([`Dust::distance`], [`Dust::distance_sq_early_abandon`]) and error
+//! sets over [`MAX_WARM_ERRORS`] read the cache once per run of equal
+//! error pairs. Either way one loop serves every aligned question — the
+//! distance, range decisions and top-k scans — and DUST-DTW serves each
+//! cell the same way: the table's interpolation on the grid, the exact
+//! kernel only beyond it. [`Dust::dust_squared_exact`] exposes that
 //! exact kernel as the reference the tables are tested against.
 
 use std::collections::HashMap;
@@ -125,6 +131,166 @@ impl DustTable {
         let frac = pos - idx as f64;
         Some(self.values[idx] * (1.0 - frac) + self.values[idx + 1] * frac)
     }
+}
+
+/// Where the DUST kernels take the lookup table for point `i` of the
+/// first series against point `j` of the second: one table for a pair
+/// of constant-error series, a flat store indexed by error class, or the
+/// shared cache behind a last-error-pair memo.
+trait TableSource {
+    fn table(&mut self, i: usize, j: usize) -> &DustTable;
+}
+
+impl TableSource for &DustTable {
+    #[inline]
+    fn table(&mut self, _: usize, _: usize) -> &DustTable {
+        self
+    }
+}
+
+/// The shared cache, consulted only when a point's error pair differs
+/// from the previous point's. Runs of equal error pairs (the paper's
+/// workloads use one or two σ levels) then borrow the table without
+/// touching the lock or the `Arc` refcount.
+struct Memo<'a> {
+    dust: &'a Dust,
+    x: &'a [PointError],
+    y: &'a [PointError],
+    last: Option<(TableKey, Arc<DustTable>)>,
+}
+
+impl<'a> Memo<'a> {
+    fn new(dust: &'a Dust, x: &'a UncertainSeries, y: &'a UncertainSeries) -> Self {
+        Self {
+            dust,
+            x: x.errors(),
+            y: y.errors(),
+            last: None,
+        }
+    }
+}
+
+impl TableSource for Memo<'_> {
+    #[inline]
+    fn table(&mut self, i: usize, j: usize) -> &DustTable {
+        let (ex, ey) = (self.x[i], self.y[j]);
+        let key = TableKey::new(ex, ey);
+        if self.last.as_ref().is_some_and(|(k, _)| *k != key) {
+            self.last = None;
+        }
+        &self
+            .last
+            .get_or_insert_with(|| (key, self.dust.resolve_table(key, ex, ey)))
+            .1
+    }
+}
+
+/// A flat store of resolved lookup tables, one per `(row class, column
+/// class)` pair of two error lists ([`Dust::class_tables`]). The tables
+/// are the shared cache's own (`Arc` clones), so serving from the store
+/// is bit-identical to serving from the cache.
+#[derive(Debug)]
+pub(crate) struct ClassTables {
+    cols: usize,
+    tables: Box<[Arc<DustTable>]>,
+}
+
+impl ClassTables {
+    #[inline]
+    fn get(&self, row: u8, col: u8) -> &DustTable {
+        &self.tables[row as usize * self.cols + col as usize]
+    }
+}
+
+/// The error class of every point of one series: its index in a list of
+/// distinct error descriptions, at most [`MAX_WARM_ERRORS`] long, so a
+/// `u8` holds it.
+#[derive(Debug)]
+pub(crate) enum ErrorClasses {
+    /// Every point carries the same error.
+    Constant(u8),
+    /// One class per point (also the empty series).
+    PerPoint(Box<[u8]>),
+}
+
+impl ErrorClasses {
+    /// The classes of `series` in `errors`, or `None` when one of its
+    /// errors is not in the list.
+    pub(crate) fn within(errors: &[PointError], series: &[PointError]) -> Option<Self> {
+        Self::assign(series, |e| class_in(errors, e))
+    }
+
+    /// The classes of `series` in `errors`, appending each error the list
+    /// lacks; `None` once the list would exceed [`MAX_WARM_ERRORS`].
+    pub(crate) fn collect(errors: &mut Vec<PointError>, series: &[PointError]) -> Option<Self> {
+        Self::assign(series, |e| {
+            class_in(errors, e).or_else(|| {
+                (errors.len() < MAX_WARM_ERRORS).then(|| {
+                    errors.push(*e);
+                    (errors.len() - 1) as u8
+                })
+            })
+        })
+    }
+
+    /// Classes through `class_of`, asked only where a point's error
+    /// differs from its predecessor's.
+    fn assign(
+        series: &[PointError],
+        mut class_of: impl FnMut(&PointError) -> Option<u8>,
+    ) -> Option<Self> {
+        let Some(first) = series.first() else {
+            return Some(Self::PerPoint(Box::new([])));
+        };
+        let (mut prev, mut class) = (first, class_of(first)?);
+        let mut per_point: Option<Vec<u8>> = None;
+        for (i, e) in series.iter().enumerate().skip(1) {
+            if !same_error(prev, e) {
+                let next = class_of(e)?;
+                if next != class && per_point.is_none() {
+                    per_point = Some(vec![class; i]);
+                }
+                (prev, class) = (e, next);
+            }
+            if let Some(ids) = per_point.as_mut() {
+                ids.push(class);
+            }
+        }
+        Some(match per_point {
+            Some(ids) => Self::PerPoint(ids.into_boxed_slice()),
+            None => Self::Constant(class),
+        })
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> u8 {
+        match self {
+            Self::Constant(c) => *c,
+            Self::PerPoint(ids) => ids[i],
+        }
+    }
+}
+
+/// Tables by the error classes of both series.
+struct ByClass<'a> {
+    tables: &'a ClassTables,
+    xc: &'a ErrorClasses,
+    yc: &'a ErrorClasses,
+}
+
+impl TableSource for ByClass<'_> {
+    #[inline]
+    fn table(&mut self, i: usize, j: usize) -> &DustTable {
+        self.tables.get(self.xc.at(i), self.yc.at(j))
+    }
+}
+
+/// The class of `e` in `errors`.
+fn class_in(errors: &[PointError], e: &PointError) -> Option<u8> {
+    errors
+        .iter()
+        .position(|k| same_error(k, e))
+        .map(|c| c as u8)
 }
 
 /// An admissible lower envelope of `dust²(Δ)` across *every ordered
@@ -275,7 +441,10 @@ impl Dust {
     /// paper's constant `k`).
     pub fn dust_squared(&self, ex: PointError, ey: PointError, delta: f64) -> f64 {
         let table = self.resolve_table(TableKey::new(ex, ey), ex, ey);
-        self.served(&table, ex, ey, delta.abs())
+        let delta = delta.abs();
+        table
+            .lookup(delta)
+            .unwrap_or_else(|| dust_sq_exact(&self.config, ex, ey, delta))
     }
 
     /// [`Dust::dust_squared`] evaluated from the kernel itself, with no
@@ -295,8 +464,10 @@ impl Dust {
     ///
     /// Consecutive points sharing an error pair (the common case: the
     /// paper's workloads use one or two σ levels) reuse the resolved
-    /// lookup table, so the shared-cache lock is touched once per *run*
-    /// of equal error pairs rather than once per point.
+    /// lookup table, so the shared cache is consulted once per *run* of
+    /// equal error pairs rather than once per point. The query engine
+    /// skips even that: it serves its collections from tables resolved
+    /// once per error class at prepare time.
     ///
     /// # Panics
     /// If the series lengths differ.
@@ -322,14 +493,49 @@ impl Dust {
         y: &UncertainSeries,
         limit: f64,
     ) -> Option<f64> {
+        self.accumulate(x, y, limit, Memo::new(self, x, y))
+    }
+
+    /// [`Dust::distance_sq_early_abandon`] with each point's table read
+    /// from `tables` by the two series' error classes (`xc` indexes the
+    /// rows, `yc` the columns) instead of the shared cache: no key, lock
+    /// or hash per point. The tables are the cached ones, so the sum is
+    /// bit-identical.
+    ///
+    /// # Panics
+    /// If the series lengths differ.
+    pub(crate) fn distance_sq_classed(
+        &self,
+        x: &UncertainSeries,
+        xc: &ErrorClasses,
+        y: &UncertainSeries,
+        yc: &ErrorClasses,
+        tables: &ClassTables,
+        limit: f64,
+    ) -> Option<f64> {
+        match (xc, yc) {
+            (ErrorClasses::Constant(a), ErrorClasses::Constant(b)) => {
+                self.accumulate(x, y, limit, tables.get(*a, *b))
+            }
+            _ => self.accumulate(x, y, limit, ByClass { tables, xc, yc }),
+        }
+    }
+
+    /// The one aligned DUST loop, generic over where a point's table
+    /// comes from: `Σ dust²` in point order, `None` as soon as the running
+    /// sum exceeds `limit`.
+    #[inline]
+    fn accumulate(
+        &self,
+        x: &UncertainSeries,
+        y: &UncertainSeries,
+        limit: f64,
+        mut tables: impl TableSource,
+    ) -> Option<f64> {
         assert_eq!(x.len(), y.len(), "DUST requires equal-length series");
         let mut acc = 0.0;
-        let mut memo = None;
         for i in 0..x.len() {
-            let ex = x.error_at(i);
-            let ey = y.error_at(i);
-            let delta = (x.value_at(i) - y.value_at(i)).abs();
-            acc += self.served(self.memo_table(&mut memo, ex, ey), ex, ey, delta);
+            acc += self.served(&mut tables, x, y, i, i);
             if acc > limit {
                 return None;
             }
@@ -337,34 +543,21 @@ impl Dust {
         Some(acc)
     }
 
-    /// The table for `(ex, ey)`, resolved through the shared cache only
-    /// when the pair differs from the one `memo` holds. Runs of equal
-    /// error pairs (the common case: the paper's workloads use one or
-    /// two σ levels) then borrow the table without touching the lock or
-    /// the `Arc` refcount.
+    /// The served `dust²` between point `i` of `x` and point `j` of `y`:
+    /// the table's interpolation on the grid, the exact kernel beyond it.
     #[inline]
-    fn memo_table<'m>(
+    fn served(
         &self,
-        memo: &'m mut Option<(TableKey, Arc<DustTable>)>,
-        ex: PointError,
-        ey: PointError,
-    ) -> &'m DustTable {
-        let key = TableKey::new(ex, ey);
-        if memo.as_ref().is_some_and(|(k, _)| *k != key) {
-            *memo = None;
-        }
-        &memo
-            .get_or_insert_with(|| (key, self.resolve_table(key, ex, ey)))
-            .1
-    }
-
-    /// The served `dust²` at `|Δ|`: the table's interpolation on the
-    /// grid, the exact kernel beyond it.
-    #[inline]
-    fn served(&self, table: &DustTable, ex: PointError, ey: PointError, delta: f64) -> f64 {
-        match table.lookup(delta) {
+        tables: &mut impl TableSource,
+        x: &UncertainSeries,
+        y: &UncertainSeries,
+        i: usize,
+        j: usize,
+    ) -> f64 {
+        let delta = (x.value_at(i) - y.value_at(j)).abs();
+        match tables.table(i, j).lookup(delta) {
             Some(v) => v,
-            None => dust_sq_exact(&self.config, ex, ey, delta),
+            None => dust_sq_exact(&self.config, x.error_at(i), y.error_at(j), delta),
         }
     }
 
@@ -382,24 +575,58 @@ impl Dust {
         t
     }
 
+    /// The tables for every `(row, column)` pair of two error lists,
+    /// resolved through the shared cache once, here: the flat store the
+    /// class-indexed kernels read ([`ClassTables`]).
+    pub(crate) fn class_tables(&self, rows: &[PointError], cols: &[PointError]) -> ClassTables {
+        let tables = rows
+            .iter()
+            .flat_map(|&ex| {
+                cols.iter()
+                    .map(move |&ey| self.resolve_table(TableKey::new(ex, ey), ex, ey))
+            })
+            .collect();
+        ClassTables {
+            cols: cols.len(),
+            tables,
+        }
+    }
+
+    /// Each series' classes over its own distinct errors, plus the
+    /// tables of every (x class, y class) pair; `None` when either series
+    /// has more than [`MAX_WARM_ERRORS`] distinct errors.
+    fn pair_classes(
+        &self,
+        x: &UncertainSeries,
+        y: &UncertainSeries,
+    ) -> Option<(ClassTables, ErrorClasses, ErrorClasses)> {
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        let xc = ErrorClasses::collect(&mut rows, x.errors())?;
+        let yc = ErrorClasses::collect(&mut cols, y.errors())?;
+        Some((self.class_tables(&rows, &cols), xc, yc))
+    }
+
     /// DUST as the local cost of Dynamic Time Warping (paper §3.2: DUST
     /// "can be employed to compute the Dynamic Time Warping distance").
     ///
-    /// Each cell serves `dust²` exactly as [`Dust::dust_squared`] does,
-    /// through the same last-error-pair memo as the aligned kernels.
+    /// Each cell serves `dust²` exactly as [`Dust::dust_squared`] does.
+    /// The tables come from a flat store over each series' distinct
+    /// errors, resolved once per call; a series with more than
+    /// [`MAX_WARM_ERRORS`] of them falls back to the shared cache
+    /// through the aligned kernels' last-error-pair memo.
     pub fn dtw_distance(&self, x: &UncertainSeries, y: &UncertainSeries, opts: DtwOptions) -> f64 {
-        let mut memo = None;
-        dtw_with_cost(
-            x.len(),
-            y.len(),
-            |i, j| {
-                let (ex, ey) = (x.error_at(i), y.error_at(j));
-                let delta = (x.value_at(i) - y.value_at(j)).abs();
-                self.served(self.memo_table(&mut memo, ex, ey), ex, ey, delta)
-            },
-            opts,
-        )
-        .sqrt()
+        let (n, m) = (x.len(), y.len());
+        let total = match &self.pair_classes(x, y) {
+            Some((tables, xc, yc)) => {
+                let mut by_class = ByClass { tables, xc, yc };
+                dtw_with_cost(n, m, |i, j| self.served(&mut by_class, x, y, i, j), opts)
+            }
+            None => {
+                let mut memo = Memo::new(self, x, y);
+                dtw_with_cost(n, m, |i, j| self.served(&mut memo, x, y, i, j), opts)
+            }
+        };
+        total.sqrt()
     }
 
     /// Pre-resolves the lookup tables for every ordered pair of the given
@@ -413,13 +640,8 @@ impl Dust {
     /// warms its shards through it; once that mirror moves off it, it
     /// goes.
     pub fn warm_tables(&self, errors: &[PointError]) {
-        if errors.len() > MAX_WARM_ERRORS {
-            return;
-        }
-        for &ex in errors {
-            for &ey in errors {
-                let _ = self.resolve_table(TableKey::new(ex, ey), ex, ey);
-            }
+        if errors.len() <= MAX_WARM_ERRORS {
+            self.class_tables(errors, errors);
         }
     }
 
@@ -572,7 +794,7 @@ impl Dust {
 /// Bit-exact identity of two error descriptions — the same equivalence
 /// the table cache keys on ([`TableKey`]), shared by every dedup that
 /// decides whether two points can reuse one table.
-pub(crate) fn same_error(a: &PointError, b: &PointError) -> bool {
+fn same_error(a: &PointError, b: &PointError) -> bool {
     a.family == b.family && a.sigma.to_bits() == b.sigma.to_bits()
 }
 

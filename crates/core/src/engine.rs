@@ -6,9 +6,10 @@
 //! per-query paths in [`matching`](crate::matching) recompute
 //! per-collection work inside every candidate scan: UMA/UEMA re-filter
 //! the entire collection per query, MUNICH re-derives both sides' minimal
-//! bounding intervals per candidate pair, DUST resolves its cached lookup
-//! tables point by point, and every Euclidean comparison pays a full pass
-//! plus a square root even when the running sum has already crossed ε.
+//! bounding intervals per candidate pair, DUST looks its lookup tables
+//! up in a shared cache by error pair, and every Euclidean comparison
+//! pays a full pass plus a square root even when the running sum has
+//! already crossed ε.
 //!
 //! [`QueryEngine`] splits the work the way the Lernaean Hydra evaluation
 //! (Echihabi et al.) shows dominates similarity-search cost:
@@ -16,9 +17,11 @@
 //! 1. **Prepare** (once per collection × technique):
 //!    * UMA/UEMA — the filtered view of every collection member, computed
 //!      in `O(collection)` instead of `O(queries × collection)`;
-//!    * DUST — lookup tables for every ordered error pair present in the
-//!      collection, resolved while building the candidate index's
-//!      envelope, so no query pays a table *build*;
+//!    * DUST — a class id per distinct error description, each member's
+//!      classes, and a flat store of the lookup table of every ordered
+//!      class pair (resolved while building the candidate index's
+//!      envelope), so no query pays a table *build* and the kernel reads
+//!      each point's table by index;
 //!    * MUNICH — per-series MBI envelopes feeding the filter step without
 //!      re-scanning sample rows per pair; range queries then refine the
 //!      surviving candidates through the count-bound early-abandonment
@@ -56,7 +59,7 @@ use uts_uncertain::{MultiObsSeries, PointError, UncertainSeries};
 
 use crate::cancel::{Deadline, DeadlineExpired};
 use crate::collection::Collection;
-use crate::dust::DustBoundTable;
+use crate::dust::{ClassTables, Dust, DustBoundTable, ErrorClasses};
 use crate::error::InputError;
 use crate::index::{
     admits, synopsis_exceeds_by, CandidateIndex, IndexConfig, IndexCounters, IndexStats,
@@ -81,14 +84,15 @@ enum Prepared {
     Plain,
     /// UMA/UEMA: the filtered view of every collection member.
     Filtered(Vec<TimeSeries>),
-    /// DUST: the collection's distinct error descriptions (empty when
-    /// they exceed the warm-table cap) plus the φ-space cost envelope
-    /// that makes the candidate index admissible for DUST (`None` when
-    /// the envelope is unavailable — a capped error set or a
-    /// construction refusal — in which case DUST queries keep the exact
-    /// scan).
+    /// DUST: the collection's error classes and their resolved tables
+    /// (`None` when the distinct errors exceed the warm-table cap: the
+    /// kernel then reads the shared cache per error-pair run) plus the
+    /// φ-space cost envelope that makes the candidate index admissible
+    /// for DUST (`None` when the envelope is unavailable — a capped error
+    /// set or a construction refusal — in which case DUST queries keep
+    /// the exact scan).
     Dust {
-        errors: Vec<PointError>,
+        classes: Option<DustClasses>,
         envelope: Option<DustBoundTable>,
         /// Largest |value| across the collection: together with the
         /// query's own maximum it bounds every per-point gap a query can
@@ -98,6 +102,22 @@ enum Prepared {
     },
     /// MUNICH: the MBI envelope of every collection member.
     Munich(Vec<MbiEnvelope>),
+}
+
+/// A DUST collection's error classes: each distinct error description
+/// gets a small id, each member stores its points' ids, and one flat
+/// store holds the table of every `(query class, member class)` pair.
+/// A query's classes are resolved once; its kernel calls then read each
+/// point's table by index.
+#[derive(Debug)]
+struct DustClasses {
+    /// The distinct error descriptions, at most
+    /// [`crate::dust::MAX_WARM_ERRORS`]; a class id indexes this list.
+    errors: Vec<PointError>,
+    /// The resolved table of every ordered pair of `errors`.
+    tables: ClassTables,
+    /// Each member's classes.
+    members: Vec<ErrorClasses>,
 }
 
 /// A query's technique-specific view, detached from any particular
@@ -260,29 +280,32 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
         let state = match technique {
             Technique::Euclidean | Technique::Proud { .. } => Prepared::Plain,
             Technique::Dust(d) => {
-                // Distinct (family, σ) descriptions across the collection,
-                // abandoned as soon as the set exceeds what
-                // `bound_envelope` accepts — a per-point-σ workload would
-                // otherwise make this scan quadratic in total points.
+                // Distinct (family, σ) descriptions across the collection
+                // and each member's classes in one pass, abandoned as soon
+                // as the set exceeds what `bound_envelope` accepts — a
+                // per-point-σ workload would otherwise make this scan
+                // quadratic in total points.
                 let mut errors: Vec<PointError> = Vec::new();
-                'scan: for u in coll.uncertain() {
-                    for e in u.errors() {
-                        if !errors.iter().any(|k| crate::dust::same_error(k, e)) {
-                            errors.push(*e);
-                            if errors.len() > crate::dust::MAX_WARM_ERRORS {
-                                errors.clear();
-                                break 'scan;
-                            }
-                        }
-                    }
+                let members: Option<Vec<ErrorClasses>> = coll
+                    .uncertain()
+                    .iter()
+                    .map(|u| ErrorClasses::collect(&mut errors, u.errors()))
+                    .collect();
+                if members.is_none() {
+                    errors.clear();
                 }
                 // Building the envelope resolves every ordered pair's
                 // lookup table, so no query pays a table build. `None`
                 // (capped error sets, construction refusal) keeps every
-                // DUST query on the exact scan, building tables lazily.
+                // DUST query on the exact scan; over the cap, tables are
+                // built lazily.
                 let envelope = d.bound_envelope(&errors);
                 Prepared::Dust {
-                    errors,
+                    classes: members.map(|members| DustClasses {
+                        tables: d.class_tables(&errors, &errors),
+                        errors,
+                        members,
+                    }),
                     envelope,
                     max_abs: collection_max_abs(coll),
                 }
@@ -424,19 +447,20 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
             (
                 Technique::Dust(d),
                 Prepared::Dust {
-                    errors,
+                    classes,
                     envelope,
                     max_abs,
                 },
                 QueryRef::Uncertain(qu),
             ) => {
+                let dq = DustQuery::new(d, classes, coll.uncertain(), qu);
                 return self.range_select_by(
                     qu.values(),
                     epsilon,
                     exclude,
                     deadline,
-                    dust_cost(errors, envelope.as_ref(), *max_abs, qu),
-                    |i, cutoff| d.distance_sq_early_abandon(qu, &coll.uncertain()[i], cutoff),
+                    dq.cost(envelope.as_ref(), *max_abs),
+                    |i, cutoff| dq.dist_sq(i, cutoff),
                 );
             }
             (Technique::Proud { proud, tau }, _, QueryRef::Uncertain(qu)) => {
@@ -705,19 +729,22 @@ impl<T: Borrow<Collection>> QueryEngine<T> {
             (
                 Technique::Dust(d),
                 Prepared::Dust {
-                    errors,
+                    classes,
                     envelope,
                     max_abs,
                 },
                 QueryRef::Uncertain(qu),
-            ) => Ok(Some(self.top_k_select_by(
-                qu.values(),
-                k,
-                exclude,
-                deadline,
-                dust_cost(errors, envelope.as_ref(), *max_abs, qu),
-                |i, limit| d.distance_sq_early_abandon(qu, &coll.uncertain()[i], limit),
-            )?)),
+            ) => {
+                let dq = DustQuery::new(d, classes, coll.uncertain(), qu);
+                Ok(Some(self.top_k_select_by(
+                    qu.values(),
+                    k,
+                    exclude,
+                    deadline,
+                    dq.cost(envelope.as_ref(), *max_abs),
+                    |i, limit| dq.dist_sq(i, limit),
+                )?))
+            }
             (Technique::Proud { .. } | Technique::Munich { .. }, _, _) => Ok(None),
             _ => panic!("query view does not match the prepared technique"),
         }
@@ -945,11 +972,12 @@ impl QueryEngine<Collection> {
     /// re-prepare. Answers afterwards are bit-identical to a fresh engine
     /// over the mutated collection, and the pruning counters carry on.
     ///
-    /// DUST keeps its error set and envelope while every error
+    /// DUST keeps its error set, tables and envelope while every error
     /// description of the new member is already in the set: the set is
     /// then a superset of the collection's, so the envelope stays
-    /// admissible. A new description re-runs the DUST preparation and
-    /// index build under `cfg` (the config the engine was prepared with).
+    /// admissible, and only the member's classes are rewritten. A new
+    /// description re-runs the DUST preparation and index build under
+    /// `cfg` (the config the engine was prepared with).
     ///
     /// # Errors
     /// A replacement whose shape the collection cannot absorb is a typed
@@ -980,9 +1008,22 @@ impl QueryEngine<Collection> {
             (
                 Technique::Dust(_),
                 Prepared::Dust {
-                    errors, max_abs, ..
+                    classes, max_abs, ..
                 },
-            ) if dust_query_covered(errors, u) => {
+            ) => {
+                let covered = classes
+                    .as_mut()
+                    .and_then(|c| Some((ErrorClasses::within(&c.errors, u.errors())?, c)));
+                let Some((member, classes)) = covered else {
+                    // A new error description (or a capped set): the
+                    // envelope does not cover its pairs, so DUST is
+                    // prepared afresh.
+                    self.state = Self::build_state(coll, &self.technique)
+                        .expect("DUST prepares on any collection");
+                    self.index = Self::build_index(coll, &self.technique, &self.state, cfg);
+                    return Ok(());
+                };
+                classes.members[i] = member;
                 let new_max = series_max_abs(u.values());
                 if new_max > *max_abs {
                     *max_abs = new_max;
@@ -991,14 +1032,6 @@ impl QueryEngine<Collection> {
                     *max_abs = collection_max_abs(coll);
                 }
                 Some(u.values())
-            }
-            // A new error description: the envelope does not cover its
-            // pairs, so DUST is prepared afresh.
-            (Technique::Dust(_), _) => {
-                self.state = Self::build_state(coll, &self.technique)
-                    .expect("DUST prepares on any collection");
-                self.index = Self::build_index(coll, &self.technique, &self.state, cfg);
-                return Ok(());
             }
             // PROUD keeps no per-member state.
             _ => None,
@@ -1035,36 +1068,71 @@ fn candidates(n: usize, exclude: Option<usize>) -> impl Iterator<Item = usize> {
     (0..n).filter(move |&i| Some(i) != exclude)
 }
 
-/// Whether every error description the query carries was part of the set
-/// the DUST envelope was built over. A local query always is; an
-/// external query (another shard's member, or ad-hoc) may carry a
-/// (family, σ) the envelope never saw, in which case its lower bound is
-/// not admissible and the engine must keep the exact scan.
-fn dust_query_covered(errors: &[PointError], qu: &UncertainSeries) -> bool {
-    qu.errors()
-        .iter()
-        .all(|e| errors.iter().any(|k| crate::dust::same_error(k, e)))
+/// One DUST query against a prepared collection: the kernel and the
+/// pruning cost its range and top-k selections share.
+///
+/// The query's classes are resolved once, at construction. They double
+/// as the coverage check: a local query is always covered, but an
+/// external one (another shard's member, or ad-hoc) may carry a
+/// (family, σ) the collection never saw. A covered query's kernel reads
+/// each point's table from the flat store by class; an uncovered one (or
+/// any query over a capped error set) reads the shared cache.
+struct DustQuery<'a> {
+    dust: &'a Dust,
+    query: &'a UncertainSeries,
+    members: &'a [UncertainSeries],
+    /// The collection's classes and the query's, when it is covered.
+    classed: Option<(&'a DustClasses, ErrorClasses)>,
 }
 
-/// DUST's per-segment pruning cost for one query, range and top-k alike:
-/// the φ-space envelope when it exists *and* its lower bound is
-/// admissible for this query — every query error description covered (an
-/// external query may carry errors the envelope was not built over) and
-/// the largest per-point gap the query can produce against any member
-/// (its own maximum |value| plus the collection's) inside the envelope's
-/// validity horizon. `None` keeps the query on the exact scan, through
-/// the same decision kernel; non-finite values fail the comparison and
-/// land there too.
-fn dust_cost<'a>(
-    errors: &[PointError],
-    envelope: Option<&'a DustBoundTable>,
-    max_abs: f64,
-    qu: &UncertainSeries,
-) -> Option<impl Fn(f64) -> f64 + Sync + 'a> {
-    let env = envelope.filter(|e| {
-        series_max_abs(qu.values()) + max_abs <= e.valid_delta() && dust_query_covered(errors, qu)
-    })?;
-    Some(move |gap: f64| env.cost(gap.abs()))
+impl<'a> DustQuery<'a> {
+    fn new(
+        dust: &'a Dust,
+        classes: &'a Option<DustClasses>,
+        members: &'a [UncertainSeries],
+        query: &'a UncertainSeries,
+    ) -> Self {
+        let classed = classes
+            .as_ref()
+            .and_then(|c| Some((c, ErrorClasses::within(&c.errors, query.errors())?)));
+        Self {
+            dust,
+            query,
+            members,
+            classed,
+        }
+    }
+
+    /// The early-abandoned squared distance to member `i`.
+    fn dist_sq(&self, i: usize, limit: f64) -> Option<f64> {
+        let (q, m) = (self.query, &self.members[i]);
+        match &self.classed {
+            Some((c, qc)) => {
+                self.dust
+                    .distance_sq_classed(q, qc, m, &c.members[i], &c.tables, limit)
+            }
+            None => self.dust.distance_sq_early_abandon(q, m, limit),
+        }
+    }
+
+    /// The per-segment pruning cost: the φ-space envelope when it exists
+    /// *and* its lower bound is admissible for this query — the query
+    /// covered and the largest per-point gap it can produce against any
+    /// member (its own maximum |value| plus the collection's `max_abs`)
+    /// inside the envelope's validity horizon. `None` keeps the query on
+    /// the exact scan, through the same decision kernel; non-finite
+    /// values fail the comparison and land there too.
+    fn cost(
+        &self,
+        envelope: Option<&'a DustBoundTable>,
+        max_abs: f64,
+    ) -> Option<impl Fn(f64) -> f64 + Sync + 'a> {
+        let env = envelope.filter(|e| {
+            self.classed.is_some()
+                && series_max_abs(self.query.values()) + max_abs <= e.valid_delta()
+        })?;
+        Some(move |gap: f64| env.cost(gap.abs()))
+    }
 }
 
 /// Largest |value| of one series (0 when empty).

@@ -11,8 +11,10 @@
 //! fails here. Top-k motifs, which the engine answers from per-member
 //! top-k lists, are held to the exhaustive pair scan the same way.
 
+use std::sync::OnceLock;
+
 use uts_core::dust::{Dust, DustConfig};
-use uts_core::engine::QueryEngine;
+use uts_core::engine::{QueryEngine, QueryRef};
 use uts_core::index::IndexConfig;
 use uts_core::matching::{MatchingTask, QualityScores, Technique};
 use uts_core::munich::Munich;
@@ -32,14 +34,29 @@ struct Workload {
     seed: u64,
     n: usize,
     len: usize,
+    /// The constant error level, and the σ PROUD is configured with.
     sigma: f64,
     family: ErrorFamily,
+    errors: Errors,
     k: usize,
 }
 
-/// Three deliberately different workloads: size, length, error level and
+/// How a workload's per-point errors are assigned.
+enum Errors {
+    /// Every point carries `(family, sigma)`.
+    Constant,
+    /// The paper's mixed-σ split within `family` (20% of points at σ 1.0,
+    /// the rest at 0.4): DUST members carry per-point error classes.
+    MixedSigma,
+    /// The paper's Figure 9 mixture of all three families over the same
+    /// σ split: six error classes and every cross-family table.
+    MixedFamilies,
+}
+
+/// Five deliberately different workloads: size, length, error level and
 /// error family all vary, so the fast paths are exercised with dense and
-/// sparse answer sets and with every DUST table family.
+/// sparse answer sets, with every DUST table family, and with members
+/// whose error changes from point to point.
 const WORKLOADS: &[Workload] = &[
     Workload {
         name: "small-normal",
@@ -48,6 +65,7 @@ const WORKLOADS: &[Workload] = &[
         len: 24,
         sigma: 0.3,
         family: ErrorFamily::Normal,
+        errors: Errors::Constant,
         k: 3,
     },
     Workload {
@@ -57,6 +75,7 @@ const WORKLOADS: &[Workload] = &[
         len: 30,
         sigma: 0.8,
         family: ErrorFamily::Uniform,
+        errors: Errors::Constant,
         k: 5,
     },
     Workload {
@@ -66,6 +85,27 @@ const WORKLOADS: &[Workload] = &[
         len: 18,
         sigma: 1.4,
         family: ErrorFamily::Exponential,
+        errors: Errors::Constant,
+        k: 4,
+    },
+    Workload {
+        name: "mixed-sigma-normal",
+        seed: 0xD15,
+        n: 13,
+        len: 26,
+        sigma: 0.4,
+        family: ErrorFamily::Normal,
+        errors: Errors::MixedSigma,
+        k: 3,
+    },
+    Workload {
+        name: "mixed-families",
+        seed: 0xFA3,
+        n: 12,
+        len: 20,
+        sigma: 0.4,
+        family: ErrorFamily::Normal,
+        errors: Errors::MixedFamilies,
         k: 4,
     },
 ];
@@ -81,7 +121,11 @@ fn build(w: &Workload) -> MatchingTask {
             .znormalized()
         })
         .collect();
-    let spec = ErrorSpec::constant(w.family, w.sigma);
+    let spec = match w.errors {
+        Errors::Constant => ErrorSpec::constant(w.family, w.sigma),
+        Errors::MixedSigma => ErrorSpec::paper_mixed(w.family),
+        Errors::MixedFamilies => ErrorSpec::paper_mixed_families(),
+    };
     let uncertain: Vec<UncertainSeries> = clean
         .iter()
         .enumerate()
@@ -102,10 +146,18 @@ fn probe_queries(task: &MatchingTask) -> [usize; 3] {
     [0, task.len() / 2, task.len() - 1]
 }
 
+/// One default DUST for the whole suite, so each table — the
+/// mixed-family workload's cross-family tables are numeric integrations,
+/// seconds apiece in a debug build — is built once, not once per test.
+fn shared_dust() -> Dust {
+    static DUST: OnceLock<Dust> = OnceLock::new();
+    DUST.get_or_init(Dust::default).clone()
+}
+
 fn techniques(sigma: f64) -> Vec<Technique> {
     vec![
         Technique::Euclidean,
-        Technique::Dust(Dust::default()),
+        Technique::Dust(shared_dust()),
         // A tiny table grid: most per-point gaps fall beyond it and are
         // served by the exact kernel, on the range path as on top-k.
         Technique::Dust(Dust::new(DustConfig {
@@ -283,6 +335,69 @@ fn probabilities_bit_identical_across_workloads() {
                 }
             }
         }
+    }
+}
+
+/// An external query whose σ the collection never saw — another
+/// collection's member, through `query_ref` — over a mixed-σ DUST
+/// collection: the query has no error classes there and the envelope
+/// does not bound it, so the engine falls back to the shared table cache
+/// and the exact scan. Its range and top-k answers still equal a direct
+/// pair scan bit for bit, index on and off.
+#[test]
+fn dust_external_query_with_unseen_sigma_matches_pair_scan() {
+    let w = &WORKLOADS[3];
+    assert!(matches!(w.errors, Errors::MixedSigma));
+    let home = build(w);
+    let away = build(&Workload {
+        name: "foreign",
+        seed: 0xF0E,
+        n: 4,
+        len: w.len,
+        sigma: 0.7,
+        family: ErrorFamily::Normal,
+        errors: Errors::Constant,
+        k: 1,
+    });
+    let dust = Dust::default();
+    let technique = Technique::Dust(dust.clone());
+    let foreign = QueryEngine::prepare(&away, &technique);
+    let members = home.uncertain();
+    for cfg in [IndexConfig::always(), IndexConfig::disabled()] {
+        let engine = QueryEngine::prepare_with(&home, &technique, cfg);
+        assert_eq!(engine.is_indexed(), cfg == IndexConfig::always());
+        for q in 0..away.len() {
+            let query = foreign.query_ref(q);
+            let QueryRef::Uncertain(qu) = query else {
+                panic!("DUST queries are uncertain series");
+            };
+            let dists: Vec<f64> = members.iter().map(|m| dust.distance(qu, m)).collect();
+            let mut order: Vec<(usize, f64)> = dists.iter().copied().enumerate().collect();
+            order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            // Thresholds sitting exactly on a member's distance.
+            for eps in [order[2].1, order[members.len() / 2].1] {
+                let want: Vec<usize> = (0..members.len()).filter(|&i| dists[i] <= eps).collect();
+                assert_eq!(
+                    engine.answer_set_ref(&query, eps, None),
+                    want,
+                    "q={q} eps={eps} {cfg:?}"
+                );
+            }
+            for k in [1, w.k, members.len()] {
+                let got = engine.top_k_ref(&query, k, None).expect("DUST ranks");
+                assert_eq!(
+                    bits(&Some(got)),
+                    bits(&Some(order[..k].to_vec())),
+                    "q={q} k={k}"
+                );
+            }
+        }
+        let stats = engine.index_stats();
+        assert_eq!(
+            (stats.indexed_queries, stats.scan_queries),
+            (0, 5 * away.len() as u64),
+            "{cfg:?}: every uncovered query scans"
+        );
     }
 }
 

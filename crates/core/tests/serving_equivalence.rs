@@ -642,20 +642,38 @@ struct Write {
 /// envelope's validity horizon, which turns the index off), a smaller
 /// series over the member holding `max_abs`, a σ outside the prepared
 /// DUST error set (the re-prepare case), a write to a probe query's own
-/// member, and random members with fresh perturbations in between.
+/// member, and random members with fresh perturbations in between. The
+/// last two writes give the re-prepared member's slot per-point σ drawn
+/// from its shard's error set {0.4, 0.7} (DUST rewrites only the member's
+/// error classes, from one class to one per point), then constant σ
+/// again (back to one class).
 fn write_sequence(task: &MatchingTask, seed: u64) -> Vec<Write> {
     use rand::Rng;
     let (n, len) = (task.len(), task.clean()[0].len());
     let root = Seed::new(seed);
     let mut rng = root.derive("writes").rng();
     let mut writes = Vec::new();
-    for step in 0..24u64 {
-        let (i, offset, sigma) = match step {
-            3 => (7, 3000.0, 0.4),                 // far away: raises max_abs
-            8 => (7, 0.0, 0.4),                    // the max_abs holder shrinks back
-            12 => (rng.gen_range(0..n), 0.0, 0.7), // σ outside the error set
-            16 => (0, 0.0, 0.4),                   // a probe query's own member
-            _ => (rng.gen_range(0..n), 0.0, 0.4),
+    let normal = |sigma| ErrorSpec::constant(ErrorFamily::Normal, sigma);
+    let mut outside = 0;
+    for step in 0..26u64 {
+        let (i, offset, spec) = match step {
+            3 => (7, 3000.0, normal(0.4)), // far away: raises max_abs
+            8 => (7, 0.0, normal(0.4)),    // the max_abs holder shrinks back
+            12 => {
+                // σ outside the error set: the owner shard re-prepares,
+                // and its set holds 0.7 from then on.
+                outside = rng.gen_range(0..n);
+                (outside, 0.0, normal(0.7))
+            }
+            16 => (0, 0.0, normal(0.4)), // a probe query's own member
+            // Per-point σ, all in the set: new classes, no re-prepare.
+            24 => (
+                outside,
+                0.0,
+                ErrorSpec::mixed_sigma(ErrorFamily::Normal, 0.5, 0.7, 0.4),
+            ),
+            25 => (outside, 0.0, normal(0.4)), // constant again
+            _ => (rng.gen_range(0..n), 0.0, normal(0.4)),
         };
         let phase: f64 = rng.gen_range(0.0..6.0);
         let clean = TimeSeries::from_values((0..len).map(|t| {
@@ -664,11 +682,15 @@ fn write_sequence(task: &MatchingTask, seed: u64) -> Vec<Write> {
         }))
         .znormalized();
         let clean = TimeSeries::from_values(clean.values().iter().map(|v| v + offset));
-        let spec = ErrorSpec::constant(ErrorFamily::Normal, sigma);
         let s = root.derive_u64(step);
+        let uncertain = perturb(&clean, &spec, s.derive("pdf"));
+        if step == 24 {
+            let sigmas = uncertain.sigmas();
+            assert!(sigmas.contains(&0.4) && sigmas.contains(&0.7), "{sigmas:?}");
+        }
         writes.push(Write {
             i,
-            uncertain: perturb(&clean, &spec, s.derive("pdf")),
+            uncertain,
             multi: perturb_multi(&clean, &spec, 3, s.derive("multi")),
             clean,
         });
