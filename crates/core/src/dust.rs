@@ -246,11 +246,11 @@ impl ErrorClasses {
         let mut per_point: Option<Vec<u8>> = None;
         for (i, e) in series.iter().enumerate().skip(1) {
             if !same_error(prev, e) {
-                let next = class_of(e)?;
-                if next != class && per_point.is_none() {
+                // A different error is a different class.
+                if per_point.is_none() {
                     per_point = Some(vec![class; i]);
                 }
-                (prev, class) = (e, next);
+                (prev, class) = (e, class_of(e)?);
             }
             if let Some(ids) = per_point.as_mut() {
                 ids.push(class);
